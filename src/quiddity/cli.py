@@ -269,10 +269,10 @@ def _run_surgery(args: argparse.Namespace, out) -> int:
     if args.action == "apply":
         removed = []
         for token in args.remove.split(","):
-            parts = token.split("-")
-            if len(parts) != 2:
-                raise DomainError(f"bad chord token {token!r}")
-            i, j = sorted((int(parts[0]), int(parts[1])))
+            try:
+                i, j = sorted(int(part) for part in token.split("-"))
+            except ValueError:  # a non-integer end, or not exactly two ends
+                raise DomainError(f"bad chord token {token!r}") from None
             removed.append((i, j))
         if len(removed) != 2:
             raise DomainError("surgery removes exactly two chords")

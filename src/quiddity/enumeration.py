@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
+from . import formulas
 from .core import (
     Chord,
     Dissection,
@@ -170,47 +170,14 @@ def enumerate_dissections(
             yield Dissection(n_vertices, chords)
 
 
-@lru_cache(maxsize=None)
-def _count_table(s: int, cell_filter: CellFilter) -> tuple[int, ...]:
-    """Counts of dissections of an s-vertex sub-polygon by cell count.
-
-    Index c of the returned tuple is the number with exactly c cells.
-    Only depends on s since sub-polygons are intervals of vertices.
-    """
-    if s == 2:
-        return (1,)
-    total = [0] * (s - 1)
-    for t in cell_filter.allowed_sizes_upto(s):
-        # Distribute the s-1 boundary steps of the base cell over t-1
-        # gaps, each of at least one step; convolve the gap counts.
-        # acc[v][c] = ways to realize the first j gaps with v steps and
-        # c cells in total.
-        acc = {(0, 0): 1}
-        for j in range(t - 1):
-            remaining_gaps = t - 2 - j
-            nxt: dict[tuple[int, int], int] = {}
-            for (v, c), ways in acc.items():
-                for step in range(1, s - 1 - v - remaining_gaps + 1):
-                    sub = _count_table(step + 1, cell_filter)
-                    for sub_c, sub_ways in enumerate(sub):
-                        if sub_ways:
-                            key = (v + step, c + sub_c)
-                            nxt[key] = nxt.get(key, 0) + ways * sub_ways
-            acc = nxt
-        for (v, c), ways in acc.items():
-            if v == s - 1:
-                total[c + 1] += ways
-    return tuple(total)
-
-
 def count_dissections(
     n_vertices: int, m: int, cell_filter: CellFilter = ALL_CELLS
 ) -> int:
     """Number of dissections of the N-gon into m cells passing the
-    filter, computed without materializing them."""
+    filter, from the composition formula (no materialization)."""
     _check_range(n_vertices, m)
-    table = _count_table(n_vertices, cell_filter)
-    return table[m] if m < len(table) else 0
+    return formulas.dissection_count(
+        n_vertices - 2, m, [t - 2 for t in cell_filter.allowed_sizes_upto(n_vertices)])
 
 
 def count_quiddities(

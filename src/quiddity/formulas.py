@@ -1,5 +1,6 @@
-"""Closed-form counts: Catalan, Kirkman-Cayley, Fuss, periodic and
-triangle/quadrilateral dissection numbers, and the count of distinct
+"""Closed-form counts: the prescribed-cell-size dissection count and
+its special cases (Catalan, Kirkman-Cayley, Fuss, periodic and
+triangle/quadrilateral dissection numbers), and the count of distinct
 quiddities of 3-periodic dissections.
 
 All results are exact big integers.  Intermediate rationals (the
@@ -33,23 +34,51 @@ def extended_binomial(a: int, b: int) -> int:
     return comb(a, b) if a >= b else 0
 
 
-def _exact_div(value: int, divisor: int, what: str) -> int:
-    q, r = divmod(value, divisor)
-    if r:
-        raise AssertionError(f"{what} is not an integer: {value}/{divisor}")
-    return q
-
-
 def _check_nonneg(**kwargs: int) -> None:
     for name, value in kwargs.items():
         if value < 0:
             raise DomainError(f"{name} must be nonnegative, got {value}")
 
 
+def _prescribed_cells(n: int, m: int, compositions: int, what: str) -> int:
+    # C(n+m, m)/(n+1) times the number of compositions of n into m parts
+    # (a part k per cell of size k+2); only the product is integral.
+    value = compositions * comb(n + m, m)
+    q, r = divmod(value, n + 1)
+    if r:
+        raise AssertionError(f"{what} is not an integer: {value}/{n + 1}")
+    return q
+
+
+def _compositions(n: int, m: int, parts) -> int:
+    """Number of ordered m-tuples drawn from the set ``parts`` summing to n."""
+    parts = [k for k in parts if k <= n]
+    row = [1] + [0] * n  # row[v]: tuples of the current length summing to v
+    for _ in range(m):
+        row = [sum(row[v - k] for k in parts if k <= v) for v in range(n + 1)]
+    return row[n]
+
+
+def dissection_count(n: int, m: int, parts) -> int:
+    """Number of dissections of the (n+2)-gon into m cells whose sizes
+    are drawn from {k + 2 : k in parts}.
+
+    C(n+m, m)/(n+1) times the number of compositions of n into m parts
+    from ``parts`` (the prescribed-cell-size count of Przytycki and
+    Sikora); every closed form below is a special case.  Follows the
+    2-gon convention D(0, 0) = 1 and D(0, m) = 0 for m > 0.
+    """
+    _check_nonneg(n=n, m=m)
+    parts = set(parts)
+    if min(parts, default=1) < 1:
+        raise DomainError("composition parts must be positive (cell sizes at least 3)")
+    return _prescribed_cells(n, m, _compositions(n, m, parts), "dissection_count")
+
+
 def catalan(n: int) -> int:
     """Number of triangulations of the (n+2)-gon: C(2n, n)/(n+1)."""
     _check_nonneg(n=n)
-    return _exact_div(comb(2 * n, n), n + 1, "catalan")
+    return _prescribed_cells(n, n, 1, "catalan")
 
 
 def kirkman_cayley(n: int, m: int) -> int:
@@ -61,8 +90,7 @@ def kirkman_cayley(n: int, m: int) -> int:
     _check_nonneg(n=n, m=m)
     if n == 0:
         return 1 if m == 0 else 0
-    value = extended_binomial(n - 1, m - 1) * extended_binomial(n + m, m)
-    return _exact_div(value, n + 1, "kirkman_cayley")
+    return _prescribed_cells(n, m, extended_binomial(n - 1, m - 1), "kirkman_cayley")
 
 
 def fuss(n: int, m: int) -> int:
@@ -73,7 +101,7 @@ def fuss(n: int, m: int) -> int:
         raise DomainError(f"cell count must be at least 1, got {m}")
     if n % m != 0:
         raise DomainError(f"equal-size count needs m | n, got n={n}, m={m}")
-    return _exact_div(comb(n + m, m), n + 1, "fuss")
+    return _prescribed_cells(n, m, 1, "fuss")
 
 
 def ell_periodic_count(n: int, m: int, ell: int) -> int:
@@ -90,8 +118,8 @@ def ell_periodic_count(n: int, m: int, ell: int) -> int:
         raise DomainError(f"period must be at least 1, got {ell}")
     if m > n or (n - m) % ell != 0:
         return 0
-    value = extended_binomial(m - 1 + (n - m) // ell, m - 1) * comb(n + m, m)
-    return _exact_div(value, n + 1, "ell_periodic_count")
+    compositions = extended_binomial(m - 1 + (n - m) // ell, m - 1)
+    return _prescribed_cells(n, m, compositions, "ell_periodic_count")
 
 
 def tri_quad_count(n: int, m: int) -> int:
@@ -103,8 +131,7 @@ def tri_quad_count(n: int, m: int) -> int:
         raise DomainError(f"cell count must be at least 1, got {m}")
     if not 0 <= n - m <= m:
         return 0
-    value = comb(m, n - m) * comb(n + m, m)
-    return _exact_div(value, n + 1, "tri_quad_count")
+    return _prescribed_cells(n, m, comb(m, n - m), "tri_quad_count")
 
 
 def quiddity_count_3periodic(n: int, m: int) -> int:

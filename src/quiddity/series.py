@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import DomainError
+from .enumeration import CellFilter
 
 
 class BivariateSeries:
@@ -164,34 +165,40 @@ def catalan_equation() -> EquationSpec:
     return EquationSpec("catalan", f)
 
 
-def kirkman_cayley_equation() -> EquationSpec:
-    # S = 1 + w z S^2 / (1 - z S)
+def cell_filter_equation(cell_filter: CellFilter) -> EquationSpec:
+    """S = 1 + w z S^2 * sum over allowed cell sizes t of (zS)^(t-3):
+    the z^n w^m coefficient counts dissections of the (n+2)-gon into m
+    cells whose sizes pass the filter."""
+    # Powers of zS are built one at a time: their low rows are zero, so
+    # the products stay cheap, unlike the dense powers of S itself.
     def f(s: BivariateSeries) -> BivariateSeries:
         one = BivariateSeries.one(s.order)
-        return one + (s * s).shift(1, 1) * geometric_sum(s.shift(1, 0))
+        zs = s.shift(1, 0)
+        exponents = [t - 3 for t in cell_filter.allowed_sizes_upto(s.order + 2)]
+        total = BivariateSeries.zero(s.order)
+        power, j = one, 0
+        for e in exponents:
+            while j < e:
+                power, j = power * zs, j + 1
+            total = total + power
+        return one + (s * s).shift(1, 1) * total
 
-    return EquationSpec("kirkman-cayley", f)
+    return EquationSpec(f"cells({cell_filter.describe()})", f)
+
+
+def kirkman_cayley_equation() -> EquationSpec:
+    # S = 1 + w z S^2 / (1 - z S)
+    return EquationSpec("kirkman-cayley", cell_filter_equation(CellFilter.all_cells()).apply)
 
 
 def ell_periodic_equation(ell: int) -> EquationSpec:
     # S = 1 + w z S^2 / (1 - z^ell S^ell)
-    if ell < 1:
-        raise DomainError(f"period must be at least 1, got {ell}")
-
-    def f(s: BivariateSeries) -> BivariateSeries:
-        one = BivariateSeries.one(s.order)
-        return one + (s * s).shift(1, 1) * geometric_sum((s ** ell).shift(ell, 0))
-
-    return EquationSpec(f"ell-periodic({ell})", f)
+    return EquationSpec(f"ell-periodic({ell})", cell_filter_equation(CellFilter.ell_periodic(ell)).apply)
 
 
 def tri_quad_equation() -> EquationSpec:
     # S = 1 + w z S^2 + w z^2 S^3
-    def f(s: BivariateSeries) -> BivariateSeries:
-        one = BivariateSeries.one(s.order)
-        return one + (s * s).shift(1, 1) + (s * s * s).shift(2, 1)
-
-    return EquationSpec("tri-quad", f)
+    return EquationSpec("tri-quad", cell_filter_equation(CellFilter.size_set({3, 4})).apply)
 
 
 def p_equation() -> EquationSpec:
@@ -230,11 +237,6 @@ def compose_q(p: BivariateSeries) -> BivariateSeries:
         raise DomainError("input series does not solve the auxiliary equation")
     one = BivariateSeries.one(p.order)
     return one + (p * p).shift(1, 1) * geometric_sum((p ** 3).shift(3, 0))
-
-
-def coefficient(s: BivariateSeries, n: int, m: int) -> int:
-    """Exact coefficient of z^n w^m."""
-    return s.coefficient(n, m)
 
 
 def lagrange_invert(phi: BivariateSeries, n: int) -> tuple[int, ...]:

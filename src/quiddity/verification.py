@@ -6,17 +6,13 @@ acceptance tests.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import formulas, series
 from .core import Dissection, dihedral_orbit, quiddity
-from .enumeration import (
-    CellFilter,
-    count_dissections,
-    enumerate_dissections,
-    quiddity_classes,
-)
+from .enumeration import CellFilter, enumerate_dissections, quiddity_classes
 from .modular import (
     MINUS_IDENTITY,
     NEITHER,
@@ -53,22 +49,28 @@ def _three_periodic_family(max_n: int) -> Iterator[tuple[int, int, list[Dissecti
 
 
 def check_dissection_counts(max_n: int) -> CheckResult:
-    """Brute-force counts against all four closed forms."""
+    """Brute-force enumeration counts against all four closed forms."""
+    def by_cells(n_vertices: int, m: Optional[int], cell_filter: CellFilter) -> Counter:
+        return Counter(len(d.chords) + 1
+                       for d in enumerate_dissections(n_vertices, m, cell_filter))
+
     checked = 0
     for n_vertices in range(3, max_n + 1):
         n = n_vertices - 2
+        general = by_cells(n_vertices, None, CellFilter.all_cells())
+        periodic = {ell: by_cells(n_vertices, None, CellFilter.ell_periodic(ell))
+                    for ell in (1, 2, 3)}
+        tri_quad = by_cells(n_vertices, None, CellFilter.size_set({3, 4}))
         for m in range(1, n_vertices - 1):
-            if count_dissections(n_vertices, m) != formulas.kirkman_cayley(n, m):
+            if general[m] != formulas.kirkman_cayley(n, m):
                 return CheckResult("dissection-counts", False, f"general count at N={n_vertices}, m={m}")
             for ell in (1, 2, 3):
-                if count_dissections(n_vertices, m, CellFilter.ell_periodic(ell)) != \
-                        formulas.ell_periodic_count(n, m, ell):
+                if periodic[ell][m] != formulas.ell_periodic_count(n, m, ell):
                     return CheckResult("dissection-counts", False, f"period {ell} at N={n_vertices}, m={m}")
-            if count_dissections(n_vertices, m, CellFilter.size_set({3, 4})) != \
-                    formulas.tri_quad_count(n, m):
+            if tri_quad[m] != formulas.tri_quad_count(n, m):
                 return CheckResult("dissection-counts", False, f"triangle/quad at N={n_vertices}, m={m}")
             if n % m == 0:
-                if count_dissections(n_vertices, m, CellFilter.equal_size(n // m + 2)) != \
+                if by_cells(n_vertices, m, CellFilter.equal_size(n // m + 2))[m] != \
                         formulas.fuss(n, m):
                     return CheckResult("dissection-counts", False, f"equal-size at N={n_vertices}, m={m}")
             checked += 4

@@ -101,6 +101,15 @@ def test_surgery_verbs(cache_env):
     assert json.loads(out)["members"] == ["8:1-3,5-7", "8:1-7,3-5"]
 
 
+@pytest.mark.parametrize("token", ["1-x,5-7", "1-3-5,5-7", "-,5-7"])
+def test_surgery_apply_rejects_malformed_chords(cache_env, capsys, token):
+    # "--remove=" keeps argparse from reading "-,5-7" as a flag
+    code, out = run(["surgery", "apply", "8:1-3,5-7", f"--remove={token}"])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_cf_verbs(cache_env):
     code, out = run(["cf", "eval", "--regular", "1,2,1,1"])
     assert out == "7/5\n"

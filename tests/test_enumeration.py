@@ -36,7 +36,9 @@ def test_octagon_three_cell_3periodic_count():
 def test_counts_match_enumeration_lengths():
     for n in range(3, 9):
         for m in range(1, n - 1):
-            for filt in (CellFilter.all_cells(), ELL3, CellFilter.size_set({3, 4})):
+            for filt in (CellFilter.all_cells(), ELL3, CellFilter.size_set({3, 4}),
+                         CellFilter.ell_periodic(4), CellFilter.size_set({5}),
+                         CellFilter.size_set({3, 5, 6}), CellFilter.size_set({4, 7})):
                 assert count_dissections(n, m, filt) == \
                     sum(1 for _ in enumerate_dissections(n, m, filt))
 

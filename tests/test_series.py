@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quiddity import DomainError, formulas
+from quiddity.enumeration import CellFilter, count_dissections
 from quiddity.series import (
     BivariateSeries,
     catalan_equation,
+    cell_filter_equation,
     compose_q,
     ell_periodic_equation,
     geometric_sum,
@@ -62,6 +64,15 @@ def test_tri_quad_series():
         for m in range(n + 1):
             assert s.coefficient(n, m) == \
                 closed_form_with_empty_row(formulas.tri_quad_count, n, m)
+
+
+def test_cell_filter_series_without_closed_form():
+    filt = CellFilter.size_set({3, 5})
+    s = solve_fixed_point(cell_filter_equation(filt), 12)
+    for n in range(13):
+        for m in range(n + 1):
+            want = count_dissections(n + 2, m, filt) if m else int(n == 0)
+            assert s.coefficient(n, m) == want, (n, m)
 
 
 def test_auxiliary_series_low_orders():

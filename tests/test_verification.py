@@ -1,9 +1,12 @@
 """The oracle suite itself: it passes, and it can fail."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 import quiddity.verification as verification
+from quiddity import formulas
 
 
 def test_fast_scope_is_all_green():
@@ -25,12 +28,29 @@ def test_tampered_formula_is_detected(monkeypatch):
 
 
 def test_tampered_enumeration_is_detected(monkeypatch):
-    real = verification.count_dissections
+    # drops the first dissection of every N=8 family
+    real = verification.enumerate_dissections
 
-    def skewed(n, m, cell_filter=verification.CellFilter.all_cells()):
-        return real(n, m, cell_filter) + (n == 8)
+    def skewed(n, m=None, cell_filter=verification.CellFilter.all_cells()):
+        stream = real(n, m, cell_filter)
+        return itertools.islice(stream, 1, None) if n == 8 else stream
 
-    monkeypatch.setattr(verification, "count_dissections", skewed)
+    monkeypatch.setattr(verification, "enumerate_dissections", skewed)
+    assert not verification.check_dissection_counts(8).passed
+
+
+def _off_by_one_at(fn, n0, m0):
+    return lambda n, m, *rest: fn(n, m, *rest) + (n == n0 and m == m0)
+
+
+@pytest.mark.parametrize("name", [
+    "tri_quad_count",
+    # the prefactor every closed form and the generic count share: a
+    # check comparing the generic count with the closed forms misses it
+    "_prescribed_cells",
+])
+def test_tampered_closed_form_is_detected(monkeypatch, name):
+    monkeypatch.setattr(formulas, name, _off_by_one_at(getattr(formulas, name), 6, 6))
     assert not verification.check_dissection_counts(8).passed
 
 
