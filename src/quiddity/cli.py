@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -90,7 +91,9 @@ def _add_cache_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cache-dir")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="quiddity",
         description="Enumerate polygon dissections and their quiddities.",
@@ -276,11 +279,11 @@ def _run_surgery(args: argparse.Namespace, out) -> int:
             removed.append((i, j))
         if len(removed) != 2:
             raise DomainError("surgery removes exactly two chords")
-        matches = [mv for mv in find_surgeries(d, False)
-                   if set(mv.removed) == set(removed)]
+        legal = find_surgeries(d, False)
+        matches = [mv for mv in legal if set(mv.removed) == set(removed)]
         if not matches:
             raise DomainError(f"no legal surgery removes {args.remove}")
-        print(apply_surgery(d, matches[0]), file=out)
+        print(apply_surgery(d, matches[0], legal), file=out)
         return 0
     if args.action == "canon":
         print(canonicalize_maximally_open(BasedDissection(d)), file=out)

@@ -8,6 +8,9 @@ representations.
 
 The quiddity of a dissection is the length-N vector whose i-th entry
 counts the cells touching vertex i.
+
+Non-crossing chords are nested intervals of 0..N-1, so validation and
+cell extraction are each one stack sweep in vertex order.
 """
 from __future__ import annotations
 
@@ -30,16 +33,6 @@ class ResourceLimitError(DomainError):
 Chord = tuple[int, int]
 
 
-def _chords_cross(a: Chord, b: Chord) -> bool:
-    # Both chords have sorted endpoints.  Chords sharing an endpoint
-    # never cross; otherwise they cross iff exactly one endpoint of b
-    # lies strictly inside the span of a.
-    (p, q), (r, s) = a, b
-    if len({p, q, r, s}) < 4:
-        return False
-    return (p < r < q) != (p < s < q)
-
-
 @dataclass(frozen=True)
 class Dissection:
     """A convex polygon together with a non-crossing set of diagonals."""
@@ -60,24 +53,30 @@ class Dissection:
             if j - i < 2 or (i, j) == (0, n - 1):
                 raise DomainError(f"chord {i}-{j} is a polygon edge, not a diagonal")
             normalized.append((i, j))
-        normalized.sort()
-        for k in range(1, len(normalized)):
-            if normalized[k] == normalized[k - 1]:
-                i, j = normalized[k]
+        # Sweep by left end, longest first, keeping the open chords on a
+        # stack: a chord crosses iff it ends beyond the innermost one.
+        open_chords: list[Chord] = []
+        for i, j in sorted(normalized, key=lambda c: (c[0], -c[1])):
+            while open_chords and open_chords[-1][1] <= i:
+                open_chords.pop()
+            if open_chords and open_chords[-1] == (i, j):
                 raise DomainError(f"duplicate chord {i}-{j}")
-        for k, a in enumerate(normalized):
-            for b in normalized[k + 1:]:
-                if _chords_cross(a, b):
-                    raise DomainError(
-                        f"chords {a[0]}-{a[1]} and {b[0]}-{b[1]} cross"
-                    )
-        object.__setattr__(self, "chords", tuple(normalized))
+            if open_chords and open_chords[-1][1] < j:
+                p, q = open_chords[-1]
+                raise DomainError(f"chords {p}-{q} and {i}-{j} cross")
+            open_chords.append((i, j))
+        object.__setattr__(self, "chords", tuple(sorted(normalized)))
 
     def __str__(self) -> str:
         return format_dissection(self)
 
-    def chord_degree(self, vertex: int) -> int:
-        return sum(1 for c in self.chords if vertex in c)
+    def chord_degrees(self) -> list[int]:
+        """Number of chords at each vertex, in one pass over the chords."""
+        degrees = [0] * self.n_vertices
+        for i, j in self.chords:
+            degrees[i] += 1
+            degrees[j] += 1
+        return degrees
 
 
 @dataclass(frozen=True)
@@ -178,74 +177,53 @@ def format_dissection(d: Dissection) -> str:
     return f"{d.n_vertices}:" + ",".join(f"{i}-{j}" for i, j in d.chords)
 
 
-def _rotation_order(n: int, v: int, nbrs: list[int]) -> list[int]:
-    # With vertices in convex position, the counterclockwise rotational
-    # order of neighbors around v is by increasing (u - v) mod n.
-    return sorted(nbrs, key=lambda u: (u - v) % n)
-
-
 def cells(d: Dissection) -> CellList:
     """Extract all cells and the dual tree of a dissection.
 
-    Walks the faces of the planar graph given by the polygon edges and
-    chords.  With vertices in convex position the rotation system is
-    purely combinatorial, so no geometry is needed: around vertex v the
-    neighbors appear counterclockwise in order of (u - v) mod N.
+    One counterclockwise sweep keeps the boundary path not yet closed
+    off on a stack.  At vertex v each chord (i, v), innermost first,
+    closes the cell made of the stack from i up plus v, and stays on
+    the stack as the edge (i, v); what is left at the end is the base
+    cell, on the polygon edge (0, N-1).  A chord separates the cell it
+    closes from the one that later takes in its stack edge.  Linear in
+    N plus the number of chords, apart from sorting the cells.
     """
     n = d.n_vertices
-    nbrs: dict[int, list[int]] = {v: [] for v in range(n)}
+    ending: list[list[int]] = [[] for _ in range(n)]  # chord indices by right end
+    for k, (_, j) in enumerate(d.chords):
+        ending[j].append(k)
+    stack: list[int] = []
+    below: list[int] = []  # below[p]: the chord from stack[p-1] to stack[p], or -1
+    pos = [0] * n  # stack position of each vertex on the stack
+    raw: list[tuple[int, ...]] = []  # cells in the order they close
+    sides: list[list[int]] = [[] for _ in d.chords]  # the two cells of each chord
     for v in range(n):
-        nbrs[v].append((v + 1) % n)
-        nbrs[(v + 1) % n].append(v)
-    for i, j in d.chords:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    order = {v: _rotation_order(n, v, us) for v, us in nbrs.items()}
-    index = {v: {u: k for k, u in enumerate(us)} for v, us in order.items()}
+        into_v = -1  # the edge from the stack top to v; -1 for a polygon edge
+        for k in reversed(ending[v]):
+            p = pos[d.chords[k][0]]
+            for e in below[p + 1:] + [into_v, k]:
+                if e >= 0:
+                    sides[e].append(len(raw))
+            raw.append(tuple(stack[p:]) + (v,))
+            del stack[p + 1:], below[p + 1:]
+            into_v = k
+        pos[v] = len(stack)
+        stack.append(v)
+        below.append(into_v)
+    for e in below:
+        if e >= 0:
+            sides[e].append(len(raw))
+    raw.append(tuple(stack))
 
-    def successor(u: int, v: int) -> tuple[int, int]:
-        # Next directed edge of the face lying left of u -> v: turn to
-        # the counterclockwise predecessor of u around v.
-        us = order[v]
-        return v, us[index[v][u] - 1]
-
-    seen: set[tuple[int, int]] = set()
-    face_of_dart: dict[tuple[int, int], int] = {}
-    raw_faces: list[list[int]] = []
-    darts = [(u, v) for v, us in order.items() for u in us]
-    for dart in darts:
-        if dart in seen:
-            continue
-        cycle: list[int] = []
-        cur = dart
-        while cur not in seen:
-            seen.add(cur)
-            face_of_dart[cur] = len(raw_faces)
-            cycle.append(cur[0])
-            cur = successor(*cur)
-        raw_faces.append(cycle)
-
-    # The outer face traverses the polygon clockwise, so it is the one
-    # containing the directed edge 0 -> (n-1).
-    outer = face_of_dart[(0, n - 1)]
-
-    keyed = []
-    for idx, cycle in enumerate(raw_faces):
-        if idx == outer:
-            continue
-        start = cycle.index(min(cycle))
-        rotated = tuple(cycle[start:] + cycle[:start])
-        keyed.append((rotated[0], len(rotated), rotated, idx))
-    keyed.sort()
-    cell_tuple = tuple(Cell(rot) for _, _, rot, _ in keyed)
-    new_index = {old: new for new, (_, _, _, old) in enumerate(keyed)}
-
+    order = sorted(range(len(raw)), key=lambda c: (raw[c][0], len(raw[c]), raw[c]))
+    rank = [0] * len(raw)
+    for r, c in enumerate(order):
+        rank[c] = r
     dual = []
-    for i, j in d.chords:
-        a = new_index[face_of_dart[(i, j)]]
-        b = new_index[face_of_dart[(j, i)]]
-        dual.append((min(a, b), max(a, b), (i, j)))
-    return CellList(cell_tuple, tuple(dual))
+    for (a, b), chord in zip(sides, d.chords):
+        a, b = sorted((rank[a], rank[b]))
+        dual.append((a, b, chord))
+    return CellList(tuple(Cell(raw[c]) for c in order), tuple(dual))
 
 
 def quiddity(d: Dissection) -> Quiddity:
@@ -260,7 +238,7 @@ def quiddity(d: Dissection) -> Quiddity:
     for cell in cells(d).cells:
         for v in cell.vertices:
             by_membership[v] += 1
-    by_degree = [1 + d.chord_degree(v) for v in range(n)]
+    by_degree = [1 + deg for deg in d.chord_degrees()]
     if by_membership != by_degree:
         raise AssertionError(
             f"quiddity self-check failed for {d}: {by_membership} vs {by_degree}"

@@ -99,20 +99,6 @@ def _check_range(n_vertices: int, m: Optional[int]) -> None:
         )
 
 
-def _cell_count_bounds(s: int, cell_filter: CellFilter) -> tuple[int, int]:
-    # Feasible-range bounds (not exact feasibility) for pruning: a
-    # sub-polygon on s vertices with budget s-2, where a cell of size t
-    # consumes t-2.
-    if s == 2:
-        return 0, 0
-    allowed = cell_filter.allowed_sizes_upto(s)
-    if not allowed:
-        return 1, 0  # empty range: infeasible
-    lo = -(-(s - 2) // (max(allowed) - 2))
-    hi = (s - 2) // (min(allowed) - 2)
-    return lo, hi
-
-
 def enumerate_dissections(
     n_vertices: int,
     m: Optional[int] = None,
@@ -125,6 +111,16 @@ def enumerate_dissections(
     size then by vertex tuple, and sub-polygons fill left to right.
     """
     _check_range(n_vertices, m)
+    allowed = cell_filter.allowed_sizes_upto(n_vertices)
+    # Feasible-range bounds (not exact feasibility) on the cell count of
+    # a sub-polygon on s vertices, for pruning: its budget is s-2, and a
+    # cell of size t consumes t-2.
+    size_bounds = [(1, 0)] * (n_vertices + 1)  # an empty range: infeasible
+    size_bounds[2] = (0, 0)
+    for s in range(3, n_vertices + 1):
+        fitting = [t for t in allowed if t <= s]
+        if fitting:
+            size_bounds[s] = (-(-(s - 2) // (fitting[-1] - 2)), (s - 2) // (fitting[0] - 2))
 
     def gen(lo: int, hi: int, want_lo: int, want_hi: int):
         """Dissections of the sub-polygon on vertices lo..hi whose base
@@ -135,7 +131,9 @@ def enumerate_dissections(
             if want_lo <= 0 <= want_hi:
                 yield (), 0
             return
-        for t in cell_filter.allowed_sizes_upto(s):
+        for t in allowed:
+            if t > s:
+                break
             for mids in itertools.combinations(range(lo + 1, hi), t - 2):
                 corners = (lo, *mids, hi)
                 gaps = [
@@ -143,7 +141,7 @@ def enumerate_dissections(
                     for k in range(t - 1)
                     if corners[k + 1] - corners[k] >= 2
                 ]
-                bounds = [_cell_count_bounds(q - p + 1, cell_filter) for p, q in gaps]
+                bounds = [size_bounds[q - p + 1] for p, q in gaps]
                 min_rest = sum(b[0] for b in bounds)
                 max_rest = sum(b[1] for b in bounds)
                 if min_rest + 1 > want_hi or max_rest + 1 < want_lo:

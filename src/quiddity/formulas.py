@@ -13,7 +13,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .core import DomainError
+from .core import DomainError, ResourceLimitError
+
+# Composition DP steps refused beyond (about 2 s on a 2-core machine).
+COMPOSITION_STEP_CAP = 35_000_000
 
 
 def extended_binomial(a: int, b: int) -> int:
@@ -66,12 +69,21 @@ def dissection_count(n: int, m: int, parts) -> int:
     C(n+m, m)/(n+1) times the number of compositions of n into m parts
     from ``parts`` (the prescribed-cell-size count of Przytycki and
     Sikora); every closed form below is a special case.  Follows the
-    2-gon convention D(0, 0) = 1 and D(0, m) = 0 for m > 0.
+    2-gon convention D(0, 0) = 1 and D(0, m) = 0 for m > 0.  Refuses a
+    composition table of over ``COMPOSITION_STEP_CAP`` steps up front.
     """
     _check_nonneg(n=n, m=m)
     parts = set(parts)
     if min(parts, default=1) < 1:
         raise DomainError("composition parts must be positive (cell sizes at least 3)")
+    # The row DP fills m rows of n+1 entries, each summing over the
+    # parts up to n; an entry's own overhead is about 12 part additions.
+    steps = m * (n + 1) * (sum(1 for k in parts if k <= n) + 12)
+    if steps > COMPOSITION_STEP_CAP:
+        raise ResourceLimitError(
+            f"counting the {n + 2}-gon's dissections into {m} cells takes about "
+            f"{steps} steps, over the cap of {COMPOSITION_STEP_CAP}"
+        )
     return _prescribed_cells(n, m, _compositions(n, m, parts), "dissection_count")
 
 

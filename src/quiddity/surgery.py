@@ -27,7 +27,6 @@ from .core import (
     DomainError,
     ResourceLimitError,
     cells,
-    is_ell_periodic,
     quiddity,
 )
 
@@ -55,10 +54,9 @@ class BasedDissection:
 
 def base_cell_index(cl: CellList, n_vertices: int) -> int:
     """Index of the cell whose boundary contains the base edge."""
-    for idx, cell in enumerate(cl.cells):
-        for u, v in cell.edges():
-            if (u, v) == (n_vertices - 1, 0):
-                return idx
+    for idx, cell in enumerate(cl.cells):  # the cell (0, ..., N-1)
+        if cell.vertices[0] == 0 and cell.vertices[-1] == n_vertices - 1:
+            return idx
     raise AssertionError("no cell contains the base edge")
 
 
@@ -88,17 +86,21 @@ def cell_base_data(bd: BasedDissection, cl: Optional[CellList] = None):
     return distance, base_edge
 
 
-def find_surgeries(d: Dissection, require_3periodic: bool) -> list[SurgeryMove]:
-    """All legal surgery moves on a dissection.
+def find_surgeries(
+    d: Dissection, require_3periodic: bool, cl: Optional[CellList] = None
+) -> list[SurgeryMove]:
+    """All legal surgery moves on a dissection, given its cells ``cl``
+    if the caller already holds them.
 
     With ``require_3periodic`` the input must be 3-periodic and only
     moves whose result is again 3-periodic are kept.
     """
-    if require_3periodic and not is_ell_periodic(d, 3):
+    if cl is None:
+        cl = cells(d)
+    if require_3periodic and any(size % 3 for size in cl.sizes()):
         raise DomainError("3-periodic surgery needs a 3-periodic dissection")
-    cl = cells(d)
     chord_set = set(d.chords)
-    cell_size = {idx: c.size for idx, c in enumerate(cl.cells)}
+    cell_size = cl.sizes()
     other_side: dict[tuple[int, Chord], int] = {}
     for a, b, chord in cl.dual_edges:
         other_side[(a, chord)] = b
@@ -142,23 +144,26 @@ def find_surgeries(d: Dissection, require_3periodic: bool) -> list[SurgeryMove]:
     return moves
 
 
-def apply_surgery(d: Dissection, move: SurgeryMove) -> Dissection:
+def apply_surgery(
+    d: Dissection, move: SurgeryMove, legal: Optional[list[SurgeryMove]] = None
+) -> Dissection:
     """Apply a surgery move, returning the canonical result.
 
-    Validates the move against the dissection and re-checks that the
-    quiddity is unchanged (a cheap guarantee that the move really was
-    a surgery)."""
-    legal = find_surgeries(d, require_3periodic=False)
-    match = [mv for mv in legal if mv.cell_index == move.cell_index
-             and mv.removed == move.removed]
-    if not match or match[0].added != move.added:
+    Validates the move against ``legal``, the moves the caller already
+    found on ``d`` (all of them, or any subset), or else against
+    :func:`find_surgeries`.  Re-checks that every vertex keeps its
+    chord degree, hence its quiddity entry (a cheap guarantee that the
+    move really was a surgery)."""
+    if legal is None:
+        legal = find_surgeries(d, require_3periodic=False)
+    if move not in legal:
         raise DomainError(f"move {move} is not legal for {d}")
     new_chords = [c for c in d.chords if c not in move.removed]
     new_chords.extend(move.added)
     result = Dissection(d.n_vertices, tuple(new_chords))
     if len(result.chords) != len(d.chords):
         raise AssertionError("surgery changed the chord count")
-    if quiddity(result) != quiddity(d):
+    if result.chord_degrees() != d.chord_degrees():
         raise AssertionError("surgery changed the quiddity")
     return result
 
@@ -166,33 +171,35 @@ def apply_surgery(d: Dissection, move: SurgeryMove) -> Dissection:
 def is_opening(bd: BasedDissection, move: SurgeryMove) -> bool:
     """True iff the move removes the base edge of its own cell.  The
     base cell's base edge is a polygon edge, so its moves never open."""
-    cl = cells(bd.dissection)
-    _, base_edges = cell_base_data(bd, cl)
+    _, base_edges = cell_base_data(bd)
     return base_edges[move.cell_index] in move.removed
 
 
-def opening_moves(bd: BasedDissection) -> list[SurgeryMove]:
-    """All 3-periodic opening surgeries available on a based dissection."""
+def opening_moves(bd: BasedDissection, cl: Optional[CellList] = None) -> list[SurgeryMove]:
+    """All 3-periodic opening surgeries available on a based dissection
+    whose cells are ``cl`` (computed if not given)."""
     d = bd.dissection
-    cl = cells(d)
+    if cl is None:
+        cl = cells(d)
     _, base_edges = cell_base_data(bd, cl)
     return [
-        mv for mv in find_surgeries(d, require_3periodic=True)
+        mv for mv in find_surgeries(d, True, cl)
         if base_edges[mv.cell_index] in mv.removed
     ]
 
 
 def is_maximally_open(bd: BasedDissection) -> bool:
     """True iff no 3-periodic opening surgery applies."""
-    if not is_ell_periodic(bd.dissection, 3):
+    cl = cells(bd.dissection)
+    if any(size % 3 for size in cl.sizes()):
         raise DomainError("maximal openness is defined for 3-periodic dissections")
-    return not opening_moves(bd)
+    return not opening_moves(bd, cl)
 
 
-def _deterministic_choice(bd: BasedDissection, moves: list[SurgeryMove]) -> SurgeryMove:
+def _deterministic_choice(bd: BasedDissection, moves: list[SurgeryMove],
+                          cl: CellList) -> SurgeryMove:
     # Furthest cell from the base first, ties by smallest vertex of the
     # cell, then lexicographically smallest added chords.
-    cl = cells(bd.dissection)
     distance, _ = cell_base_data(bd, cl)
 
     def key(mv: SurgeryMove):
@@ -210,24 +217,27 @@ def canonicalize_trace(
     The default policy opens the cells furthest from the base first;
     passing an ``rng`` picks admissible moves at random instead (the
     fixed point must not depend on the choice, which the test suite
-    verifies rather than assumes).
+    verifies rather than assumes).  Each state's cells are extracted
+    once.
     """
     d = bd.dissection
-    if not is_ell_periodic(d, 3):
+    cl = cells(d)
+    if any(size % 3 for size in cl.sizes()):
         raise DomainError("canonicalization needs a 3-periodic dissection")
     applied = []
     limit = 2 * d.n_vertices * (len(d.chords) + 1) + 10
     for _ in range(limit):
         current = BasedDissection(d)
-        moves = opening_moves(current)
+        moves = opening_moves(current, cl)
         if not moves:
             return d, tuple(applied)
         if rng is None:
-            move = _deterministic_choice(current, moves)
+            move = _deterministic_choice(current, moves, cl)
         else:
             move = rng.choice(sorted(moves, key=lambda mv: (mv.cell_index, mv.removed)))
         applied.append(move)
-        d = apply_surgery(d, move)
+        d = apply_surgery(d, move, moves)
+        cl = cells(d)
     raise AssertionError("opening surgeries did not terminate")
 
 
@@ -246,15 +256,14 @@ def surgery_class(
     max_states: int = 1_000_000,
 ) -> frozenset[Dissection]:
     """Closure of a dissection under (3-periodic) surgeries, by
-    breadth-first search."""
-    if require_3periodic and not is_ell_periodic(d, 3):
-        raise DomainError("3-periodic surgery needs a 3-periodic dissection")
+    breadth-first search, extracting each state's cells once."""
     seen = {d}
     queue = deque([d])
     while queue:
         cur = queue.popleft()
-        for mv in find_surgeries(cur, require_3periodic):
-            nxt = apply_surgery(cur, mv)
+        moves = find_surgeries(cur, require_3periodic)
+        for mv in moves:
+            nxt = apply_surgery(cur, mv, moves)
             if nxt not in seen:
                 if len(seen) >= max_states:
                     raise ResourceLimitError(

@@ -3,10 +3,21 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from quiddity import ResourceLimitError
 from quiddity.cli import main
+from quiddity.formulas import (
+    dissection_count,
+    ell_periodic_count,
+    kirkman_cayley,
+    tri_quad_count,
+)
 
 
 def run(argv, monkeypatch=None, cache_dir=None):
@@ -179,3 +190,45 @@ def test_verify_all_fast_scope_passes(cache_env):
     assert len(lines) >= 10
     assert all(line.startswith("PASS") for line in lines)
     assert elapsed < 60
+
+
+def test_shared_parser_matches_fresh_interpreters(capsys):
+    # One process reuses one parser; a usage error, a domain error and
+    # two valid calls must print what a fresh interpreter prints.
+    calls = [
+        ["count", "--n", "6"],
+        ["of", "6:0-2,1-3"],
+        ["surgery", "canon", "14:0-7,2-4,4-6,7-13,9-11"],
+        ["count", "--n", "9", "--m", "3", "--ell", "3", "--no-cache"],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = "import sys; from quiddity.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv, want_code in zip(calls, (2, 1, 0, 0)):
+        code, out = run(argv)
+        err = capsys.readouterr().err
+        fresh = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == want_code
+
+
+def test_count_refuses_oversized_composition_tables(cache_env, capsys):
+    code, out = run(["count", "--n", "2000", "--m", "1000", "--no-cache"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err.startswith("error:")
+    with pytest.raises(ResourceLimitError):
+        dissection_count(400, 250, range(1, 401))
+
+
+@pytest.mark.parametrize("flags, closed_form", [
+    ((), kirkman_cayley),
+    (("--ell", "2"), lambda n, m: ell_periodic_count(n, m, 2)),
+    (("--ell", "3"), lambda n, m: ell_periodic_count(n, m, 3)),
+    (("--sizes", "3,4"), tri_quad_count),
+])
+def test_count_answers_the_largest_benchmark_queries(cache_env, flags, closed_form):
+    # the benchmark's count queries go up to N = 40
+    for m in (2, 13, 20, 26, 38):
+        code, out = run(["count", "--n", "40", "--m", str(m), *flags, "--no-cache"])
+        assert (code, out) == (0, f"{closed_form(38, m)}\n")

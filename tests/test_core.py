@@ -1,10 +1,13 @@
 """Dissection representation, cell extraction, quiddities, dihedral action."""
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from quiddity import (
+    Dissection,
     DomainError,
     ParseError,
     cell_size_profile,
@@ -98,9 +101,51 @@ def test_dual_tree_shape():
 
 
 def test_cells_match_splitting_oracle_exhaustively():
-    for n in range(3, 9):
+    # cells in the same order, and each chord's dual edge joins the two
+    # oracle cells that have the chord as a boundary edge
+    for n in range(3, 11):
         for d in enumerate_dissections(n):
-            assert [c.vertices for c in cells(d).cells] == cells_by_splitting(d)
+            cl = cells(d)
+            want = cells_by_splitting(d)
+            assert [c.vertices for c in cl.cells] == want
+            sides: dict[tuple[int, int], list[int]] = {}
+            for idx, cycle in enumerate(want):
+                for k, u in enumerate(cycle):
+                    v = cycle[(k + 1) % len(cycle)]
+                    sides.setdefault((min(u, v), max(u, v)), []).append(idx)
+            assert cl.dual_edges == tuple((*sides[c], c) for c in d.chords)
+
+
+def _pairwise_cross(a, b):
+    # the quadratic rule: chords with four distinct ends cross iff
+    # exactly one end of b lies strictly inside the span of a
+    (p, q), (r, s) = a, b
+    if len({p, q, r, s}) < 4:
+        return False
+    return (p < r < q) != (p < s < q)
+
+
+@st.composite
+def chord_sets(draw):
+    n = draw(st.integers(4, 14))
+    diagonals = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)]
+    chosen = draw(st.lists(st.sampled_from(diagonals), unique=True, max_size=n))
+    return n, chosen
+
+
+@given(chord_sets())
+def test_linear_validation_agrees_with_pairwise_rule(case):
+    n, chosen = case
+    crossing = any(_pairwise_cross(a, b) for a in chosen for b in chosen)
+    if not crossing:
+        assert Dissection(n, tuple(chosen)).chords == tuple(sorted(chosen))
+        return
+    with pytest.raises(DomainError) as err:
+        Dissection(n, tuple(chosen))
+    named = re.fullmatch(r"chords (\d+)-(\d+) and (\d+)-(\d+) cross", str(err.value))
+    assert named
+    a, b = (int(named[1]), int(named[2])), (int(named[3]), int(named[4]))
+    assert a in chosen and b in chosen and _pairwise_cross(a, b)
 
 
 def test_quiddity_examples():

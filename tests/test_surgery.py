@@ -12,6 +12,7 @@ from quiddity import (
     parse_dissection,
     quiddity,
 )
+from quiddity import core, surgery
 from quiddity.enumeration import CellFilter, enumerate_dissections
 from quiddity.surgery import (
     BasedDissection,
@@ -241,3 +242,31 @@ def test_class_export_shape():
 def test_find_surgeries_requires_3periodic_input_when_flagged():
     with pytest.raises(DomainError):
         find_surgeries(parse_dissection("5:0-2"), True)
+
+
+THIRTY_GON = parse_dissection("30:4-25,5-7,7-22,9-11,11-21,13-16,14-16,22-24,27-29")
+
+
+@pytest.fixture()
+def cells_calls(monkeypatch):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return cells(d)
+
+    for module in (core, surgery):
+        monkeypatch.setattr(module, "cells", counted)
+    return calls
+
+
+def test_canonicalize_extracts_cells_once_per_state(cells_calls):
+    result, trace = canonicalize_trace(BasedDissection(THIRTY_GON))
+    assert len(trace) >= 4
+    assert len(cells_calls) <= len(trace) + 1
+
+
+def test_surgery_class_extracts_cells_once_per_state(cells_calls):
+    members = surgery_class(THIRTY_GON, True)
+    assert len(members) >= 50
+    assert len(cells_calls) <= len(members)
