@@ -2,19 +2,20 @@
 
 One CSV file per command family under the cache directory, key columns
 first and the value last, so cached results stay inspectable and
-diffable.  Rows carry the tool version; rows written by another
-version are ignored.  Writes take an advisory lock on the directory so
+diffable.  Rows carry a hash of the package's source files; rows
+written by any other source are ignored, so a code change never serves
+an old answer.  Writes take an advisory lock on the directory so
 concurrent invocations stay single-writer.
 """
 from __future__ import annotations
 
 import csv
 import fcntl
+import functools
+import hashlib
 import os
 from pathlib import Path
 from typing import Optional
-
-from . import __version__
 
 ENV_CACHE_DIR = "QUIDDITY_CACHE_DIR"
 
@@ -30,6 +31,16 @@ def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "quiddity"
+
+
+@functools.lru_cache(maxsize=None)
+def source_key() -> str:
+    """Hash of the package's source files, computed on first use (not
+    at import) and kept for the life of the process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
 
 
 class ResultCache:
@@ -53,7 +64,7 @@ class ResultCache:
         try:
             with path.open(newline="") as handle:
                 for row in csv.DictReader(handle):
-                    if row.get("tool_version") != __version__:
+                    if row.get("tool_version") != source_key():
                         continue
                     if self._row_key(row["command"], row["n"], row["m"],
                                      row["filter"], row["order"]) == key:
@@ -94,7 +105,7 @@ class ResultCache:
                     writer.writerow({
                         "command": command, "n": n, "m": m, "filter": filt,
                         "order": order, "value": value,
-                        "tool_version": __version__,
+                        "tool_version": source_key(),
                     })
             finally:
                 fcntl.flock(lock, fcntl.LOCK_UN)

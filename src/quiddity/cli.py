@@ -29,7 +29,7 @@ from .contfrac import (
     regular_to_hj,
     strip_triangulation,
 )
-from .core import DomainError, parse_dissection, quiddity
+from .core import DomainError, ResourceLimitError, parse_dissection, quiddity
 from .enumeration import (
     ALL_CELLS,
     CellFilter,
@@ -40,13 +40,27 @@ from .enumeration import (
 )
 from .modular import classify_monodromy, elementary_product, verify_monodromy_correspondence
 from .surgery import (
-    BasedDissection,
     apply_surgery,
     canonicalize_maximally_open,
     class_export,
     find_surgeries,
 )
 from .verification import run_all
+
+# Largest arguments the closed-form verbs accept, each refused up front.
+# A formula argument of 5000 keeps every value under Python's 4300-digit
+# int-to-str limit (all six count at most the (n+2)-gon's dissections,
+# fewer than 5.83^n) and takes at most 1.2 s; the series solver grows about
+# as order^5 (kirkman-cayley takes 2.0 s at order 30) and the table as
+# max-n^2 (2.0 s at 1200), on a 2-core machine.
+FORMULA_ARG_CAP = 5000
+SERIES_ORDER_CAP = 30
+TABLE_MAX_N_CAP = 1200
+
+
+def _refuse_over(value: int, cap: int, what: str) -> None:
+    if value > cap:
+        raise ResourceLimitError(f"{what} {value} is over the cap of {cap}")
 
 
 def _dumps(obj) -> str:
@@ -214,6 +228,8 @@ def _run_formula(args: argparse.Namespace, out) -> int:
     }[args.name]
     if len(args.args) != arity:
         raise DomainError(f"formula {args.name} takes {arity} integer argument(s)")
+    for value in args.args:
+        _refuse_over(value, FORMULA_ARG_CAP, "formula argument")
 
     def compute() -> str:
         fn = {
@@ -237,6 +253,8 @@ def _run_formula(args: argparse.Namespace, out) -> int:
 
 
 def _run_table(args: argparse.Namespace, out) -> int:
+    _refuse_over(args.max_n, TABLE_MAX_N_CAP, "--max-n")
+
     def compute() -> str:
         lines = ["n,m,value"]
         entries = sorted(
@@ -286,7 +304,7 @@ def _run_surgery(args: argparse.Namespace, out) -> int:
         print(apply_surgery(d, matches[0], legal), file=out)
         return 0
     if args.action == "canon":
-        print(canonicalize_maximally_open(BasedDissection(d)), file=out)
+        print(canonicalize_maximally_open(d), file=out)
         return 0
     print(_dumps(class_export(d, args.require_3p)), file=out)
     return 0
@@ -294,7 +312,7 @@ def _run_surgery(args: argparse.Namespace, out) -> int:
 
 def _run_cf(args: argparse.Namespace, out) -> int:
     if args.action == "eval":
-        if args.regular:
+        if args.regular is not None:
             value = eval_regular(RegularContinuedFraction(
                 tuple(_parse_int_list(args.regular, "term list"))))
         else:
@@ -387,6 +405,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return _run_formula(args, out)
 
         if args.verb == "series":
+            _refuse_over(args.order, SERIES_ORDER_CAP, "--order")
             sol = series.solve_named(args.equation, args.order, args.ell)
             print(_dumps(series.series_terms_json(sol)), file=out)
             return 0

@@ -114,13 +114,6 @@ class CellList:
     def sizes(self) -> tuple[int, ...]:
         return tuple(c.size for c in self.cells)
 
-    def neighbors(self) -> dict[int, list[tuple[int, Chord]]]:
-        adj: dict[int, list[tuple[int, Chord]]] = {i: [] for i in range(len(self.cells))}
-        for a, b, chord in self.dual_edges:
-            adj[a].append((b, chord))
-            adj[b].append((a, chord))
-        return adj
-
 
 @dataclass(frozen=True)
 class Quiddity:

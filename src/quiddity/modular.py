@@ -15,8 +15,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import formulas
 from .core import DomainError, ResourceLimitError, quiddity
 from .enumeration import CellFilter, enumerate_dissections
+
+# Work refused by the correspondence check, each sized to about 2 s on a
+# 2-core machine: coefficient tuples classified (32-54k/s) and 3-periodic
+# dissections enumerated with their quiddities (11-22k/s).
+TUPLE_CAP = 80_000
+DISSECTION_CAP = 25_000
 
 PLUS_IDENTITY = "plus_identity"
 MINUS_IDENTITY = "minus_identity"
@@ -103,20 +110,13 @@ def iterate_recurrence(cs: Sequence[int], v0: int, v1: int) -> tuple[int, int]:
 def three_periodic_quiddities(n_vertices: int) -> set[tuple[int, ...]]:
     """All distinct quiddities of 3-periodic dissections of the N-gon,
     over every cell count."""
-    out: set[tuple[int, ...]] = set()
-    ell3 = CellFilter.ell_periodic(3)
-    for m in range(1, n_vertices - 1):
-        if (n_vertices - 2 - m) % 3:
-            continue
-        for d in enumerate_dissections(n_vertices, m, ell3):
-            out.add(quiddity(d).entries)
-    return out
+    return {quiddity(d).entries
+            for d in enumerate_dissections(n_vertices, None, CellFilter.ell_periodic(3))}
 
 
 def verify_monodromy_correspondence(
     n_vertices: int,
     entry_bound: int | None = None,
-    max_tuples: int = 100_000_000,
 ) -> dict[str, object]:
     """Check, at desk scale, that the coefficient tuples whose
     elementary product is plus or minus the identity are exactly the
@@ -125,7 +125,8 @@ def verify_monodromy_correspondence(
     The forward direction sweeps every such quiddity.  The converse
     sweeps all tuples with entries in [1, entry_bound] (default N-2,
     since no quiddity entry can exceed the cell count); completeness
-    beyond the bound is not claimed.
+    beyond the bound is not claimed.  Both sweeps are sized up front,
+    the dissections by their exact count, and refused over their caps.
     """
     if n_vertices < 3:
         raise DomainError(f"polygon needs at least 3 vertices, got {n_vertices}")
@@ -133,10 +134,20 @@ def verify_monodromy_correspondence(
         entry_bound = max(1, n_vertices - 2)
     if entry_bound < 1:
         raise DomainError(f"entry bound must be at least 1, got {entry_bound}")
-    if entry_bound ** n_vertices > max_tuples:
+    # past TUPLE_CAP.bit_length() factors of at least 2 the cap is
+    # exceeded, so the power never gets large
+    if entry_bound ** min(n_vertices, TUPLE_CAP.bit_length()) > TUPLE_CAP:
         raise ResourceLimitError(
-            f"{entry_bound}^{n_vertices} tuples exceed the cap of {max_tuples}"
+            f"{entry_bound}^{n_vertices} tuples exceed the cap of {TUPLE_CAP}"
         )
+    dissections = 0
+    for m in range(1, n_vertices - 1):  # stops at the first term past the cap
+        dissections += formulas.ell_periodic_count(n_vertices - 2, m, 3)
+        if dissections > DISSECTION_CAP:
+            raise ResourceLimitError(
+                f"the {n_vertices}-gon has over {DISSECTION_CAP} 3-periodic "
+                f"dissections, the cap of the forward sweep"
+            )
 
     quiddities = three_periodic_quiddities(n_vertices)
     forward_failures = [

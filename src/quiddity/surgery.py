@@ -8,10 +8,12 @@ quiddity.
 
 With the polygon edge (0, N-1) designated as base, every cell gets a
 base edge of its own: the edge through which the dual-tree path to the
-base cell leaves (the polygon base edge for the base cell itself).  A
-surgery is opening when it removes the acting cell's base edge, and a
-3-periodic dissection admitting no 3-periodic opening surgery is
-maximally open: the canonical representative of its quiddity class.
+base cell leaves (the polygon base edge for the base cell itself).
+Cells list their vertices in increasing order, so that edge joins a
+cell's first and last vertex.  A surgery is opening when it removes the
+acting cell's base edge, and a 3-periodic dissection admitting no
+3-periodic opening surgery is maximally open: the canonical
+representative of its quiddity class.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    Cell,
     CellList,
     Chord,
     Dissection,
@@ -41,49 +44,17 @@ class SurgeryMove:
     added: tuple[Chord, Chord]
 
 
-@dataclass(frozen=True)
-class BasedDissection:
-    """A dissection with the polygon edge (0, N-1) as its base edge."""
-
-    dissection: Dissection
-
-    @property
-    def base_edge(self) -> tuple[int, int]:
-        return (0, self.dissection.n_vertices - 1)
+def base_edge(cell: Cell) -> Chord:
+    """The cell's edge toward the base cell: its closing edge (last,
+    first), which spans all its other edges."""
+    return (cell.vertices[0], cell.vertices[-1])
 
 
-def base_cell_index(cl: CellList, n_vertices: int) -> int:
-    """Index of the cell whose boundary contains the base edge."""
-    for idx, cell in enumerate(cl.cells):  # the cell (0, ..., N-1)
-        if cell.vertices[0] == 0 and cell.vertices[-1] == n_vertices - 1:
-            return idx
-    raise AssertionError("no cell contains the base edge")
-
-
-def cell_base_data(bd: BasedDissection, cl: Optional[CellList] = None):
-    """Dual-tree distance to the base cell and the base edge of every
-    cell.  The base cell's base edge is the polygon base edge; any
-    other cell's is its exit chord toward the base cell."""
-    d = bd.dissection
-    if cl is None:
-        cl = cells(d)
-    root = base_cell_index(cl, d.n_vertices)
-    adj = cl.neighbors()
-    distance = [-1] * len(cl.cells)
-    base_edge: list[tuple[int, int]] = [(-1, -1)] * len(cl.cells)
-    distance[root] = 0
-    base_edge[root] = bd.base_edge
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        for nxt, chord in adj[cur]:
-            if distance[nxt] == -1:
-                distance[nxt] = distance[cur] + 1
-                base_edge[nxt] = chord
-                queue.append(nxt)
-    if any(dist == -1 for dist in distance):
-        raise AssertionError("dual graph is not connected")
-    return distance, base_edge
+def base_distance(d: Dissection, cell: Cell) -> int:
+    """Dual-tree distance from the cell to the base cell: the number of
+    chords nesting the cell's base edge, that edge included."""
+    lo, hi = base_edge(cell)
+    return sum(1 for i, j in d.chords if i <= lo and hi <= j)
 
 
 def find_surgeries(
@@ -168,48 +139,44 @@ def apply_surgery(
     return result
 
 
-def is_opening(bd: BasedDissection, move: SurgeryMove) -> bool:
+def is_opening(d: Dissection, move: SurgeryMove) -> bool:
     """True iff the move removes the base edge of its own cell.  The
     base cell's base edge is a polygon edge, so its moves never open."""
-    _, base_edges = cell_base_data(bd)
-    return base_edges[move.cell_index] in move.removed
+    return base_edge(cells(d).cells[move.cell_index]) in move.removed
 
 
-def opening_moves(bd: BasedDissection, cl: Optional[CellList] = None) -> list[SurgeryMove]:
-    """All 3-periodic opening surgeries available on a based dissection
+def opening_moves(d: Dissection, cl: Optional[CellList] = None) -> list[SurgeryMove]:
+    """All 3-periodic opening surgeries available on a dissection
     whose cells are ``cl`` (computed if not given)."""
-    d = bd.dissection
     if cl is None:
         cl = cells(d)
-    _, base_edges = cell_base_data(bd, cl)
     return [
         mv for mv in find_surgeries(d, True, cl)
-        if base_edges[mv.cell_index] in mv.removed
+        if base_edge(cl.cells[mv.cell_index]) in mv.removed
     ]
 
 
-def is_maximally_open(bd: BasedDissection) -> bool:
+def is_maximally_open(d: Dissection) -> bool:
     """True iff no 3-periodic opening surgery applies."""
-    cl = cells(bd.dissection)
+    cl = cells(d)
     if any(size % 3 for size in cl.sizes()):
         raise DomainError("maximal openness is defined for 3-periodic dissections")
-    return not opening_moves(bd, cl)
+    return not opening_moves(d, cl)
 
 
-def _deterministic_choice(bd: BasedDissection, moves: list[SurgeryMove],
+def _deterministic_choice(d: Dissection, moves: list[SurgeryMove],
                           cl: CellList) -> SurgeryMove:
     # Furthest cell from the base first, ties by smallest vertex of the
     # cell, then lexicographically smallest added chords.
-    distance, _ = cell_base_data(bd, cl)
-
     def key(mv: SurgeryMove):
-        return (-distance[mv.cell_index], cl.cells[mv.cell_index].vertices[0], mv.added)
+        cell = cl.cells[mv.cell_index]
+        return (-base_distance(d, cell), cell.vertices[0], mv.added)
 
     return min(moves, key=key)
 
 
 def canonicalize_trace(
-    bd: BasedDissection, rng: Optional[random.Random] = None
+    d: Dissection, rng: Optional[random.Random] = None
 ) -> tuple[Dissection, tuple[SurgeryMove, ...]]:
     """Apply 3-periodic opening surgeries until none remains, returning
     the fixed point and the moves applied.
@@ -220,19 +187,17 @@ def canonicalize_trace(
     verifies rather than assumes).  Each state's cells are extracted
     once.
     """
-    d = bd.dissection
     cl = cells(d)
     if any(size % 3 for size in cl.sizes()):
         raise DomainError("canonicalization needs a 3-periodic dissection")
     applied = []
     limit = 2 * d.n_vertices * (len(d.chords) + 1) + 10
     for _ in range(limit):
-        current = BasedDissection(d)
-        moves = opening_moves(current, cl)
+        moves = opening_moves(d, cl)
         if not moves:
             return d, tuple(applied)
         if rng is None:
-            move = _deterministic_choice(current, moves, cl)
+            move = _deterministic_choice(d, moves, cl)
         else:
             move = rng.choice(sorted(moves, key=lambda mv: (mv.cell_index, mv.removed)))
         applied.append(move)
@@ -242,11 +207,11 @@ def canonicalize_trace(
 
 
 def canonicalize_maximally_open(
-    bd: BasedDissection, rng: Optional[random.Random] = None
+    d: Dissection, rng: Optional[random.Random] = None
 ) -> Dissection:
-    """The maximally open dissection reached from ``bd`` by repeated
+    """The maximally open dissection reached from ``d`` by repeated
     3-periodic opening surgeries."""
-    result, _ = canonicalize_trace(bd, rng)
+    result, _ = canonicalize_trace(d, rng)
     return result
 
 
@@ -283,7 +248,7 @@ def class_export(d: Dissection, require_3periodic: bool = True) -> dict[str, obj
         "members": members,
     }
     if require_3periodic:
-        out["maximally_open"] = str(canonicalize_maximally_open(BasedDissection(d)))
+        out["maximally_open"] = str(canonicalize_maximally_open(d))
     else:
         out["maximally_open"] = None
     return out

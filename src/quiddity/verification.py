@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import formulas, series
 from .core import Dissection, dihedral_orbit, quiddity
@@ -17,10 +17,10 @@ from .modular import (
     MINUS_IDENTITY,
     NEITHER,
     classify_monodromy,
+    three_periodic_quiddities,
     verify_monodromy_correspondence,
 )
 from .surgery import (
-    BasedDissection,
     canonicalize_maximally_open,
     is_maximally_open,
     surgery_class,
@@ -37,15 +37,6 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.name}" + (f" — {self.detail}" if self.detail else "")
-
-
-def _three_periodic_family(max_n: int) -> Iterator[tuple[int, int, list[Dissection]]]:
-    ell3 = CellFilter.ell_periodic(3)
-    for n_vertices in range(3, max_n + 1):
-        for m in range(1, n_vertices - 1):
-            if (n_vertices - 2 - m) % 3:
-                continue
-            yield n_vertices, m, list(enumerate_dissections(n_vertices, m, ell3))
 
 
 def check_dissection_counts(max_n: int) -> CheckResult:
@@ -180,27 +171,28 @@ def check_surgery_classes(max_n: int, random_orders: int = 20, seed: int = 20260
     from every member under randomized admissible orders."""
     rng = random.Random(seed)
     instances = 0
-    for n_vertices, m, family in _three_periodic_family(max_n):
+    for n_vertices in range(3, max_n + 1):
+        # the quiddity sum N + 2(m-1) fixes m, so one class never spans two m
         by_quiddity: dict[tuple[int, ...], list[Dissection]] = {}
-        for d in family:
+        for d in enumerate_dissections(n_vertices, None, CellFilter.ell_periodic(3)):
             by_quiddity.setdefault(quiddity(d).entries, []).append(d)
         for q, members in by_quiddity.items():
             cls = surgery_class(members[0], require_3periodic=True)
             if cls != frozenset(members):
                 return CheckResult("surgery-classes", False,
-                                   f"class mismatch at N={n_vertices}, m={m}, quiddity {q}")
-            open_members = [d for d in members if is_maximally_open(BasedDissection(d))]
+                                   f"class mismatch at N={n_vertices}, quiddity {q}")
+            open_members = [d for d in members if is_maximally_open(d)]
             if len(open_members) != 1:
                 return CheckResult("surgery-classes", False,
                                    f"{len(open_members)} maximally open members at N={n_vertices}, quiddity {q}")
             target = open_members[0]
             for d in members:
-                if canonicalize_maximally_open(BasedDissection(d)) != target:
+                if canonicalize_maximally_open(d) != target:
                     return CheckResult("surgery-classes", False,
                                        f"canonicalization missed the open member from {d}")
                 for _ in range(random_orders):
                     shuffled = canonicalize_maximally_open(
-                        BasedDissection(d), random.Random(rng.randrange(2 ** 32)))
+                        d, random.Random(rng.randrange(2 ** 32)))
                     if shuffled != target:
                         return CheckResult("surgery-classes", False,
                                            f"order-dependent canonical form from {d}")
@@ -213,11 +205,9 @@ def check_monodromy(max_n: int, converse_max_n: int = 6) -> CheckResult:
     """Every 3-periodic quiddity gives a plus or minus identity
     product; triangulation quiddities give minus identity; the bounded
     converse holds."""
-    for n_vertices, m, family in _three_periodic_family(max_n):
-        for d in family:
-            q = quiddity(d).entries
-            kind = classify_monodromy(q).classification
-            if kind == NEITHER:
+    for n_vertices in range(3, max_n + 1):
+        for q in three_periodic_quiddities(n_vertices):
+            if classify_monodromy(q).classification == NEITHER:
                 return CheckResult("monodromy", False, f"quiddity {q} is not plus/minus identity")
     for n_vertices in range(3, min(max_n, 9) + 1):
         for d in enumerate_dissections(n_vertices, n_vertices - 2):

@@ -1,16 +1,22 @@
 """Command-line behavior: outputs, exit codes, cache transparency."""
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quiddity import ResourceLimitError
+from quiddity.cache import source_key
 from quiddity.cli import main
 from quiddity.formulas import (
     dissection_count,
@@ -232,3 +238,119 @@ def test_count_answers_the_largest_benchmark_queries(cache_env, flags, closed_fo
     for m in (2, 13, 20, 26, 38):
         code, out = run(["count", "--n", "40", "--m", str(m), *flags, "--no-cache"])
         assert (code, out) == (0, f"{closed_form(38, m)}\n")
+
+
+def test_cache_ignores_rows_written_by_other_source(cache_env):
+    # a row is served only under the hash of the source that wrote it
+    cache_env.mkdir(parents=True)
+    header = "command,n,m,filter,order,value,tool_version\n"
+    (cache_env / "count.csv").write_text(header + "count,7,3,all,,999,0.1.0\n")
+    assert run(["count", "--n", "7", "--m", "3"]) == (0, "56\n")
+    (cache_env / "count.csv").write_text(header + f"count,7,3,all,,999,{source_key()}\n")
+    assert run(["count", "--n", "7", "--m", "3"]) == (0, "999\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["formula", "catalan", "200000"],
+    ["formula", "kirkman-cayley", "200000", "100000"],
+    ["series", "kirkman-cayley", "--order", "60"],
+    ["table", "--max-n", "100000"],
+    ["modular", "verify", "--n", "9"],
+    ["modular", "verify", "--n", "30", "--entry-bound", "1"],
+])
+def test_unreachable_work_is_refused_up_front(cache_env, capsys, argv):
+    start = time.perf_counter()
+    code, out = run(argv)
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err.startswith("error:")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["formula", "catalan", "40"],
+    ["formula", "quiddity-3p", "40", "28"],
+    ["series", "kirkman-cayley", "--order", "16"],
+    ["series", "q", "--order", "16"],
+    ["table", "--max-n", "60"],
+    ["modular", "verify", "--n", "6"],
+])
+def test_benchmark_sized_queries_are_answered(cache_env, argv):
+    assert run(argv + (["--no-cache"] if argv[0] in ("formula", "table") else []))[0] == 0
+
+
+NUMBER = st.integers(-3, 9).map(str)
+TEXT = st.one_of(
+    st.sampled_from([
+        "8:1-3,5-7", "8:1-7,3-5", "6:", "5:0-2", "6:0-2,1-3", "9:0-3,3-6", "7:0-2,0-2",
+        "14:0-7,2-4,4-6,7-13,9-11", "1-3,5-7", "1-7,3-5", "1-x,5-7", "1,2,1,1",
+        "3,1,2,2,1", "2,2,3", "3,4", "0,1", "-1,2", "1,,2", "", "x", ":", "-", "--",
+    ]),
+    # garbage whose numbers, like NUMBER's, have one digit
+    st.text(alphabet="0123456789-,:x", max_size=6).filter(
+        lambda t: not re.search(r"\d\d", t)),
+)
+ANY = st.one_of(NUMBER, TEXT)
+# (words, positional values, flags always given, optional flags with a
+# value, switches) per command; verify-all is left out, since it takes
+# no sized input and runs for seconds
+SIZED = ["--n", "--m"]
+FILTER = ["--ell", "--sizes"]
+COMMANDS = [
+    (["of"], [TEXT], [], [], ["--json"]),
+    (["enumerate"], [], ["--n"], ["--m", "--max-results", *FILTER], ["--json"]),
+    (["count"], [], SIZED, FILTER, ["--json", "--no-cache"]),
+    (["quiddities"], [], SIZED, FILTER, ["--json", "--no-cache"]),
+    (["classes"], [], SIZED, ["--max-results", *FILTER], []),
+    (["table"], [], [], ["--max-n"], ["--no-cache"]),
+    *[(["formula", name], [NUMBER] * arity, [], [], ["--json", "--no-cache"])
+      for name, arity in (("catalan", 1), ("kirkman-cayley", 2), ("fuss", 2),
+                          ("ell-periodic", 3), ("tri-quad", 2), ("quiddity-3p", 2))],
+    *[(["series", name], [], [], ["--order", "--ell"], [])
+      for name in ("catalan", "kirkman-cayley", "ell-periodic", "tri-quad", "p", "q")],
+    *[(["surgery", action], [TEXT], ["--remove"] if action == "apply" else [], [],
+       ["--require-3p"] if action in ("moves", "class") else [])
+      for action in ("moves", "apply", "canon", "class")],
+    (["cf", "eval"], [], [], ["--regular", "--hj"], ["--json"]),
+    (["cf", "convert"], [TEXT], [], [], []),
+    (["cf", "strip"], [TEXT], [], [], []),
+    (["modular", "product"], [TEXT], [], [], []),
+    (["modular", "classify"], [TEXT], [], [], []),
+    (["modular", "verify"], [], ["--n"], ["--entry-bound"], []),
+]
+TEXT_FLAGS = {"--sizes", "--remove", "--regular", "--hj"}
+
+
+@st.composite
+def argvs(draw):
+    """A command's own words, flags and positionals, mostly well-formed:
+    any value may be a wrong kind, and flags may repeat or be missing."""
+    words, positionals, required, optional, switches = draw(st.sampled_from(COMMANDS))
+
+    def value(flag):
+        return draw(st.one_of(TEXT if flag in TEXT_FLAGS else NUMBER, ANY))
+
+    argv = words + [draw(st.one_of(kind, ANY)) for kind in positionals]
+    for flag in required:
+        if draw(st.integers(0, 9)):
+            argv += [flag, value(flag)]
+    for flag in draw(st.lists(st.sampled_from(optional + switches), max_size=3)
+                     if optional or switches else st.just([])):
+        argv += [flag] + ([] if flag in switches else [value(flag)])
+    if not draw(st.integers(0, 9)):
+        argv.append(draw(ANY))
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=argvs())
+@example(argv=["cf", "eval", "--regular", ""])  # once an AttributeError
+def test_argv_fuzz_ends_with_a_documented_exit(tmp_path_factory, argv):
+    # ints stay small, so no accepted op enumerates at scale
+    if argv[0] in ("count", "quiddities", "formula", "table"):
+        argv = argv + ["--cache-dir", str(tmp_path_factory.getbasetemp() / "fuzz-cache")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv, out=io.StringIO())
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error:")

@@ -90,10 +90,13 @@ def test_dual_tree_shape():
         # connectivity: the dual is a tree
         reached = {0}
         frontier = [0]
-        adj = cl.neighbors()
+        adj = {k: set() for k in range(len(cl.cells))}
+        for a, b, _ in cl.dual_edges:
+            adj[a].add(b)
+            adj[b].add(a)
         while frontier:
             cur = frontier.pop()
-            for nxt, _ in adj[cur]:
+            for nxt in adj[cur]:
                 if nxt not in reached:
                     reached.add(nxt)
                     frontier.append(nxt)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
@@ -15,11 +16,11 @@ from quiddity import (
 from quiddity import core, surgery
 from quiddity.enumeration import CellFilter, enumerate_dissections
 from quiddity.surgery import (
-    BasedDissection,
     apply_surgery,
+    base_distance,
+    base_edge,
     canonicalize_maximally_open,
     canonicalize_trace,
-    cell_base_data,
     class_export,
     find_surgeries,
     is_maximally_open,
@@ -35,9 +36,7 @@ OCTAGON_TWIN = parse_dissection("8:1-7,3-5")
 
 def three_periodic(max_n):
     for n in range(3, max_n + 1):
-        for m in range(1, n - 1):
-            if (n - 2 - m) % 3 == 0:
-                yield from enumerate_dissections(n, m, ELL3)
+        yield from enumerate_dissections(n, None, ELL3)
 
 
 def test_octagon_has_one_3periodic_move():
@@ -117,46 +116,78 @@ def test_surgery_cell_bookkeeping_random_instances():
 
 
 def test_base_cell_data_octagon():
-    bd = BasedDissection(OCTAGON)
     cl = cells(OCTAGON)
-    distance, base_edges = cell_base_data(bd, cl)
-    hexagon = next(i for i, c in enumerate(cl.cells) if c.size == 6)
-    assert distance[hexagon] == 0
-    assert base_edges[hexagon] == (0, 7)
-    assert sorted(distance) == [0, 1, 1]
+    hexagon = next(c for c in cl.cells if c.size == 6)
+    assert base_distance(OCTAGON, hexagon) == 0
+    assert base_edge(hexagon) == (0, 7)
+    assert sorted(base_distance(OCTAGON, c) for c in cl.cells) == [0, 1, 1]
+
+
+def dual_tree_reference(d, cl):
+    """Distance to the base cell and base edge of every cell, by a
+    breadth-first search of the dual tree from the cell on (0, N-1)."""
+    n = d.n_vertices
+    root = next(k for k, c in enumerate(cl.cells)
+                if any({u, v} == {0, n - 1} for u, v in c.edges()))
+    adj = {k: [] for k in range(len(cl.cells))}
+    for a, b, chord in cl.dual_edges:
+        adj[a].append((b, chord))
+        adj[b].append((a, chord))
+    distance = {root: 0}
+    edge = {root: (0, n - 1)}
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for nxt, chord in adj[cur]:
+            if nxt not in distance:
+                distance[nxt] = distance[cur] + 1
+                edge[nxt] = chord
+                queue.append(nxt)
+    assert len(distance) == len(cl.cells)
+    return distance, edge
+
+
+def test_base_edge_and_distance_match_dual_tree_search_exhaustively():
+    for n in range(3, 11):
+        for d in enumerate_dissections(n):
+            cl = cells(d)
+            distance, edge = dual_tree_reference(d, cl)
+            for k, cell in enumerate(cl.cells):
+                assert base_edge(cell) == edge[k]
+                assert base_distance(d, cell) == distance[k]
 
 
 def test_octagon_move_is_not_opening_but_twin_move_is():
     mv = find_surgeries(OCTAGON, True)[0]
-    assert not is_opening(BasedDissection(OCTAGON), mv)
+    assert not is_opening(OCTAGON, mv)
     twin_mv = find_surgeries(OCTAGON_TWIN, True)[0]
-    assert is_opening(BasedDissection(OCTAGON_TWIN), twin_mv)
+    assert is_opening(OCTAGON_TWIN, twin_mv)
 
 
 def test_maximal_openness_of_the_octagon_pair():
-    assert is_maximally_open(BasedDissection(OCTAGON))
-    assert not is_maximally_open(BasedDissection(OCTAGON_TWIN))
-    assert canonicalize_maximally_open(BasedDissection(OCTAGON)) == OCTAGON
-    assert canonicalize_maximally_open(BasedDissection(OCTAGON_TWIN)) == OCTAGON
+    assert is_maximally_open(OCTAGON)
+    assert not is_maximally_open(OCTAGON_TWIN)
+    assert canonicalize_maximally_open(OCTAGON) == OCTAGON
+    assert canonicalize_maximally_open(OCTAGON_TWIN) == OCTAGON
 
 
 def test_triangulations_are_maximally_open():
     for d in enumerate_dissections(7, 5):
-        assert canonicalize_maximally_open(BasedDissection(d)) == d
+        assert canonicalize_maximally_open(d) == d
 
 
 def test_fourteen_gon_chain_opens_in_two_steps():
     d = parse_dissection("14:0-7,2-4,4-6,7-13,9-11")
-    result, trace = canonicalize_trace(BasedDissection(d))
+    result, trace = canonicalize_trace(d)
     assert len(trace) == 2
     assert result == parse_dissection("14:0-2,4-6,4-7,7-9,11-13")
-    assert is_maximally_open(BasedDissection(result))
+    assert is_maximally_open(result)
     assert quiddity(result) == quiddity(d)
 
 
 def test_canonicalize_rejects_aperiodic_input():
     with pytest.raises(DomainError):
-        canonicalize_maximally_open(BasedDissection(parse_dissection("5:0-2")))
+        canonicalize_maximally_open(parse_dissection("5:0-2"))
 
 
 def test_octagon_class_is_the_figure_pair():
@@ -189,26 +220,25 @@ def test_unique_maximally_open_member_small():
             for d in enumerate_dissections(n, m, ELL3):
                 by_quiddity.setdefault(quiddity(d).entries, []).append(d)
             for members in by_quiddity.values():
-                open_ones = [d for d in members if is_maximally_open(BasedDissection(d))]
+                open_ones = [d for d in members if is_maximally_open(d)]
                 assert len(open_ones) == 1
                 for d in members:
-                    assert canonicalize_maximally_open(BasedDissection(d)) == open_ones[0]
+                    assert canonicalize_maximally_open(d) == open_ones[0]
 
 
 def test_canonical_form_is_order_independent():
     rng = random.Random(5)
     for d in three_periodic(9):
-        target = canonicalize_maximally_open(BasedDissection(d))
+        target = canonicalize_maximally_open(d)
         for _ in range(5):
             sub = random.Random(rng.randrange(2 ** 32))
-            assert canonicalize_maximally_open(BasedDissection(d), sub) == target
+            assert canonicalize_maximally_open(d, sub) == target
 
 
 def test_opening_moves_all_open():
     for d in three_periodic(9):
-        bd = BasedDissection(d)
-        for mv in opening_moves(bd):
-            assert is_opening(bd, mv)
+        for mv in opening_moves(d):
+            assert is_opening(d, mv)
 
 
 def test_equal_quiddity_pair_without_any_surgery():
@@ -261,7 +291,7 @@ def cells_calls(monkeypatch):
 
 
 def test_canonicalize_extracts_cells_once_per_state(cells_calls):
-    result, trace = canonicalize_trace(BasedDissection(THIRTY_GON))
+    result, trace = canonicalize_trace(THIRTY_GON)
     assert len(trace) >= 4
     assert len(cells_calls) <= len(trace) + 1
 
