@@ -2,7 +2,6 @@
 
 from .core import (
     Cell,
-    CellList,
     Dissection,
     DomainError,
     ParseError,
@@ -23,7 +22,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cell",
-    "CellList",
     "Dissection",
     "DomainError",
     "ParseError",

@@ -77,8 +77,11 @@ class ResultCache:
                     compute, n: str = "", m: str = "", filt: str = "",
                     order: str = "") -> str:
         """Multi-line results: the CSV row stores a file path, the
-        payload lives in a side file under the cache directory."""
-        side_file = self.directory / filename
+        payload lives in a side file under the cache directory, named
+        ``filename`` with the source hash before its suffix, so each
+        source reads only the side files it wrote."""
+        name = Path(filename)
+        side_file = self.directory / f"{name.stem}-{source_key()}{name.suffix}"
         row = self.get(family, command, n, m, filt, order)
         if row is not None and side_file.exists():
             return side_file.read_text()

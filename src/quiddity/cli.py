@@ -56,11 +56,23 @@ from .verification import run_all
 FORMULA_ARG_CAP = 5000
 SERIES_ORDER_CAP = 30
 TABLE_MAX_N_CAP = 1200
+# Largest family, by its closed-form count, that ``quiddities`` and
+# ``classes`` enumerate.  It admits every family of an N-gon with
+# N <= 11; the largest, 32,032 dissections of the 11-gon into 7 cells,
+# takes 2.1 s for ``quiddities`` and 3.3 s for ``classes``.
+FAMILY_CAP = 35_000
 
 
 def _refuse_over(value: int, cap: int, what: str) -> None:
     if value > cap:
         raise ResourceLimitError(f"{what} {value} is over the cap of {cap}")
+
+
+def _refuse_unprintable(*values: int) -> None:
+    # Python will not print an int longer than this many digits (0: no limit).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(abs(v) >= 10 ** limit for v in values):
+        raise ResourceLimitError(f"a result has over {limit} digits, too many to print")
 
 
 def _dumps(obj) -> str:
@@ -144,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_filter_flags(p)
-    p.add_argument("--max-results", type=int, default=10_000_000)
+    p.add_argument("--max-results", type=int, default=FAMILY_CAP)
 
     p = verbs.add_parser("formula", help="closed-form counts")
     p.add_argument("name", choices=[
@@ -257,13 +269,8 @@ def _run_table(args: argparse.Namespace, out) -> int:
 
     def compute() -> str:
         lines = ["n,m,value"]
-        entries = sorted(
-            (n, m) for offset in (0, 3, 6, 9, 12)
-            for n in range(args.max_n + 1)
-            for m in (n - offset,)
-            if m >= 1 or (n == 0 and m == 0)
-        )
-        for n, m in entries:
+        diagonals = formulas.quiddity_table_diagonals(args.max_n).values()
+        for n, m in sorted(entry for diagonal in diagonals for entry in diagonal):
             lines.append(f"{n},{m},{formulas.quiddity_count_3periodic(n, m)}")
         return "\n".join(lines)
 
@@ -318,6 +325,7 @@ def _run_cf(args: argparse.Namespace, out) -> int:
         else:
             value = eval_hj(HirzebruchJungContinuedFraction(
                 tuple(_parse_int_list(args.hj, "term list"))))
+        _refuse_unprintable(value.numerator, value.denominator)
         _print_fraction(value, args.json, out)
         return 0
     cf = RegularContinuedFraction(tuple(_parse_int_list(args.terms, "term list")))
@@ -338,13 +346,12 @@ def _run_modular(args: argparse.Namespace, out) -> int:
     if args.action in ("product", "classify"):
         cs = _parse_int_list(args.coefficients, "coefficient list")
         if args.action == "product":
-            print(_dumps({"matrix": elementary_product(cs).entries()}), file=out)
+            matrix, extra = elementary_product(cs), {}
         else:
             report = classify_monodromy(cs)
-            print(_dumps({
-                "classification": report.classification,
-                "matrix": report.matrix.entries(),
-            }), file=out)
+            matrix, extra = report.matrix, {"classification": report.classification}
+        _refuse_unprintable(matrix.a, matrix.b, matrix.c, matrix.d)
+        print(_dumps({**extra, "matrix": matrix.entries()}), file=out)
         return 0
     report = verify_monodromy_correspondence(args.n, args.entry_bound)
     print(_dumps(report), file=out)
@@ -384,6 +391,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             if args.verb == "count":
                 compute = lambda: str(count_dissections(args.n, args.m, filt))
             else:
+                _refuse_over(count_dissections(args.n, args.m, filt), FAMILY_CAP, "family size")
                 compute = lambda: str(count_quiddities(args.n, args.m, filt))
             value = _cached_value(
                 args, args.verb, args.verb, compute,
@@ -393,7 +401,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
         if args.verb == "classes":
             table = quiddity_classes(args.n, args.m, _parse_filter(args),
-                                     max_dissections=args.max_results)
+                                     max_dissections=min(args.max_results, FAMILY_CAP))
             payload = {
                 str(q): sorted(str(d) for d in ds)
                 for q, ds in table.classes.items()
@@ -436,3 +444,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -101,21 +101,6 @@ class Cell:
 
 
 @dataclass(frozen=True)
-class CellList:
-    """All cells of a dissection plus the dual-tree adjacency.
-
-    ``dual_edges`` holds one entry per chord: the two cell indices on
-    either side of it, with the shared chord.
-    """
-
-    cells: tuple[Cell, ...]
-    dual_edges: tuple[tuple[int, int, Chord], ...]
-
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(c.size for c in self.cells)
-
-
-@dataclass(frozen=True)
 class Quiddity:
     """Cell-contact counts per vertex, as an N-tuple."""
 
@@ -170,53 +155,36 @@ def format_dissection(d: Dissection) -> str:
     return f"{d.n_vertices}:" + ",".join(f"{i}-{j}" for i, j in d.chords)
 
 
-def cells(d: Dissection) -> CellList:
-    """Extract all cells and the dual tree of a dissection.
+def cells(d: Dissection) -> tuple[Cell, ...]:
+    """All cells of a dissection, by smallest vertex, then size, then
+    vertices.
 
     One counterclockwise sweep keeps the boundary path not yet closed
     off on a stack.  At vertex v each chord (i, v), innermost first,
     closes the cell made of the stack from i up plus v, and stays on
     the stack as the edge (i, v); what is left at the end is the base
-    cell, on the polygon edge (0, N-1).  A chord separates the cell it
-    closes from the one that later takes in its stack edge.  Linear in
-    N plus the number of chords, apart from sorting the cells.
+    cell, on the polygon edge (0, N-1).  The chord closing a cell is its
+    (first, last) vertex pair, so the dual tree needs no bookkeeping: a
+    chord joins the cell it closes to the cell that has it as an inner
+    edge.  Linear in N plus the number of chords, apart from sorting.
     """
     n = d.n_vertices
-    ending: list[list[int]] = [[] for _ in range(n)]  # chord indices by right end
-    for k, (_, j) in enumerate(d.chords):
-        ending[j].append(k)
+    ending: list[list[int]] = [[] for _ in range(n)]  # left ends of chords, by right end
+    for i, j in d.chords:
+        ending[j].append(i)
     stack: list[int] = []
-    below: list[int] = []  # below[p]: the chord from stack[p-1] to stack[p], or -1
     pos = [0] * n  # stack position of each vertex on the stack
     raw: list[tuple[int, ...]] = []  # cells in the order they close
-    sides: list[list[int]] = [[] for _ in d.chords]  # the two cells of each chord
     for v in range(n):
-        into_v = -1  # the edge from the stack top to v; -1 for a polygon edge
-        for k in reversed(ending[v]):
-            p = pos[d.chords[k][0]]
-            for e in below[p + 1:] + [into_v, k]:
-                if e >= 0:
-                    sides[e].append(len(raw))
+        for i in reversed(ending[v]):
+            p = pos[i]
             raw.append(tuple(stack[p:]) + (v,))
-            del stack[p + 1:], below[p + 1:]
-            into_v = k
+            del stack[p + 1:]
         pos[v] = len(stack)
         stack.append(v)
-        below.append(into_v)
-    for e in below:
-        if e >= 0:
-            sides[e].append(len(raw))
     raw.append(tuple(stack))
-
-    order = sorted(range(len(raw)), key=lambda c: (raw[c][0], len(raw[c]), raw[c]))
-    rank = [0] * len(raw)
-    for r, c in enumerate(order):
-        rank[c] = r
-    dual = []
-    for (a, b), chord in zip(sides, d.chords):
-        a, b = sorted((rank[a], rank[b]))
-        dual.append((a, b, chord))
-    return CellList(tuple(Cell(raw[c]) for c in order), tuple(dual))
+    raw.sort(key=lambda c: (c[0], len(c), c))
+    return tuple(Cell(c) for c in raw)
 
 
 def quiddity(d: Dissection) -> Quiddity:
@@ -228,7 +196,7 @@ def quiddity(d: Dissection) -> Quiddity:
     """
     n = d.n_vertices
     by_membership = [0] * n
-    for cell in cells(d).cells:
+    for cell in cells(d):
         for v in cell.vertices:
             by_membership[v] += 1
     by_degree = [1 + deg for deg in d.chord_degrees()]
@@ -241,7 +209,7 @@ def quiddity(d: Dissection) -> Quiddity:
 
 def cell_size_profile(d: Dissection) -> tuple[int, ...]:
     """Multiset of cell sizes, as a sorted tuple."""
-    return tuple(sorted(cells(d).sizes()))
+    return tuple(sorted(c.size for c in cells(d)))
 
 
 def is_ell_periodic(d: Dissection, ell: int) -> bool:

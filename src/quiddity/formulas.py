@@ -172,3 +172,13 @@ def quiddity_count_3periodic(n: int, m: int) -> int:
     if total.denominator != 1:
         raise AssertionError(f"quiddity count for ({n}, {m}) is not integral: {total}")
     return total.numerator
+
+
+def quiddity_table_diagonals(max_n: int) -> dict[int, list[tuple[int, int]]]:
+    """The (n, m) entries of the 3-periodic quiddity table with
+    n <= max_n, by diagonal: m = n - offset for offsets 0, 3, 6, 9, 12,
+    keeping m >= 1 and the 2-gon entry (0, 0)."""
+    return {
+        offset: [(n, n - offset) for n in range(max_n + 1) if n - offset >= 1 or n == offset == 0]
+        for offset in (0, 3, 6, 9, 12)
+    }

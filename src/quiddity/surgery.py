@@ -24,7 +24,6 @@ from typing import Optional
 
 from .core import (
     Cell,
-    CellList,
     Chord,
     Dissection,
     DomainError,
@@ -36,10 +35,12 @@ from .core import (
 
 @dataclass(frozen=True)
 class SurgeryMove:
-    """One legal surgery: the acting cell, the two removed chords and
-    the two chords replacing them (all with sorted endpoints)."""
+    """One legal surgery: the acting cell (with its index in
+    :func:`cells`), the two removed chords and the two chords replacing
+    them (all with sorted endpoints)."""
 
     cell_index: int
+    cell: Cell
     removed: tuple[Chord, Chord]
     added: tuple[Chord, Chord]
 
@@ -57,35 +58,31 @@ def base_distance(d: Dissection, cell: Cell) -> int:
     return sum(1 for i, j in d.chords if i <= lo and hi <= j)
 
 
-def find_surgeries(
-    d: Dissection, require_3periodic: bool, cl: Optional[CellList] = None
-) -> list[SurgeryMove]:
-    """All legal surgery moves on a dissection, given its cells ``cl``
-    if the caller already holds them.
+def find_surgeries(d: Dissection, require_3periodic: bool) -> list[SurgeryMove]:
+    """All legal surgery moves on a dissection.
 
     With ``require_3periodic`` the input must be 3-periodic and only
     moves whose result is again 3-periodic are kept.
     """
-    if cl is None:
-        cl = cells(d)
-    if require_3periodic and any(size % 3 for size in cl.sizes()):
+    cs = cells(d)
+    if require_3periodic and any(c.size % 3 for c in cs):
         raise DomainError("3-periodic surgery needs a 3-periodic dissection")
-    chord_set = set(d.chords)
-    cell_size = cl.sizes()
-    other_side: dict[tuple[int, Chord], int] = {}
-    for a, b, chord in cl.dual_edges:
-        other_side[(a, chord)] = b
-        other_side[(b, chord)] = a
+    # A chord is the base edge of the cell beyond it and an inner edge
+    # of the cell on the base side; the inner edges cover every chord.
+    beyond = {base_edge(c): c for c in cs}
+    within = {
+        (u, v): c for c in cs for u, v in zip(c.vertices, c.vertices[1:]) if v - u > 1
+    }
 
     moves = []
-    for idx, cell in enumerate(cl.cells):
+    for idx, cell in enumerate(cs):
         size = cell.size
         if size < 6:
             continue
         boundary = list(cell.edges())
         chord_positions = [
             k for k, (u, v) in enumerate(boundary)
-            if (min(u, v), max(u, v)) in chord_set
+            if (min(u, v), max(u, v)) in within
         ]
         for pos_a in range(len(chord_positions)):
             for pos_b in range(pos_a + 1, len(chord_positions)):
@@ -105,13 +102,13 @@ def find_surgeries(
                 if require_3periodic:
                     size1 = j - i
                     size2 = size - size1
-                    merged = (
-                        cell_size[other_side[(idx, removed[0])]]
-                        + cell_size[other_side[(idx, removed[1])]]
+                    merged = sum(
+                        (within[e] if e == base_edge(cell) else beyond[e]).size
+                        for e in removed
                     )
                     if size1 % 3 or size2 % 3 or merged % 3:
                         continue
-                moves.append(SurgeryMove(idx, removed, added))
+                moves.append(SurgeryMove(idx, cell, removed, added))
     return moves
 
 
@@ -139,40 +136,20 @@ def apply_surgery(
     return result
 
 
-def is_opening(d: Dissection, move: SurgeryMove) -> bool:
+def is_opening(move: SurgeryMove) -> bool:
     """True iff the move removes the base edge of its own cell.  The
     base cell's base edge is a polygon edge, so its moves never open."""
-    return base_edge(cells(d).cells[move.cell_index]) in move.removed
+    return base_edge(move.cell) in move.removed
 
 
-def opening_moves(d: Dissection, cl: Optional[CellList] = None) -> list[SurgeryMove]:
-    """All 3-periodic opening surgeries available on a dissection
-    whose cells are ``cl`` (computed if not given)."""
-    if cl is None:
-        cl = cells(d)
-    return [
-        mv for mv in find_surgeries(d, True, cl)
-        if base_edge(cl.cells[mv.cell_index]) in mv.removed
-    ]
+def opening_moves(d: Dissection) -> list[SurgeryMove]:
+    """All 3-periodic opening surgeries available on a dissection."""
+    return [mv for mv in find_surgeries(d, True) if is_opening(mv)]
 
 
 def is_maximally_open(d: Dissection) -> bool:
     """True iff no 3-periodic opening surgery applies."""
-    cl = cells(d)
-    if any(size % 3 for size in cl.sizes()):
-        raise DomainError("maximal openness is defined for 3-periodic dissections")
-    return not opening_moves(d, cl)
-
-
-def _deterministic_choice(d: Dissection, moves: list[SurgeryMove],
-                          cl: CellList) -> SurgeryMove:
-    # Furthest cell from the base first, ties by smallest vertex of the
-    # cell, then lexicographically smallest added chords.
-    def key(mv: SurgeryMove):
-        cell = cl.cells[mv.cell_index]
-        return (-base_distance(d, cell), cell.vertices[0], mv.added)
-
-    return min(moves, key=key)
+    return not opening_moves(d)
 
 
 def canonicalize_trace(
@@ -181,28 +158,26 @@ def canonicalize_trace(
     """Apply 3-periodic opening surgeries until none remains, returning
     the fixed point and the moves applied.
 
-    The default policy opens the cells furthest from the base first;
+    The default policy opens the cells furthest from the base first,
+    ties broken by the cell's smallest vertex, then by the added chords;
     passing an ``rng`` picks admissible moves at random instead (the
     fixed point must not depend on the choice, which the test suite
     verifies rather than assumes).  Each state's cells are extracted
     once.
     """
-    cl = cells(d)
-    if any(size % 3 for size in cl.sizes()):
-        raise DomainError("canonicalization needs a 3-periodic dissection")
     applied = []
     limit = 2 * d.n_vertices * (len(d.chords) + 1) + 10
     for _ in range(limit):
-        moves = opening_moves(d, cl)
+        moves = opening_moves(d)
         if not moves:
             return d, tuple(applied)
         if rng is None:
-            move = _deterministic_choice(d, moves, cl)
+            move = min(moves, key=lambda mv: (
+                -base_distance(d, mv.cell), mv.cell.vertices[0], mv.added))
         else:
             move = rng.choice(sorted(moves, key=lambda mv: (mv.cell_index, mv.removed)))
         applied.append(move)
         d = apply_surgery(d, move, moves)
-        cl = cells(d)
     raise AssertionError("opening surgeries did not terminate")
 
 

@@ -288,7 +288,8 @@ def check_table(max_n: int = 14) -> CheckResult:
 
 def known_quiddity_table(max_n: int = 14) -> dict[tuple[int, int], int]:
     """Known counts of distinct 3-periodic quiddities by (n, m), for
-    the (n+2)-gon, n <= 14: the five diagonals m = n - 3k."""
+    the (n+2)-gon, n <= 14, on the table's diagonals (each row lists a
+    diagonal from its first entry)."""
     rows = {
         0: [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862,
             16796, 58786, 208012, 742900, 2674440],
@@ -298,13 +299,8 @@ def known_quiddity_table(max_n: int = 14) -> dict[tuple[int, int], int]:
         12: [1, 40],
     }
     table = {}
-    for offset, values in rows.items():
-        first_n = 0 if offset == 0 else offset + 1
-        for k, value in enumerate(values):
-            n = first_n + k
-            m = n - offset
-            if n <= max_n and (m >= 1 or (n == 0 and m == 0)):
-                table[(n, m)] = value
+    for offset, entries in formulas.quiddity_table_diagonals(max_n).items():
+        table.update(zip(entries, rows[offset]))
     return table
 
 

@@ -36,6 +36,18 @@ def cells_by_splitting(d: Dissection) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda c: (c[0], len(c), c))
 
 
+def chord_sides(cycles: list[tuple[int, ...]]) -> dict[tuple[int, int], list[int]]:
+    """For every edge of the given cells, the indices of the cells that
+    have it as a boundary edge, in increasing order: two for a chord,
+    one for a polygon edge."""
+    sides: dict[tuple[int, int], list[int]] = {}
+    for idx, cycle in enumerate(cycles):
+        for k, u in enumerate(cycle):
+            v = cycle[(k + 1) % len(cycle)]
+            sides.setdefault((min(u, v), max(u, v)), []).append(idx)
+    return sides
+
+
 def total_dissections(n: int) -> int:
     """Number of dissections of the (n+2)-gon over all cell counts
     (the super-Catalan/little Schroeder sequence), via the recurrence

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quiddity import ResourceLimitError
+from quiddity import ResourceLimitError, cache, formulas
 from quiddity.cache import source_key
 from quiddity.cli import main
 from quiddity.formulas import (
@@ -183,7 +183,19 @@ def test_table_cache_transparency(cache_env):
     warm1 = run(["table", "--max-n", "8"])
     warm2 = run(["table", "--max-n", "8"])
     assert fresh == warm1 == warm2
-    assert (cache_env / "table-8.csv").exists()
+    assert (cache_env / f"table-8-{source_key()}.csv").exists()
+
+
+def test_table_side_file_of_other_source_is_not_served(cache_env, monkeypatch):
+    # code A caches the table, code B (another source hash, other values)
+    # caches the same --max-n, and A must still read its own bytes
+    fresh = run(["table", "--max-n", "8", "--no-cache"])
+    assert run(["table", "--max-n", "8"]) == fresh
+    with monkeypatch.context() as other:
+        other.setattr(cache, "source_key", lambda: "0" * 16)
+        other.setattr(formulas, "quiddity_count_3periodic", lambda n, m: 999)
+        assert "999" in run(["table", "--max-n", "8"])[1]
+    assert run(["table", "--max-n", "8"]) == fresh
 
 
 def test_verify_all_fast_scope_passes(cache_env):
@@ -257,6 +269,9 @@ def test_cache_ignores_rows_written_by_other_source(cache_env):
     ["table", "--max-n", "100000"],
     ["modular", "verify", "--n", "9"],
     ["modular", "verify", "--n", "30", "--entry-bound", "1"],
+    ["quiddities", "--n", "14", "--m", "6", "--no-cache"],
+    ["classes", "--n", "14", "--m", "6"],
+    ["classes", "--n", "12", "--m", "7", "--max-results", "10000000"],
 ])
 def test_unreachable_work_is_refused_up_front(cache_env, capsys, argv):
     start = time.perf_counter()
@@ -264,6 +279,23 @@ def test_unreachable_work_is_refused_up_front(cache_env, capsys, argv):
     assert (code, out) == (1, "")
     assert capsys.readouterr().err.startswith("error:")
     assert time.perf_counter() - start < 1
+
+
+def test_classes_max_results_lowers_the_family_cap(capsys):
+    code, out = run(["classes", "--n", "8", "--m", "3", "--ell", "3", "--max-results", "35"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: 36 dissections exceed the cap of 35\n"
+    code, out = run(["classes", "--n", "8", "--m", "3", "--ell", "3", "--max-results", "36"])
+    assert code == 0 and len(json.loads(out)) == 34
+
+
+def test_cli_module_runs_as_a_script():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "quiddity.cli", "count", "--n", "8", "--m", "3", "--no-cache"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "120\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -344,6 +376,9 @@ def argvs(draw):
 @settings(max_examples=500, deadline=None)
 @given(argv=argvs())
 @example(argv=["cf", "eval", "--regular", ""])  # once an AttributeError
+# results past Python's int-to-str digit limit were once a ValueError
+@example(argv=["modular", "product", ",".join(["1000000000"] * 600)])
+@example(argv=["cf", "eval", "--regular", ",".join(["1000000000"] * 600)])
 def test_argv_fuzz_ends_with_a_documented_exit(tmp_path_factory, argv):
     # ints stay small, so no accepted op enumerates at scale
     if argv[0] in ("count", "quiddities", "formula", "table"):

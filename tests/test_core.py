@@ -20,8 +20,9 @@ from quiddity import (
     quiddity,
 )
 from quiddity.enumeration import enumerate_dissections
+from quiddity.surgery import base_edge
 
-from oracles import cells_by_splitting
+from oracles import cells_by_splitting, chord_sides
 
 
 def test_parse_pentagon():
@@ -33,7 +34,7 @@ def test_parse_pentagon():
 def test_parse_empty_dissection():
     d = parse_dissection("6:")
     assert d.chords == ()
-    assert len(cells(d).cells) == 1
+    assert len(cells(d)) == 1
 
 
 def test_parse_canonicalizes_chord_and_endpoint_order():
@@ -65,58 +66,58 @@ def test_parse_errors_name_the_offender(bad, fragment):
 
 
 def test_cells_pentagon():
-    cl = cells(parse_dissection("5:0-2,0-3"))
-    assert [c.vertices for c in cl.cells] == [(0, 1, 2), (0, 2, 3), (0, 3, 4)]
+    cs = cells(parse_dissection("5:0-2,0-3"))
+    assert [c.vertices for c in cs] == [(0, 1, 2), (0, 2, 3), (0, 3, 4)]
 
 
 def test_cells_octagon_pair_of_ears():
-    cl = cells(parse_dissection("8:1-3,5-7"))
-    assert [c.vertices for c in cl.cells] == [(0, 1, 3, 4, 5, 7), (1, 2, 3), (5, 6, 7)]
-    assert sorted(cl.sizes()) == [3, 3, 6]
+    cs = cells(parse_dissection("8:1-3,5-7"))
+    assert [c.vertices for c in cs] == [(0, 1, 3, 4, 5, 7), (1, 2, 3), (5, 6, 7)]
+    assert sorted(c.size for c in cs) == [3, 3, 6]
 
 
 def test_cells_octagon_three_chords():
-    cl = cells(parse_dissection("8:1-3,3-5,5-7"))
-    assert len(cl.cells) == 4
-    assert sum(cl.sizes()) == 8 + 2 * 3
+    cs = cells(parse_dissection("8:1-3,3-5,5-7"))
+    assert len(cs) == 4
+    assert sum(c.size for c in cs) == 8 + 2 * 3
+
+
+def _inner_chords(vertices):
+    return [(u, v) for u, v in zip(vertices, vertices[1:]) if v - u > 1]
 
 
 def test_dual_tree_shape():
+    # each cell but the base cell hangs from the cell that has its base
+    # edge as an inner edge; following those links from any cell reaches
+    # the base cell, so the dual tree is connected
     for text in ["5:0-2,0-3", "8:1-3,5-7", "8:1-3,3-5,5-7", "6:"]:
         d = parse_dissection(text)
-        cl = cells(d)
-        assert len(cl.cells) == len(d.chords) + 1
-        assert len(cl.dual_edges) == len(cl.cells) - 1
-        # connectivity: the dual is a tree
-        reached = {0}
-        frontier = [0]
-        adj = {k: set() for k in range(len(cl.cells))}
-        for a, b, _ in cl.dual_edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    frontier.append(nxt)
-        assert reached == set(range(len(cl.cells)))
+        cs = cells(d)
+        assert len(cs) == len(d.chords) + 1
+        parent = {e: k for k, c in enumerate(cs) for e in _inner_chords(c.vertices)}
+        assert len(parent) == len(cs) - 1
+        for k in range(len(cs)):
+            path = [k]
+            while base_edge(cs[path[-1]]) != (0, d.n_vertices - 1):
+                path.append(parent[base_edge(cs[path[-1]])])
+                assert len(path) <= len(cs)
 
 
 def test_cells_match_splitting_oracle_exhaustively():
-    # cells in the same order, and each chord's dual edge joins the two
-    # oracle cells that have the chord as a boundary edge
+    # cells in the same order, and each chord is the base edge of exactly
+    # one cell and an inner edge of exactly one other: the two oracle
+    # cells that have the chord as a boundary edge
     for n in range(3, 11):
         for d in enumerate_dissections(n):
-            cl = cells(d)
+            cs = cells(d)
             want = cells_by_splitting(d)
-            assert [c.vertices for c in cl.cells] == want
-            sides: dict[tuple[int, int], list[int]] = {}
-            for idx, cycle in enumerate(want):
-                for k, u in enumerate(cycle):
-                    v = cycle[(k + 1) % len(cycle)]
-                    sides.setdefault((min(u, v), max(u, v)), []).append(idx)
-            assert cl.dual_edges == tuple((*sides[c], c) for c in d.chords)
+            assert [c.vertices for c in cs] == want
+            sides = chord_sides(want)
+            for chord in d.chords:
+                beyond = [k for k, c in enumerate(cs) if base_edge(c) == chord]
+                within = [k for k, c in enumerate(cs) if chord in _inner_chords(c.vertices)]
+                assert len(beyond) == len(within) == 1
+                assert sorted(beyond + within) == sides[chord]
 
 
 def _pairwise_cross(a, b):
@@ -230,8 +231,8 @@ def test_dihedral_transform_preserves_validity(n, seed, reflected):
 def test_cell_count_and_size_sum_invariants():
     for n in range(3, 9):
         for d in enumerate_dissections(n):
-            cl = cells(d)
-            assert len(cl.cells) == len(d.chords) + 1
-            assert sum(cl.sizes()) == n + 2 * len(d.chords)
+            cs = cells(d)
+            assert len(cs) == len(d.chords) + 1
+            assert sum(c.size for c in cs) == n + 2 * len(d.chords)
             q = quiddity(d)
             assert sum(q.entries) == n + 2 * len(d.chords)

@@ -29,6 +29,8 @@ from quiddity.surgery import (
     surgery_class,
 )
 
+from oracles import cells_by_splitting, chord_sides
+
 ELL3 = CellFilter.ell_periodic(3)
 OCTAGON = parse_dissection("8:1-3,5-7")
 OCTAGON_TWIN = parse_dissection("8:1-7,3-5")
@@ -78,21 +80,21 @@ def test_surgery_preserves_quiddity_and_sizes_exhaustively():
             out = apply_surgery(d, mv)
             assert quiddity(out) == quiddity(d)
             assert len(out.chords) == len(d.chords)
-            assert len(cells(out).cells) == len(cells(d).cells)
+            assert len(cells(out)) == len(cells(d))
 
 
 def test_surgery_cell_bookkeeping_random_instances():
     # every move on a sampled dissection produces the predicted three
-    # new cell sizes: the two closed arcs and the merged neighbors
+    # new cell sizes: the two closed arcs and the merged neighbors, whose
+    # sides come from the chord-splitting oracle
     rng = random.Random(11)
     pool = [d for m in (3, 4, 5) for d in enumerate_dissections(11, m)]
     for d in rng.sample(pool, 1000):
-        cl = cells(d)
-        sides = {}
-        for a, b, chord in cl.dual_edges:
-            sides.setdefault(chord, []).extend([a, b])
+        want = cells_by_splitting(d)
+        sides = chord_sides(want)
         for mv in find_surgeries(d, False):
-            cell = cl.cells[mv.cell_index]
+            cell = mv.cell
+            assert want[mv.cell_index] == cell.vertices
             boundary = list(cell.edges())
             positions = {
                 (min(u, v), max(u, v)): k for k, (u, v) in enumerate(boundary)
@@ -100,37 +102,36 @@ def test_surgery_cell_bookkeeping_random_instances():
             i, j = sorted((positions[mv.removed[0]], positions[mv.removed[1]]))
             size1 = j - i
             size2 = cell.size - size1
-            merged = sum(
-                cl.cells[c].size
+            others = [
+                next(c for c in sides[chord] if c != mv.cell_index)
                 for chord in mv.removed
-                for c in sides[chord]
-                if c != mv.cell_index
-            )
-            before = sorted(cl.sizes())
-            before.remove(cell.size)
-            for chord in mv.removed:
-                other = next(c for c in sides[chord] if c != mv.cell_index)
-                before.remove(cl.cells[other].size)
-            want = sorted(before + [size1, size2, merged])
-            assert sorted(cell_size_profile(apply_surgery(d, mv))) == want
+            ]
+            merged = sum(len(want[c]) for c in others)
+            before = sorted(len(c) for c in want)
+            for c in [mv.cell_index] + others:
+                before.remove(len(want[c]))
+            result = sorted(before + [size1, size2, merged])
+            assert sorted(cell_size_profile(apply_surgery(d, mv))) == result
 
 
 def test_base_cell_data_octagon():
-    cl = cells(OCTAGON)
-    hexagon = next(c for c in cl.cells if c.size == 6)
+    cs = cells(OCTAGON)
+    hexagon = next(c for c in cs if c.size == 6)
     assert base_distance(OCTAGON, hexagon) == 0
     assert base_edge(hexagon) == (0, 7)
-    assert sorted(base_distance(OCTAGON, c) for c in cl.cells) == [0, 1, 1]
+    assert sorted(base_distance(OCTAGON, c) for c in cs) == [0, 1, 1]
 
 
-def dual_tree_reference(d, cl):
-    """Distance to the base cell and base edge of every cell, by a
-    breadth-first search of the dual tree from the cell on (0, N-1)."""
+def dual_tree_reference(d):
+    """Distance to the base cell and base edge of every oracle cell, by
+    a breadth-first search of the dual tree from the cell on (0, N-1)."""
     n = d.n_vertices
-    root = next(k for k, c in enumerate(cl.cells)
-                if any({u, v} == {0, n - 1} for u, v in c.edges()))
-    adj = {k: [] for k in range(len(cl.cells))}
-    for a, b, chord in cl.dual_edges:
+    want = cells_by_splitting(d)
+    sides = chord_sides(want)
+    root = sides[(0, n - 1)][0]
+    adj = {k: [] for k in range(len(want))}
+    for chord in d.chords:
+        a, b = sides[chord]
         adj[a].append((b, chord))
         adj[b].append((a, chord))
     distance = {root: 0}
@@ -143,25 +144,35 @@ def dual_tree_reference(d, cl):
                 distance[nxt] = distance[cur] + 1
                 edge[nxt] = chord
                 queue.append(nxt)
-    assert len(distance) == len(cl.cells)
+    assert len(distance) == len(want)
     return distance, edge
 
 
 def test_base_edge_and_distance_match_dual_tree_search_exhaustively():
     for n in range(3, 11):
         for d in enumerate_dissections(n):
-            cl = cells(d)
-            distance, edge = dual_tree_reference(d, cl)
-            for k, cell in enumerate(cl.cells):
+            distance, edge = dual_tree_reference(d)
+            for k, cell in enumerate(cells(d)):
                 assert base_edge(cell) == edge[k]
                 assert base_distance(d, cell) == distance[k]
 
 
+def test_move_cell_is_the_indexed_cell_exhaustively():
+    for n in range(3, 10):
+        for d in enumerate_dissections(n):
+            cs = cells(d)
+            moves = find_surgeries(d, False)
+            if all(c.size % 3 == 0 for c in cs):
+                moves += find_surgeries(d, True)
+            for mv in moves:
+                assert mv.cell == cs[mv.cell_index]
+
+
 def test_octagon_move_is_not_opening_but_twin_move_is():
     mv = find_surgeries(OCTAGON, True)[0]
-    assert not is_opening(OCTAGON, mv)
+    assert not is_opening(mv)
     twin_mv = find_surgeries(OCTAGON_TWIN, True)[0]
-    assert is_opening(OCTAGON_TWIN, twin_mv)
+    assert is_opening(twin_mv)
 
 
 def test_maximal_openness_of_the_octagon_pair():
@@ -238,7 +249,7 @@ def test_canonical_form_is_order_independent():
 def test_opening_moves_all_open():
     for d in three_periodic(9):
         for mv in opening_moves(d):
-            assert is_opening(d, mv)
+            assert is_opening(mv)
 
 
 def test_equal_quiddity_pair_without_any_surgery():
