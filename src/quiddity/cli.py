@@ -32,6 +32,7 @@ from .contfrac import (
 from .core import DomainError, ResourceLimitError, parse_dissection, quiddity
 from .enumeration import (
     ALL_CELLS,
+    FAMILY_CAP,
     CellFilter,
     count_dissections,
     count_quiddities,
@@ -56,11 +57,12 @@ from .verification import run_all
 FORMULA_ARG_CAP = 5000
 SERIES_ORDER_CAP = 30
 TABLE_MAX_N_CAP = 1200
-# Largest family, by its closed-form count, that ``quiddities`` and
-# ``classes`` enumerate.  It admits every family of an N-gon with
-# N <= 11; the largest, 32,032 dissections of the 11-gon into 7 cells,
-# takes 2.1 s for ``quiddities`` and 3.3 s for ``classes``.
-FAMILY_CAP = 35_000
+# Largest sum of plus-sign terms that ``cf convert`` and ``cf strip``
+# take: the strip has sum + 2 vertices and the minus-sign expansion about
+# as many terms.  The slowest input is all ones, whose fractions grow as
+# Fibonacci numbers: ``cf convert`` takes 1.7 s at the cap, ``cf strip``
+# 0.6 s, on a 2-core machine.
+CF_TERM_SUM_CAP = 60_000
 
 
 def _refuse_over(value: int, cap: int, what: str) -> None:
@@ -329,6 +331,7 @@ def _run_cf(args: argparse.Namespace, out) -> int:
         _print_fraction(value, args.json, out)
         return 0
     cf = RegularContinuedFraction(tuple(_parse_int_list(args.terms, "term list")))
+    _refuse_over(sum(cf.terms), CF_TERM_SUM_CAP, "term sum")
     if args.action == "convert":
         print(",".join(str(t) for t in regular_to_hj(cf).terms), file=out)
         return 0

@@ -67,6 +67,15 @@ class Dissection:
             open_chords.append((i, j))
         object.__setattr__(self, "chords", tuple(sorted(normalized)))
 
+    @classmethod
+    def _trusted(cls, n_vertices: int, chords: Iterable[Chord]) -> "Dissection":
+        """A dissection from chords known to be valid, with i < j in
+        each: sorts them and skips validation.  For the enumerator only."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "n_vertices", n_vertices)
+        object.__setattr__(d, "chords", tuple(sorted(chords)))
+        return d
+
     def __str__(self) -> str:
         return format_dissection(self)
 

@@ -5,10 +5,16 @@ chooses the cell containing it, and recurses into the sub-polygons cut
 off by that cell.  Every dissection determines its base cell uniquely,
 so each one is produced exactly once, in a fixed deterministic order,
 with no isomorphism rejection.
+
+The search is steered by exact cell-count masks, built once per call:
+for each sub-polygon size, the set of cell counts its dissections can
+have under the filter, as the bits of an integer.  A base cell's
+corners, and each sub-polygon's wanted counts, are chosen only where
+the masks say some dissection completes them, so no branch is dead and
+the time is proportional to the number of dissections yielded.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -23,7 +29,15 @@ from .core import (
     quiddity,
 )
 
-DEFAULT_MATERIALIZE_CAP = 10_000_000
+# Largest family, by its closed-form count, that ``quiddity_classes``
+# materializes by default and the ``quiddities`` and ``classes`` verbs
+# enumerate.  It admits every family of an N-gon with N <= 11; the
+# largest, 32,032 dissections of the 11-gon into 7 cells, takes 1.1 s for
+# ``quiddities`` and 1.9 s for ``classes`` on a 2-core machine, most of
+# it in ``quiddity()`` and the dihedral check rather than in enumeration.
+# Few-cell families of larger polygons cost more per member, in those two
+# places: ``classes --n 27 --m 3`` (34,776) takes 5.5 s.
+FAMILY_CAP = 35_000
 
 
 @dataclass(frozen=True)
@@ -99,6 +113,30 @@ def _check_range(n_vertices: int, m: Optional[int]) -> None:
         )
 
 
+def _sumset(a: int, b: int) -> int:
+    """The sumset {x + y : x in a, y in b} of two cell-count masks
+    (bit c set when c cells are reachable): ``b << x`` over the bits x
+    of ``a``."""
+    out = 0
+    while a:
+        low = a & -a
+        out |= b << (low.bit_length() - 1)
+        a ^= low
+    return out
+
+
+def _differences(want: int, a: int) -> int:
+    """The counts y with y + x in ``want`` for some x in ``a``:
+    ``want >> x`` over the bits x of ``a`` up to the top of ``want``."""
+    a &= (1 << want.bit_length()) - 1
+    out = 0
+    while a:
+        low = a & -a
+        out |= want >> (low.bit_length() - 1)
+        a ^= low
+    return out
+
+
 def enumerate_dissections(
     n_vertices: int,
     m: Optional[int] = None,
@@ -109,63 +147,95 @@ def enumerate_dissections(
 
     The order is deterministic: base cells are chosen by increasing
     size then by vertex tuple, and sub-polygons fill left to right.
+    Exact cell-count masks steer the search, so every branch it enters
+    ends in at least one dissection: after O(N^3) mask sums of set-up,
+    the time is proportional to the number of dissections yielded.
     """
     _check_range(n_vertices, m)
     allowed = cell_filter.allowed_sizes_upto(n_vertices)
-    # Feasible-range bounds (not exact feasibility) on the cell count of
-    # a sub-polygon on s vertices, for pruning: its budget is s-2, and a
-    # cell of size t consumes t-2.
-    size_bounds = [(1, 0)] * (n_vertices + 1)  # an empty range: infeasible
-    size_bounds[2] = (0, 0)
-    for s in range(3, n_vertices + 1):
-        fitting = [t for t in allowed if t <= s]
-        if fitting:
-            size_bounds[s] = (-(-(s - 2) // (fitting[-1] - 2)), (s - 2) // (fitting[0] - 2))
+    # reach[s]: the cell counts that a sub-polygon on s consecutive
+    # vertices, over its base edge, can have under the filter, as a bit
+    # mask (an edge, s = 2, has 0 cells).  chain[k][r]: the total counts
+    # of k consecutive gaps spanning r polygon edges, a gap of span g
+    # being a sub-polygon on g + 1 vertices.
+    reach = [0, 0, 1] + [0] * (n_vertices - 2)
+    chain = [[1] + [0] * (n_vertices - 1)] + [
+        [0] * n_vertices for _ in range(max(allowed, default=2) - 1)]
+    for r in range(1, n_vertices):
+        for k in range(2, min(len(chain), r + 1)):
+            total = 0
+            for g in range(1, r - k + 2):
+                total |= _sumset(reach[g + 1], chain[k - 1][r - g])
+            chain[k][r] = total
+        if r >= 2:
+            cell = 0
+            for t in allowed:
+                if t <= r + 1:
+                    cell |= chain[t - 1][r]
+            reach[r + 1] = cell << 1
+        chain[1][r] = reach[r + 1]
 
-    def gen(lo: int, hi: int, want_lo: int, want_hi: int):
-        """Dissections of the sub-polygon on vertices lo..hi whose base
-        edge is (lo, hi), with cell count in [want_lo, want_hi].
-        Yields (chords tuple, cell count)."""
-        s = hi - lo + 1
-        if s == 2:
-            if want_lo <= 0 <= want_hi:
-                yield (), 0
-            return
+    def base_cells(lo: int, hi: int, t: int, want: int) -> list[list[Chord]]:
+        """Every base cell of size t on the edge (lo, hi) whose gaps can
+        hold a total count in ``want``, by its corners in lexicographic
+        order, as the list of its gaps that hold a cell (two or more
+        polygon edges)."""
+        found: list[list[Chord]] = []
+
+        def extend(prev: int, left: int, rest: int, gaps: list[Chord]) -> None:
+            # ``left`` gaps follow corner ``prev``; ``rest`` is the
+            # totals they may have
+            if left == 1:
+                found.append(gaps + [(prev, hi)] if hi - prev >= 2 else gaps)
+                return
+            later = chain[left - 1]
+            for c in range(prev + 1, hi - left + 2):
+                after = _differences(rest, reach[c - prev + 1])
+                if later[hi - c] & after:
+                    extend(c, left - 1, after, gaps + [(prev, c)] if c - prev >= 2 else gaps)
+
+        if chain[t - 1][hi - lo] & want:
+            extend(lo, t - 1, want, [])
+        return found
+
+    def gen(lo: int, hi: int, want: int):
+        """Dissections of the sub-polygon on vertices lo..hi (at least
+        three) whose base edge is (lo, hi), with a cell count in the mask
+        ``want``.  Yields (chords, cell count)."""
+        gaps_want = want >> 1  # the base cell is one of the cells
         for t in allowed:
-            if t > s:
+            if t > hi - lo + 1:
                 break
-            for mids in itertools.combinations(range(lo + 1, hi), t - 2):
-                corners = (lo, *mids, hi)
-                gaps = [
-                    (corners[k], corners[k + 1])
-                    for k in range(t - 1)
-                    if corners[k + 1] - corners[k] >= 2
-                ]
-                bounds = [size_bounds[q - p + 1] for p, q in gaps]
-                min_rest = sum(b[0] for b in bounds)
-                max_rest = sum(b[1] for b in bounds)
-                if min_rest + 1 > want_hi or max_rest + 1 < want_lo:
-                    continue
+            for gaps in base_cells(lo, hi, t, gaps_want):
+                # fits[i]: the counts of gap i that the gaps after it can
+                # complete to a total in gaps_want, before earlier gaps
+                # used any
+                fits = [0] * len(gaps)
+                suffix = 1
+                for i in range(len(gaps) - 1, -1, -1):
+                    p, q = gaps[i]
+                    fits[i] = _differences(gaps_want, suffix)
+                    suffix = _sumset(reach[q - p + 1], suffix)
 
-                def fill(idx: int, acc: tuple[Chord, ...], used: int):
-                    if idx == len(gaps):
-                        yield acc, used + 1
-                        return
-                    p, q = gaps[idx]
-                    lo_rest = sum(b[0] for b in bounds[idx + 1:])
-                    hi_rest = sum(b[1] for b in bounds[idx + 1:])
-                    sub_lo = max(bounds[idx][0], want_lo - 1 - used - hi_rest)
-                    sub_hi = min(bounds[idx][1], want_hi - 1 - used - lo_rest)
-                    for sub_chords, sub_cells in gen(p, q, sub_lo, sub_hi):
-                        yield from fill(idx + 1, acc + ((p, q),) + sub_chords, used + sub_cells)
+                yield from fill(gaps, fits, 0, (), 0)
 
-                yield from fill(0, (), 0)
+    def fill(gaps: list[Chord], fits: list[int], idx: int, acc: tuple[Chord, ...], used: int):
+        """Fill gaps idx, idx+1, ... of a base cell left to right, after
+        the earlier gaps gave the chords ``acc`` and ``used`` cells."""
+        if idx == len(gaps):
+            yield acc, used + 1
+            return
+        p, q = gaps[idx]
+        sub_want = reach[q - p + 1] & (fits[idx] >> used)
+        if sub_want == 2:  # one cell: the gap is a cell, with no chords inside
+            yield from fill(gaps, fits, idx + 1, acc + ((p, q),), used + 1)
+            return
+        for sub_chords, sub_cells in gen(p, q, sub_want):
+            yield from fill(gaps, fits, idx + 1, acc + ((p, q),) + sub_chords, used + sub_cells)
 
-    want_lo = m if m is not None else 1
-    want_hi = m if m is not None else n_vertices - 2
-    for chords, count in gen(0, n_vertices - 1, want_lo, want_hi):
-        if m is None or count == m:
-            yield Dissection(n_vertices, chords)
+    want = 1 << m if m is not None else (1 << (n_vertices - 1)) - 2
+    for chords, _ in gen(0, n_vertices - 1, want):
+        yield Dissection._trusted(n_vertices, chords)
 
 
 def count_dissections(
@@ -208,7 +278,7 @@ def quiddity_classes(
     n_vertices: int,
     m: int,
     cell_filter: CellFilter = ALL_CELLS,
-    max_dissections: int = DEFAULT_MATERIALIZE_CAP,
+    max_dissections: int = FAMILY_CAP,
 ) -> QuiddityClassTable:
     """Group every enumerated dissection by its quiddity.
 

@@ -21,7 +21,7 @@ from .enumeration import CellFilter, enumerate_dissections
 
 # Work refused by the correspondence check, each sized to about 2 s on a
 # 2-core machine: coefficient tuples classified (32-54k/s) and 3-periodic
-# dissections enumerated with their quiddities (11-22k/s).
+# dissections enumerated with their quiddities (25-29k/s).
 TUPLE_CAP = 80_000
 DISSECTION_CAP = 25_000
 

@@ -1,13 +1,19 @@
 """Independent brute-force oracles for the test suite.
 
 These deliberately avoid the algorithms used by the package: cells are
-found by recursive chord splitting instead of face walking, and total
+found by recursive chord splitting instead of face walking, total
 dissection counts come from a published three-term recurrence instead
-of the generation recursion.
+of the generation recursion, and the enumeration order is fixed by an
+earlier generator that prunes by cell-count intervals instead of exact
+masks.
 """
 from __future__ import annotations
 
-from quiddity.core import Dissection
+import itertools
+from typing import Iterator, Optional
+
+from quiddity.core import Chord, Dissection
+from quiddity.enumeration import CellFilter
 
 
 def cells_by_splitting(d: Dissection) -> list[tuple[int, ...]]:
@@ -56,3 +62,67 @@ def total_dissections(n: int) -> int:
     for k in range(2, n + 1):
         values.append((3 * (2 * k - 1) * values[-1] - (k - 2) * values[-2]) // (k + 1))
     return values[n]
+
+
+def enumerate_by_interval_bounds(
+    n_vertices: int, m: Optional[int], cell_filter: CellFilter
+) -> Iterator[tuple[Chord, ...]]:
+    """The sorted chords of every dissection the package's enumerator
+    must yield, in the order it must yield them: base cells by size,
+    then by vertex tuple, sub-polygons filled left to right.  Tries
+    every base cell and prunes by (inexact) cell-count intervals."""
+    allowed = cell_filter.allowed_sizes_upto(n_vertices)
+    # Feasible-range bounds (not exact feasibility) on the cell count of
+    # a sub-polygon on s vertices, for pruning: its budget is s-2, and a
+    # cell of size t consumes t-2.
+    size_bounds = [(1, 0)] * (n_vertices + 1)  # an empty range: infeasible
+    size_bounds[2] = (0, 0)
+    for s in range(3, n_vertices + 1):
+        fitting = [t for t in allowed if t <= s]
+        if fitting:
+            size_bounds[s] = (-(-(s - 2) // (fitting[-1] - 2)), (s - 2) // (fitting[0] - 2))
+
+    def gen(lo: int, hi: int, want_lo: int, want_hi: int):
+        """Dissections of the sub-polygon on vertices lo..hi whose base
+        edge is (lo, hi), with cell count in [want_lo, want_hi].
+        Yields (chords tuple, cell count)."""
+        s = hi - lo + 1
+        if s == 2:
+            if want_lo <= 0 <= want_hi:
+                yield (), 0
+            return
+        for t in allowed:
+            if t > s:
+                break
+            for mids in itertools.combinations(range(lo + 1, hi), t - 2):
+                corners = (lo, *mids, hi)
+                gaps = [
+                    (corners[k], corners[k + 1])
+                    for k in range(t - 1)
+                    if corners[k + 1] - corners[k] >= 2
+                ]
+                bounds = [size_bounds[q - p + 1] for p, q in gaps]
+                min_rest = sum(b[0] for b in bounds)
+                max_rest = sum(b[1] for b in bounds)
+                if min_rest + 1 > want_hi or max_rest + 1 < want_lo:
+                    continue
+
+                def fill(idx: int, acc: tuple[Chord, ...], used: int):
+                    if idx == len(gaps):
+                        yield acc, used + 1
+                        return
+                    p, q = gaps[idx]
+                    lo_rest = sum(b[0] for b in bounds[idx + 1:])
+                    hi_rest = sum(b[1] for b in bounds[idx + 1:])
+                    sub_lo = max(bounds[idx][0], want_lo - 1 - used - hi_rest)
+                    sub_hi = min(bounds[idx][1], want_hi - 1 - used - lo_rest)
+                    for sub_chords, sub_cells in gen(p, q, sub_lo, sub_hi):
+                        yield from fill(idx + 1, acc + ((p, q),) + sub_chords, used + sub_cells)
+
+                yield from fill(0, (), 0)
+
+    want_lo = m if m is not None else 1
+    want_hi = m if m is not None else n_vertices - 2
+    for chords, count in gen(0, n_vertices - 1, want_lo, want_hi):
+        if m is None or count == m:
+            yield tuple(sorted(chords))

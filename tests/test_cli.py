@@ -272,6 +272,8 @@ def test_cache_ignores_rows_written_by_other_source(cache_env):
     ["quiddities", "--n", "14", "--m", "6", "--no-cache"],
     ["classes", "--n", "14", "--m", "6"],
     ["classes", "--n", "12", "--m", "7", "--max-results", "10000000"],
+    ["cf", "convert", "1,1000000000"],
+    ["cf", "strip", "1000000000,1"],
 ])
 def test_unreachable_work_is_refused_up_front(cache_env, capsys, argv):
     start = time.perf_counter()
@@ -279,6 +281,15 @@ def test_unreachable_work_is_refused_up_front(cache_env, capsys, argv):
     assert (code, out) == (1, "")
     assert capsys.readouterr().err.startswith("error:")
     assert time.perf_counter() - start < 1
+
+
+def test_few_cell_family_of_a_large_polygon_is_quick(cache_env):
+    # 14,421 dissections; a search that tries every base cell took 99 s
+    # to print the same count
+    start = time.perf_counter()
+    code, out = run(["quiddities", "--n", "22", "--m", "3", "--no-cache"])
+    assert (code, out) == (0, "10681\n")
+    assert time.perf_counter() - start < 5
 
 
 def test_classes_max_results_lowers_the_family_cap(capsys):
@@ -379,6 +390,7 @@ def argvs(draw):
 # results past Python's int-to-str digit limit were once a ValueError
 @example(argv=["modular", "product", ",".join(["1000000000"] * 600)])
 @example(argv=["cf", "eval", "--regular", ",".join(["1000000000"] * 600)])
+@example(argv=["cf", "strip", "1,1000000000"])  # once built a billion-vertex strip
 def test_argv_fuzz_ends_with_a_documented_exit(tmp_path_factory, argv):
     # ints stay small, so no accepted op enumerates at scale
     if argv[0] in ("count", "quiddities", "formula", "table"):

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import pytest
 
-from quiddity import DomainError, ResourceLimitError, dihedral_orbit, quiddity
+import time
+
+from quiddity import Dissection, DomainError, ResourceLimitError, dihedral_orbit, quiddity
 from quiddity.enumeration import (
     CellFilter,
     count_dissections,
@@ -13,7 +15,7 @@ from quiddity.enumeration import (
 )
 from quiddity import formulas
 
-from oracles import total_dissections
+from oracles import enumerate_by_interval_bounds, total_dissections
 
 ELL3 = CellFilter.ell_periodic(3)
 
@@ -41,6 +43,36 @@ def test_counts_match_enumeration_lengths():
                          CellFilter.size_set({3, 5, 6}), CellFilter.size_set({4, 7})):
                 assert count_dissections(n, m, filt) == \
                     sum(1 for _ in enumerate_dissections(n, m, filt))
+
+
+@pytest.mark.parametrize("filt", [
+    CellFilter.all_cells(), CellFilter.ell_periodic(2), ELL3, CellFilter.size_set({3, 4}),
+    CellFilter.size_set({5}), CellFilter.size_set({4, 7}), CellFilter.size_set({3, 5, 6}),
+], ids=lambda f: f.describe())
+def test_order_matches_interval_bound_enumerator_exhaustively(filt):
+    # the order is part of the ``enumerate`` output; the package builds
+    # its dissections without validating them, so the m = None pass also
+    # rebuilds each one through the validating constructor
+    for n in range(3, 11):
+        for m in (None, *range(1, n - 1)):
+            found = list(enumerate_dissections(n, m, filt))
+            assert [d.chords for d in found] == list(enumerate_by_interval_bounds(n, m, filt))
+            if m is None:
+                assert all(d == Dissection(d.n_vertices, d.chords) for d in found)
+
+
+@pytest.mark.parametrize("filt", [
+    CellFilter.all_cells(), CellFilter.ell_periodic(2), CellFilter.size_set({3, 4}),
+], ids=lambda f: f.describe())
+@pytest.mark.parametrize("n", [16, 20, 24, 30])
+def test_few_cell_families_take_time_proportional_to_their_size(n, filt):
+    # the largest, 54,405 dissections of the 30-gon into 3 cells, takes
+    # about 1 s; a search that tries every base cell takes minutes
+    for m in (2, 3):
+        start = time.perf_counter()
+        found = sum(1 for _ in enumerate_dissections(n, m, filt))
+        assert found == count_dissections(n, m, filt)
+        assert time.perf_counter() - start < 5
 
 
 def test_total_counts_match_recurrence_oracle():
