@@ -52,10 +52,11 @@ from .verification import run_all
 # A formula argument of 5000 keeps every value under Python's 4300-digit
 # int-to-str limit (all six count at most the (n+2)-gon's dissections,
 # fewer than 5.83^n) and takes at most 1.2 s; the series solver grows about
-# as order^5 (kirkman-cayley takes 2.0 s at order 30) and the table as
-# max-n^2 (2.0 s at 1200), on a 2-core machine.
+# as order^6 (kirkman-cayley and ell-periodic with ell = 1, the slowest,
+# take 1.7-2.1 s at order 42) and the table as max-n^2 (2.0 s at 1200), on
+# a 2-core machine.
 FORMULA_ARG_CAP = 5000
-SERIES_ORDER_CAP = 30
+SERIES_ORDER_CAP = 42
 TABLE_MAX_N_CAP = 1200
 # Largest sum of plus-sign terms that ``cf convert`` and ``cf strip``
 # take: the strip has sum + 2 vertices and the minus-sign expansion about
@@ -70,11 +71,35 @@ def _refuse_over(value: int, cap: int, what: str) -> None:
         raise ResourceLimitError(f"{what} {value} is over the cap of {cap}")
 
 
-def _refuse_unprintable(*values: int) -> None:
+def _print_digit_limit() -> int:
     # Python will not print an int longer than this many digits (0: no limit).
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _refuse_unprintable(*values: int) -> None:
+    limit = _print_digit_limit()
     if limit and any(abs(v) >= 10 ** limit for v in values):
         raise ResourceLimitError(f"a result has over {limit} digits, too many to print")
+
+
+def _refuse_unprintable_continuant(terms: tuple[int, ...]) -> None:
+    """Refuse, before evaluating, a plus-sign expansion whose numerator
+    is sure to be unprintable.  The numerator is the continuant of the
+    terms, and with every term at least 1 it is at least their product
+    and at least the Fibonacci number F(len + 1), the continuant of as
+    many ones; so nothing printable is refused.  Both bounds grow term
+    by term, so the check stops at the first prefix that reaches the
+    limit."""
+    limit = _print_digit_limit()
+    if not limit:
+        return
+    bound = 10 ** limit
+    product, fib, next_fib = 1, 1, 1  # F(1), F(2)
+    for t in terms:
+        product *= t
+        fib, next_fib = next_fib, fib + next_fib
+        if product >= bound or fib >= bound:
+            _refuse_unprintable(product, fib)
 
 
 def _dumps(obj) -> str:
@@ -322,8 +347,9 @@ def _run_surgery(args: argparse.Namespace, out) -> int:
 def _run_cf(args: argparse.Namespace, out) -> int:
     if args.action == "eval":
         if args.regular is not None:
-            value = eval_regular(RegularContinuedFraction(
-                tuple(_parse_int_list(args.regular, "term list"))))
+            cf = RegularContinuedFraction(tuple(_parse_int_list(args.regular, "term list")))
+            _refuse_unprintable_continuant(cf.terms)
+            value = eval_regular(cf)
         else:
             value = eval_hj(HirzebruchJungContinuedFraction(
                 tuple(_parse_int_list(args.hj, "term list"))))

@@ -25,7 +25,7 @@ from .core import (
     DomainError,
     Quiddity,
     ResourceLimitError,
-    dihedral_orbit,
+    dihedral_transform,
     quiddity,
 )
 
@@ -36,7 +36,7 @@ from .core import (
 # ``quiddities`` and 1.9 s for ``classes`` on a 2-core machine, most of
 # it in ``quiddity()`` and the dihedral check rather than in enumeration.
 # Few-cell families of larger polygons cost more per member, in those two
-# places: ``classes --n 27 --m 3`` (34,776) takes 5.5 s.
+# places: ``classes --n 27 --m 3`` (34,776) takes 2.3 s.
 FAMILY_CAP = 35_000
 
 
@@ -284,7 +284,9 @@ def quiddity_classes(
 
     Refuses to materialize families larger than ``max_dissections``.
     A class is flagged dihedral-closed when all its members are
-    relabelings of the first under the dihedral group.
+    relabelings of the first under the dihedral group.  A relabeling
+    carries the quiddity along, so it can map the first member into the
+    class only if it fixes the quiddity; only those are tried.
     """
     _check_range(n_vertices, m)
     expected = count_dissections(n_vertices, m, cell_filter)
@@ -296,8 +298,25 @@ def quiddity_classes(
     for d in enumerate_dissections(n_vertices, m, cell_filter):
         grouped.setdefault(quiddity(d), []).append(d)
     classes = {q: tuple(ds) for q, ds in grouped.items()}
-    closed = {}
-    for q, ds in classes.items():
-        orbit = dihedral_orbit(ds[0]) if len(ds) > 1 else None
-        closed[q] = all(d in orbit for d in ds[1:]) if orbit else True
+    closed = {
+        q: len(ds) == 1
+        or set(ds) <= {dihedral_transform(ds[0], r, f) for r, f in _symmetries(q.entries)}
+        for q, ds in classes.items()
+    }
     return QuiddityClassTable(n_vertices, m, cell_filter, classes, closed)
+
+
+def _symmetries(entries: tuple[int, ...]) -> list[tuple[int, bool]]:
+    """The relabelings (rotation, reflected), as ``dihedral_transform``
+    takes them, that fix a vertex labelling.  (r, False) moves entry i
+    to i + r, which rotates the tuple right by r, and (r, True) moves it
+    to r - i, which rotates the reversed tuple right by r + 1; each
+    rotation is read off a doubled copy."""
+    n = len(entries)
+    found = []
+    for reflected, source in ((False, entries * 2), (True, entries[::-1] * 2)):
+        for r in range(n):
+            shift = (r + reflected) % n
+            if source[n - shift:2 * n - shift] == entries:
+                found.append((r, reflected))
+    return found

@@ -3,17 +3,20 @@
 These deliberately avoid the algorithms used by the package: cells are
 found by recursive chord splitting instead of face walking, total
 dissection counts come from a published three-term recurrence instead
-of the generation recursion, and the enumeration order is fixed by an
+of the generation recursion, the enumeration order is fixed by an
 earlier generator that prunes by cell-count intervals instead of exact
-masks.
+masks, and fixed points of the series equations come from iterating
+at the full truncation order with every shift done as a product.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Iterator, Optional
 
 from quiddity.core import Chord, Dissection
 from quiddity.enumeration import CellFilter
+from quiddity.series import BivariateSeries, EquationSpec
 
 
 def cells_by_splitting(d: Dissection) -> list[tuple[int, ...]]:
@@ -126,3 +129,26 @@ def enumerate_by_interval_bounds(
     for chords, count in gen(0, n_vertices - 1, want_lo, want_hi):
         if m is None or count == m:
             yield tuple(sorted(chords))
+
+
+@contextlib.contextmanager
+def shifts_by_monomial_products():
+    """Within the block, ``BivariateSeries.shift`` multiplies by a
+    monomial instead of moving rows."""
+    moving = BivariateSeries.shift
+    BivariateSeries.shift = lambda s, dz, dw: s * BivariateSeries.monomial(s.order, dz, dw)
+    try:
+        yield
+    finally:
+        BivariateSeries.shift = moving
+
+
+def solve_at_full_order(spec: EquationSpec, order: int) -> BivariateSeries:
+    """The fixed point of S = F(S) from order+1 iterations of F, each
+    at the full truncation order and with shifts done as products,
+    starting from S = 1: the k-th iteration fixes the z^(k-1) row."""
+    with shifts_by_monomial_products():
+        s = BivariateSeries.one(order)
+        for _ in range(order + 1):
+            s = spec.apply(s)
+    return s

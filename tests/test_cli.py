@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from quiddity import ResourceLimitError, cache, formulas
 from quiddity.cache import source_key
-from quiddity.cli import main
+from quiddity.cli import SERIES_ORDER_CAP, main
 from quiddity.formulas import (
     dissection_count,
     ell_periodic_count,
@@ -292,6 +292,26 @@ def test_few_cell_family_of_a_large_polygon_is_quick(cache_env):
     assert time.perf_counter() - start < 5
 
 
+def test_series_at_its_order_cap_is_quick(cache_env):
+    # about 2 s; iterating at the full order every time took 14 s
+    start = time.perf_counter()
+    code, out = run(["series", "kirkman-cayley", "--order", str(SERIES_ORDER_CAP)])
+    assert code == 0
+    assert {"n": SERIES_ORDER_CAP, "m": SERIES_ORDER_CAP,
+            "coeff": str(formulas.catalan(SERIES_ORDER_CAP))} in json.loads(out)
+    assert time.perf_counter() - start < 5
+
+
+def test_unprintable_continued_fraction_is_refused_before_evaluating(capsys):
+    # its numerator is the Fibonacci number F(120001); evaluating it
+    # first took 4.1 s
+    start = time.perf_counter()
+    code, out = run(["cf", "eval", "--regular", ",".join(["1"] * 120_000)])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err.startswith("error:")
+    assert time.perf_counter() - start < 0.5
+
+
 def test_classes_max_results_lowers_the_family_cap(capsys):
     code, out = run(["classes", "--n", "8", "--m", "3", "--ell", "3", "--max-results", "35"])
     assert (code, out) == (1, "")
@@ -391,6 +411,7 @@ def argvs(draw):
 @example(argv=["modular", "product", ",".join(["1000000000"] * 600)])
 @example(argv=["cf", "eval", "--regular", ",".join(["1000000000"] * 600)])
 @example(argv=["cf", "strip", "1,1000000000"])  # once built a billion-vertex strip
+@example(argv=["cf", "eval", "--regular", ",".join(["1"] * 120_000)])  # once evaluated first
 def test_argv_fuzz_ends_with_a_documented_exit(tmp_path_factory, argv):
     # ints stay small, so no accepted op enumerates at scale
     if argv[0] in ("count", "quiddities", "formula", "table"):

@@ -152,6 +152,26 @@ def test_quiddity_classes_octagon_structure():
             assert ds[1] in dihedral_orbit(ds[0])
 
 
+@pytest.mark.parametrize("cell_filter", [
+    CellFilter.all_cells(), ELL3, CellFilter.size_set({3, 4}),
+], ids=str)
+def test_dihedral_closed_flags_match_the_full_orbit_rule(cell_filter):
+    # the flag only tries the relabelings that fix the quiddity; the full
+    # orbit of the first member must give the same answer
+    multi = 0
+    for n in range(3, 11):
+        for m in range(1, n - 1):
+            table = quiddity_classes(n, m, cell_filter)
+            for q, ds in table.classes.items():
+                if len(ds) > 1:  # a lone member is its own class's orbit
+                    orbit = dihedral_orbit(ds[0])
+                    assert table.dihedral_closed[q] == all(d in orbit for d in ds), (n, m, q)
+                    multi += 1
+                else:
+                    assert table.dihedral_closed[q]
+    assert multi > 0
+
+
 def test_pentagon_triangulation_classes_are_singletons():
     table = quiddity_classes(5, 3)
     assert len(table.classes) == 5

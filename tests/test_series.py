@@ -15,6 +15,7 @@ from quiddity.series import (
     geometric_sum,
     kirkman_cayley_equation,
     lagrange_invert,
+    NAMED_EQUATIONS,
     p_equation,
     solve_fixed_point,
     solve_named,
@@ -22,6 +23,8 @@ from quiddity.series import (
     tri_quad_equation,
 )
 from quiddity.verification import dissection_inversion_series, known_quiddity_table
+
+from oracles import shifts_by_monomial_products, solve_at_full_order
 
 
 def closed_form_with_empty_row(f, n, m):
@@ -108,6 +111,34 @@ def test_residual_vanishes():
         # the defining map sends constant-term-1 series to 1 + higher order
         image = eq.apply(BivariateSeries.one(9))
         assert image.coefficient(0, 0) == 1
+
+
+NAMED = [("catalan", None), ("kirkman-cayley", None), ("tri-quad", None), ("p", None),
+         ("q", None), *(("ell-periodic", ell) for ell in (1, 2, 3, 4))]
+
+
+@pytest.mark.parametrize("name, ell", NAMED)
+def test_named_solutions_match_full_order_iteration(name, ell):
+    for order in range(17):
+        if name == "q":
+            with shifts_by_monomial_products():
+                want = compose_q(solve_at_full_order(p_equation(), order))
+        else:
+            spec = ell_periodic_equation(ell) if ell else NAMED_EQUATIONS[name]()
+            want = solve_at_full_order(spec, order)
+        assert solve_named(name, order, ell) == want, order
+
+
+@pytest.mark.parametrize("sizes", [{3, 5}, {4, 7}])
+def test_cell_filter_solutions_match_full_order_iteration(sizes):
+    spec = cell_filter_equation(CellFilter.size_set(sizes))
+    for order in range(17):
+        assert solve_fixed_point(spec, order) == solve_at_full_order(spec, order), order
+
+
+def test_solver_refuses_negative_order():
+    with pytest.raises(DomainError):
+        solve_fixed_point(catalan_equation(), -1)
 
 
 def test_coefficient_bounds_checked():
@@ -199,3 +230,56 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert a * BivariateSeries.one(3) == a
     assert a - a == BivariateSeries.zero(3)
+
+
+def series_of_order(max_order):
+    """Triangular series of order 0..max_order with small signed coefficients."""
+    return st.integers(0, max_order).flatmap(lambda order: st.builds(
+        lambda rows: BivariateSeries(order, tuple(map(tuple, rows))),
+        st.tuples(*(st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1)
+                    for n in range(order + 1)))))
+
+
+def dense_product(a, b):
+    """The product by the schoolbook loop over every pair of terms."""
+    rows = [[0] * (n + 1) for n in range(a.order + 1)]
+    for n1 in range(a.order + 1):
+        for m1 in range(n1 + 1):
+            for n2 in range(a.order - n1 + 1):
+                for m2 in range(n2 + 1):
+                    rows[n1 + n2][m1 + m2] += a.coeffs[n1][m1] * b.coeffs[n2][m2]
+    return BivariateSeries(a.order, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=100)
+@given(series_of_order(5), st.data())
+def test_shift_is_a_monomial_product(s, data):
+    dz = data.draw(st.integers(0, s.order + 2))
+    dw = data.draw(st.integers(0, dz))
+    assert s.shift(dz, dw) == s * BivariateSeries.monomial(s.order, dz, dw)
+
+
+def test_shift_needs_a_monomial():
+    s = BivariateSeries.one(4)
+    for dz, dw in ((1, 2), (-1, 0), (0, -1)):
+        with pytest.raises(DomainError):
+            s.shift(dz, dw)
+
+
+@settings(max_examples=100)
+@given(series_of_order(5), st.data())
+def test_product_matches_schoolbook_loop(a, data):
+    b = data.draw(series_of_order(5)).with_order(a.order)
+    assert a * b == dense_product(a, b)
+    assert a * a == dense_product(a, a)
+
+
+@settings(max_examples=60)
+@given(series_of_order(5), st.integers(0, 7))
+def test_with_order_truncates_or_pads_with_zeros(s, order):
+    t = s.with_order(order)
+    assert t.order == order
+    for n in range(order + 1):
+        assert t.coeffs[n] == (s.coeffs[n] if n <= s.order else (0,) * (n + 1))
+    if order >= s.order:
+        assert t.with_order(s.order) == s
