@@ -52,11 +52,11 @@ from .verification import run_all
 # A formula argument of 5000 keeps every value under Python's 4300-digit
 # int-to-str limit (all six count at most the (n+2)-gon's dissections,
 # fewer than 5.83^n) and takes at most 1.2 s; the series solver grows about
-# as order^6 (kirkman-cayley and ell-periodic with ell = 1, the slowest,
-# take 1.7-2.1 s at order 42) and the table as max-n^2 (2.0 s at 1200), on
+# as order^4 (kirkman-cayley and ell-periodic with ell = 1, the slowest,
+# take 1.4-2.0 s at order 85) and the table as max-n^2 (2.0 s at 1200), on
 # a 2-core machine.
 FORMULA_ARG_CAP = 5000
-SERIES_ORDER_CAP = 42
+SERIES_ORDER_CAP = 85
 TABLE_MAX_N_CAP = 1200
 # Largest sum of plus-sign terms that ``cf convert`` and ``cf strip``
 # take: the strip has sum + 2 vertices and the minus-sign expansion about

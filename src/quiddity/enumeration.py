@@ -16,6 +16,7 @@ the time is proportional to the number of dissections yielded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 from . import formulas
@@ -33,10 +34,10 @@ from .core import (
 # materializes by default and the ``quiddities`` and ``classes`` verbs
 # enumerate.  It admits every family of an N-gon with N <= 11; the
 # largest, 32,032 dissections of the 11-gon into 7 cells, takes 1.1 s for
-# ``quiddities`` and 1.9 s for ``classes`` on a 2-core machine, most of
-# it in ``quiddity()`` and the dihedral check rather than in enumeration.
-# Few-cell families of larger polygons cost more per member, in those two
-# places: ``classes --n 27 --m 3`` (34,776) takes 2.3 s.
+# ``quiddities`` and 1.6-2.0 s for ``classes`` on a 2-core machine, most
+# of it in ``quiddity()`` rather than in enumeration.  Few-cell families
+# of larger polygons cost more per member there: ``classes --n 27 --m 3``
+# (34,776) takes 1.5-1.9 s.
 FAMILY_CAP = 35_000
 
 
@@ -268,10 +269,22 @@ class QuiddityClassTable:
     m: int
     cell_filter: CellFilter
     classes: dict[Quiddity, tuple[Dissection, ...]]
-    dihedral_closed: dict[Quiddity, bool]
 
     def total_dissections(self) -> int:
         return sum(len(v) for v in self.classes.values())
+
+    @cached_property
+    def dihedral_closed(self) -> dict[Quiddity, bool]:
+        """Per class, whether all its members are relabelings of the
+        first under the dihedral group; computed on first read.  A
+        relabeling carries the quiddity along, so it can map the first
+        member into the class only if it fixes the quiddity; only those
+        are tried."""
+        return {
+            q: len(ds) == 1
+            or set(ds) <= {dihedral_transform(ds[0], r, f) for r, f in _symmetries(q.entries)}
+            for q, ds in self.classes.items()
+        }
 
 
 def quiddity_classes(
@@ -283,10 +296,7 @@ def quiddity_classes(
     """Group every enumerated dissection by its quiddity.
 
     Refuses to materialize families larger than ``max_dissections``.
-    A class is flagged dihedral-closed when all its members are
-    relabelings of the first under the dihedral group.  A relabeling
-    carries the quiddity along, so it can map the first member into the
-    class only if it fixes the quiddity; only those are tried.
+    The table's ``dihedral_closed`` flags are computed when first read.
     """
     _check_range(n_vertices, m)
     expected = count_dissections(n_vertices, m, cell_filter)
@@ -298,12 +308,7 @@ def quiddity_classes(
     for d in enumerate_dissections(n_vertices, m, cell_filter):
         grouped.setdefault(quiddity(d), []).append(d)
     classes = {q: tuple(ds) for q, ds in grouped.items()}
-    closed = {
-        q: len(ds) == 1
-        or set(ds) <= {dihedral_transform(ds[0], r, f) for r, f in _symmetries(q.entries)}
-        for q, ds in classes.items()
-    }
-    return QuiddityClassTable(n_vertices, m, cell_filter, classes, closed)
+    return QuiddityClassTable(n_vertices, m, cell_filter, classes)
 
 
 def _symmetries(entries: tuple[int, ...]) -> list[tuple[int, bool]]:

@@ -1,6 +1,8 @@
 """Truncated series arithmetic, fixed-point solutions, Lagrange inversion."""
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from quiddity.series import (
     catalan_equation,
     cell_filter_equation,
     compose_q,
+    EquationSpec,
     ell_periodic_equation,
     geometric_sum,
     kirkman_cayley_equation,
@@ -136,6 +139,72 @@ def test_cell_filter_solutions_match_full_order_iteration(sizes):
         assert solve_fixed_point(spec, order) == solve_at_full_order(spec, order), order
 
 
+def power_sum_filter_equation(cell_filter):
+    """The filter equation as its definition writes it: the sum of
+    (zS)^(t-3) over every allowed size t up to the order, each power one
+    product from the last."""
+    def f(s):
+        one = BivariateSeries.one(s.order)
+        zs = s.shift(1, 0)
+        total = BivariateSeries.zero(s.order)
+        power, j = one, 0
+        for t in cell_filter.allowed_sizes_upto(s.order + 2):
+            while j < t - 3:
+                power, j = power * zs, j + 1
+            total = total + power
+        return one + (s * s).shift(1, 1) * total
+
+    return EquationSpec(f"power-sum({cell_filter.describe()})", f)
+
+
+@pytest.mark.parametrize("cell_filter", [
+    # a period past every order allows triangles only
+    CellFilter.all_cells(), *(CellFilter.ell_periodic(ell) for ell in (1, 2, 3, 4, 10 ** 30)),
+    *(CellFilter.size_set(sizes) for sizes in ({3}, {3, 4}, {5, 7}))],
+    ids=lambda f: f.describe())
+def test_filter_equation_matches_its_power_sum_form(cell_filter):
+    spec, definition = cell_filter_equation(cell_filter), power_sum_filter_equation(cell_filter)
+    for order in range(21):
+        assert solve_fixed_point(spec, order) == solve_fixed_point(definition, order), order
+
+
+def test_equation_without_a_factor_z_is_refused_cleanly():
+    # S = 1 + S^2 reads row n of S to compute row n; the second equation
+    # reads row 0 of S while it is still being defined
+    unguarded = [
+        EquationSpec("no-z", lambda s: BivariateSeries.one(s.order) + s * s),
+        EquationSpec("identity", lambda s: s),
+        EquationSpec("eager", lambda s: BivariateSeries.one(s.order) + geometric_sum(s * s)),
+    ]
+    for spec in unguarded:
+        for order in (0, 5, 60):
+            start = time.perf_counter()
+            with pytest.raises(AssertionError):
+                solve_fixed_point(spec, order)
+            assert time.perf_counter() - start < 1.0, (spec.name, order)
+
+
+def test_solution_may_stand_on_either_side_of_a_product():
+    # S = 1 + S (zS) is the Catalan equation with S as the left factor:
+    # row n of the product must not read row n of S through the zero
+    # constant row of zS
+    def f(s):
+        return BivariateSeries.one(s.order) + s * s.shift(1, 0)
+
+    for order in range(13):
+        assert solve_fixed_point(EquationSpec("left", f), order) == \
+            solve_fixed_point(catalan_equation(), order), order
+
+
+def test_high_powers_and_inversion_do_not_recurse_deeply():
+    # the Catalan kernel 1/(1-y): its rows are sparse, so order 80 is cheap
+    phi = geometric_sum(BivariateSeries.monomial(80, 1, 0))
+    power = phi ** 80
+    # [y^79] (1-y)^-80 = C(158, 79) = 80 * Catalan(79)
+    assert power.coefficient(79, 0) == 80 * formulas.catalan(79)
+    assert lagrange_invert(phi, 80)[0] == formulas.catalan(79)
+
+
 def test_solver_refuses_negative_order():
     with pytest.raises(DomainError):
         solve_fixed_point(catalan_equation(), -1)
@@ -152,6 +221,15 @@ def test_coefficient_bounds_checked():
 def test_geometric_sum_needs_zero_constant_term():
     with pytest.raises(DomainError):
         geometric_sum(BivariateSeries.one(4))
+
+
+def test_geometric_sum_of_a_cancelled_constant_term():
+    # the constant rows cancel only when computed, so the recursion
+    # U = 1 + s U must see row 0 of s is zero before reading row n of U
+    y = BivariateSeries.monomial(10, 1, 0)
+    one = BivariateSeries.one(10)
+    assert geometric_sum(one - one + y) == geometric_sum(y)
+    assert [geometric_sum(y).coefficient(n, 0) for n in range(11)] == [1] * 11
 
 
 def test_lagrange_reproduces_dissection_counts():
@@ -232,12 +310,17 @@ def test_ring_axioms(a, b, c):
     assert a - a == BivariateSeries.zero(3)
 
 
-def series_of_order(max_order):
-    """Triangular series of order 0..max_order with small signed coefficients."""
-    return st.integers(0, max_order).flatmap(lambda order: st.builds(
+def series_at(order):
+    """Triangular series of the given order with small signed coefficients."""
+    return st.builds(
         lambda rows: BivariateSeries(order, tuple(map(tuple, rows))),
         st.tuples(*(st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1)
-                    for n in range(order + 1)))))
+                    for n in range(order + 1))))
+
+
+def series_of_order(max_order):
+    """Triangular series of order 0..max_order with small signed coefficients."""
+    return st.integers(0, max_order).flatmap(series_at)
 
 
 def dense_product(a, b):
@@ -269,17 +352,7 @@ def test_shift_needs_a_monomial():
 @settings(max_examples=100)
 @given(series_of_order(5), st.data())
 def test_product_matches_schoolbook_loop(a, data):
-    b = data.draw(series_of_order(5)).with_order(a.order)
+    b = data.draw(series_at(a.order))
     assert a * b == dense_product(a, b)
     assert a * a == dense_product(a, a)
 
-
-@settings(max_examples=60)
-@given(series_of_order(5), st.integers(0, 7))
-def test_with_order_truncates_or_pads_with_zeros(s, order):
-    t = s.with_order(order)
-    assert t.order == order
-    for n in range(order + 1):
-        assert t.coeffs[n] == (s.coeffs[n] if n <= s.order else (0,) * (n + 1))
-    if order >= s.order:
-        assert t.with_order(s.order) == s
