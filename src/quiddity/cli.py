@@ -71,6 +71,11 @@ def _refuse_over(value: int, cap: int, what: str) -> None:
         raise ResourceLimitError(f"{what} {value} is over the cap of {cap}")
 
 
+def _refuse_negative_max_results(args: argparse.Namespace) -> None:
+    if args.max_results is not None and args.max_results < 0:
+        raise DomainError(f"--max-results must be at least 0, got {args.max_results}")
+
+
 def _print_digit_limit() -> int:
     # Python will not print an int longer than this many digits (0: no limit).
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -402,6 +407,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return 0
 
         if args.verb == "enumerate":
+            _refuse_negative_max_results(args)
             stream = enumerate_dissections(args.n, args.m, _parse_filter(args))
             results = []
             for count, d in enumerate(stream):
@@ -429,6 +435,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return 0
 
         if args.verb == "classes":
+            _refuse_negative_max_results(args)
             table = quiddity_classes(args.n, args.m, _parse_filter(args),
                                      max_dissections=min(args.max_results, FAMILY_CAP))
             payload = {

@@ -164,9 +164,9 @@ def format_dissection(d: Dissection) -> str:
     return f"{d.n_vertices}:" + ",".join(f"{i}-{j}" for i, j in d.chords)
 
 
-def cells(d: Dissection) -> tuple[Cell, ...]:
-    """All cells of a dissection, by smallest vertex, then size, then
-    vertices.
+def _sweep(d: Dissection) -> list[tuple[int, ...]]:
+    """The cells of a dissection as vertex tuples, in the order they
+    close.
 
     One counterclockwise sweep keeps the boundary path not yet closed
     off on a stack.  At vertex v each chord (i, v), innermost first,
@@ -175,7 +175,7 @@ def cells(d: Dissection) -> tuple[Cell, ...]:
     cell, on the polygon edge (0, N-1).  The chord closing a cell is its
     (first, last) vertex pair, so the dual tree needs no bookkeeping: a
     chord joins the cell it closes to the cell that has it as an inner
-    edge.  Linear in N plus the number of chords, apart from sorting.
+    edge.  Linear in N plus the number of chords.
     """
     n = d.n_vertices
     ending: list[list[int]] = [[] for _ in range(n)]  # left ends of chords, by right end
@@ -183,7 +183,7 @@ def cells(d: Dissection) -> tuple[Cell, ...]:
         ending[j].append(i)
     stack: list[int] = []
     pos = [0] * n  # stack position of each vertex on the stack
-    raw: list[tuple[int, ...]] = []  # cells in the order they close
+    raw: list[tuple[int, ...]] = []
     for v in range(n):
         for i in reversed(ending[v]):
             p = pos[i]
@@ -192,6 +192,13 @@ def cells(d: Dissection) -> tuple[Cell, ...]:
         pos[v] = len(stack)
         stack.append(v)
     raw.append(tuple(stack))
+    return raw
+
+
+def cells(d: Dissection) -> tuple[Cell, ...]:
+    """All cells of a dissection, by smallest vertex, then size, then
+    vertices, from one stack sweep (``_sweep``)."""
+    raw = _sweep(d)
     raw.sort(key=lambda c: (c[0], len(c), c))
     return tuple(Cell(c) for c in raw)
 
@@ -199,14 +206,14 @@ def cells(d: Dissection) -> tuple[Cell, ...]:
 def quiddity(d: Dissection) -> Quiddity:
     """Cell-contact count of every vertex.
 
-    Computed two independent ways (cell membership and chord degree)
-    and cross-checked on every call; a mismatch means a bug in the cell
-    extraction and raises immediately.
+    Computed two independent ways (membership in the swept cells and
+    chord degree) and cross-checked on every call; a mismatch means a
+    bug in the cell extraction and raises immediately.
     """
     n = d.n_vertices
     by_membership = [0] * n
-    for cell in cells(d):
-        for v in cell.vertices:
+    for cell in _sweep(d):
+        for v in cell:
             by_membership[v] += 1
     by_degree = [1 + deg for deg in d.chord_degrees()]
     if by_membership != by_degree:

@@ -12,6 +12,14 @@ have under the filter, as the bits of an integer.  A base cell's
 corners, and each sub-polygon's wanted counts, are chosen only where
 the masks say some dissection completes them, so no branch is dead and
 the time is proportional to the number of dissections yielded.
+
+A sub-polygon's feasible base cells, and its gaps' masks, depend only
+on its shape: its span and its wanted counts, not its position.  So
+each call keeps a plan table, keyed by shape and base-cell size, that
+lists them once, relative to the sub-polygon's first vertex, the first
+time the search reaches that shape; every later sub-polygon of the
+shape replays the plan shifted to its position.  The table holds plans,
+never dissections, so generation still streams.
 """
 from __future__ import annotations
 
@@ -33,12 +41,19 @@ from .core import (
 # Largest family, by its closed-form count, that ``quiddity_classes``
 # materializes by default and the ``quiddities`` and ``classes`` verbs
 # enumerate.  It admits every family of an N-gon with N <= 11; the
-# largest, 32,032 dissections of the 11-gon into 7 cells, takes 1.1 s for
-# ``quiddities`` and 1.6-2.0 s for ``classes`` on a 2-core machine, most
-# of it in ``quiddity()`` rather than in enumeration.  Few-cell families
-# of larger polygons cost more per member there: ``classes --n 27 --m 3``
-# (34,776) takes 1.5-1.9 s.
+# largest, 32,032 dissections of the 11-gon into 7 cells, takes 0.6 s for
+# ``quiddities`` and 1.0-1.3 s for ``classes`` on a 2-core machine.
+# Few-cell families of larger polygons cost more per member, since a
+# quiddity has N entries: ``classes --n 27 --m 3`` (34,776) takes
+# 1.4-1.6 s, most of it in ``quiddity()``.
 FAMILY_CAP = 35_000
+
+# Largest polygon that ``enumerate_dissections`` accepts.  Before a
+# shape's first dissection it plans that shape's base cells, so the
+# first dissection costs O(N^3) mask operations over the spans below N:
+# at N = 200 it takes 0.5-1.4 s, the most with every cell allowed, on a
+# 2-core machine.
+ENUMERATE_N_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -138,6 +153,31 @@ def _differences(want: int, a: int) -> int:
     return out
 
 
+# A planned gap (p, q) of a base cell, relative to the first vertex of
+# its sub-polygon, with reach[q - p + 1] and its fits mask: the counts of
+# the gap that the gaps after it can complete to a wanted total, before
+# earlier gaps used any.
+_Step = tuple[int, int, int, int]
+
+
+def _reach_masks(n_vertices: int, allowed: list[int]) -> list[int]:
+    """reach[s]: the cell counts that a sub-polygon on s consecutive
+    vertices, over its base edge, can have under the filter, as a bit
+    mask (bit c set when c cells are reachable; an edge, s = 2, has 0
+    cells).  Cells of sizes t_1..t_c fill an s-gon exactly when the
+    excesses t_i - 2 sum to s - 2, so reach[s] is reach[s - t + 2]
+    shifted up one count, over the allowed sizes t."""
+    reach = [0, 0, 1] + [0] * (n_vertices - 2)
+    for s in range(3, n_vertices + 1):
+        cell = 0
+        for t in allowed:
+            if t > s:
+                break
+            cell |= reach[s - t + 2]
+        reach[s] = cell << 1
+    return reach
+
+
 def enumerate_dissections(
     n_vertices: int,
     m: Optional[int] = None,
@@ -149,35 +189,23 @@ def enumerate_dissections(
     The order is deterministic: base cells are chosen by increasing
     size then by vertex tuple, and sub-polygons fill left to right.
     Exact cell-count masks steer the search, so every branch it enters
-    ends in at least one dissection: after O(N^3) mask sums of set-up,
-    the time is proportional to the number of dissections yielded.
+    ends in at least one dissection.  A sub-polygon's base cells depend
+    only on its shape, its span and wanted counts, so each shape's are
+    planned once per call, with their gaps' masks, and replayed at
+    every position it occurs; the plans, not the dissections, are kept.
+    After a set-up polynomial in N, the time is proportional to the
+    number of dissections yielded.  Refuses N over ``ENUMERATE_N_CAP``.
     """
     _check_range(n_vertices, m)
+    if n_vertices > ENUMERATE_N_CAP:
+        raise ResourceLimitError(
+            f"a {n_vertices}-gon is over the enumeration cap of {ENUMERATE_N_CAP} vertices"
+        )
     allowed = cell_filter.allowed_sizes_upto(n_vertices)
-    # reach[s]: the cell counts that a sub-polygon on s consecutive
-    # vertices, over its base edge, can have under the filter, as a bit
-    # mask (an edge, s = 2, has 0 cells).  chain[k][r]: the total counts
-    # of k consecutive gaps spanning r polygon edges, a gap of span g
-    # being a sub-polygon on g + 1 vertices.
-    reach = [0, 0, 1] + [0] * (n_vertices - 2)
-    chain = [[1] + [0] * (n_vertices - 1)] + [
-        [0] * n_vertices for _ in range(max(allowed, default=2) - 1)]
-    for r in range(1, n_vertices):
-        for k in range(2, min(len(chain), r + 1)):
-            total = 0
-            for g in range(1, r - k + 2):
-                total |= _sumset(reach[g + 1], chain[k - 1][r - g])
-            chain[k][r] = total
-        if r >= 2:
-            cell = 0
-            for t in allowed:
-                if t <= r + 1:
-                    cell |= chain[t - 1][r]
-            reach[r + 1] = cell << 1
-        chain[1][r] = reach[r + 1]
+    reach = _reach_masks(n_vertices, allowed)
 
-    def base_cells(lo: int, hi: int, t: int, want: int) -> list[list[Chord]]:
-        """Every base cell of size t on the edge (lo, hi) whose gaps can
+    def base_cells(span: int, t: int, want: int) -> list[list[Chord]]:
+        """Every base cell of size t on the edge (0, span) whose gaps can
         hold a total count in ``want``, by its corners in lexicographic
         order, as the list of its gaps that hold a cell (two or more
         polygon edges)."""
@@ -187,52 +215,70 @@ def enumerate_dissections(
             # ``left`` gaps follow corner ``prev``; ``rest`` is the
             # totals they may have
             if left == 1:
-                found.append(gaps + [(prev, hi)] if hi - prev >= 2 else gaps)
+                found.append(gaps + [(prev, span)] if span - prev >= 2 else gaps)
                 return
-            later = chain[left - 1]
-            for c in range(prev + 1, hi - left + 2):
+            # k >= 1 consecutive gaps spanning r polygon edges, a gap of
+            # span g being a sub-polygon on g + 1 vertices, hold the totals
+            # of one sub-polygon on r - k + 2 vertices: the excesses add
+            # up the same way, and a gap of span 1 holds nothing
+            for c in range(prev + 1, span - left + 2):
                 after = _differences(rest, reach[c - prev + 1])
-                if later[hi - c] & after:
+                if reach[span - c - left + 3] & after:
                     extend(c, left - 1, after, gaps + [(prev, c)] if c - prev >= 2 else gaps)
 
-        if chain[t - 1][hi - lo] & want:
-            extend(lo, t - 1, want, [])
+        if reach[span - t + 3] & want:  # its t - 1 gaps span the span edges
+            extend(0, t - 1, want, [])
         return found
+
+    # (span, t, gaps' wanted totals) -> the base cells of size t of that
+    # shape, each as its steps, one per gap (p, q) that holds a cell,
+    # relative to the shape's first vertex.  Keyed by size too, so that a
+    # size is planned only when the search reaches it.
+    plans: dict[tuple[int, int, int], list[tuple[_Step, ...]]] = {}
+
+    def plan(span: int, t: int, want: int) -> list[tuple[_Step, ...]]:
+        steps = plans.get((span, t, want))
+        if steps is None:
+            steps = plans[span, t, want] = []
+            for gaps in base_cells(span, t, want):
+                cell = []
+                suffix = 1
+                for p, q in reversed(gaps):
+                    cell.append((p, q, reach[q - p + 1], _differences(want, suffix)))
+                    suffix = _sumset(reach[q - p + 1], suffix)
+                steps.append(tuple(reversed(cell)))
+        return steps
 
     def gen(lo: int, hi: int, want: int):
         """Dissections of the sub-polygon on vertices lo..hi (at least
         three) whose base edge is (lo, hi), with a cell count in the mask
         ``want``.  Yields (chords, cell count)."""
-        gaps_want = want >> 1  # the base cell is one of the cells
+        span = hi - lo
         for t in allowed:
-            if t > hi - lo + 1:
+            if t > span + 1:
                 break
-            for gaps in base_cells(lo, hi, t, gaps_want):
-                # fits[i]: the counts of gap i that the gaps after it can
-                # complete to a total in gaps_want, before earlier gaps
-                # used any
-                fits = [0] * len(gaps)
-                suffix = 1
-                for i in range(len(gaps) - 1, -1, -1):
-                    p, q = gaps[i]
-                    fits[i] = _differences(gaps_want, suffix)
-                    suffix = _sumset(reach[q - p + 1], suffix)
+            for steps in plan(span, t, want >> 1):  # the base cell is one of the cells
+                yield from fill(steps, lo, 0, (), 0)
 
-                yield from fill(gaps, fits, 0, (), 0)
-
-    def fill(gaps: list[Chord], fits: list[int], idx: int, acc: tuple[Chord, ...], used: int):
-        """Fill gaps idx, idx+1, ... of a base cell left to right, after
-        the earlier gaps gave the chords ``acc`` and ``used`` cells."""
-        if idx == len(gaps):
+    def fill(steps: tuple[_Step, ...], lo: int, idx: int, acc: tuple[Chord, ...], used: int):
+        """Fill gaps idx, idx+1, ... of a base cell, planned relative to
+        ``lo``, left to right, after the earlier gaps gave the chords
+        ``acc`` and ``used`` cells."""
+        while idx < len(steps):
+            p, q, sub_reach, fits = steps[idx]
+            sub_want = sub_reach & (fits >> used)
+            if sub_want != 2:
+                break
+            # one cell: the gap is a cell, with no chords inside
+            acc += ((p + lo, q + lo),)
+            used += 1
+            idx += 1
+        else:  # every gap is filled
             yield acc, used + 1
             return
-        p, q = gaps[idx]
-        sub_want = reach[q - p + 1] & (fits[idx] >> used)
-        if sub_want == 2:  # one cell: the gap is a cell, with no chords inside
-            yield from fill(gaps, fits, idx + 1, acc + ((p, q),), used + 1)
-            return
-        for sub_chords, sub_cells in gen(p, q, sub_want):
-            yield from fill(gaps, fits, idx + 1, acc + ((p, q),) + sub_chords, used + sub_cells)
+        chord = (p + lo, q + lo)
+        for sub_chords, sub_cells in gen(chord[0], chord[1], sub_want):
+            yield from fill(steps, lo, idx + 1, acc + (chord,) + sub_chords, used + sub_cells)
 
     want = 1 << m if m is not None else (1 << (n_vertices - 1)) - 2
     for chords, _ in gen(0, n_vertices - 1, want):

@@ -19,11 +19,14 @@ from . import formulas
 from .core import DomainError, ResourceLimitError, quiddity
 from .enumeration import CellFilter, enumerate_dissections
 
-# Work refused by the correspondence check, each sized to about 2 s on a
-# 2-core machine: coefficient tuples classified (32-54k/s) and 3-periodic
-# dissections enumerated with their quiddities (25-29k/s).
+# Work refused by the correspondence check, each sized to at most about
+# 2 s on a 2-core machine: coefficient tuples classified (32-54k/s) and
+# 3-periodic dissections enumerated with their quiddities (42-48k/s).
+# The dissection cap admits N = 12 (30,083; ``modular verify --n 12
+# --entry-bound 2`` takes 1.7-1.8 s, classifying 27,201 quiddities too)
+# and refuses N = 13 (114,660).
 TUPLE_CAP = 80_000
-DISSECTION_CAP = 25_000
+DISSECTION_CAP = 35_000
 
 PLUS_IDENTITY = "plus_identity"
 MINUS_IDENTITY = "minus_identity"

@@ -67,6 +67,27 @@ def total_dissections(n: int) -> int:
     return values[n]
 
 
+def reach_and_chain_by_sumsets(
+    n_vertices: int, allowed: list[int]
+) -> tuple[list[set[int]], list[list[set[int]]]]:
+    """The cell counts reachable by a sub-polygon on s vertices,
+    reach[s], and by k consecutive gaps spanning r polygon edges,
+    chain[k][r], as sets, by summing over every split of the span into
+    gaps (the enumerator's construction before it read both off the
+    excesses)."""
+    reach: list[set[int]] = [set(), set(), {0}] + [set() for _ in range(n_vertices - 2)]
+    chain = [[{0}] + [set() for _ in range(n_vertices - 1)]] + [
+        [set() for _ in range(n_vertices)] for _ in range(max(allowed, default=2) - 1)]
+    for r in range(1, n_vertices):
+        for k in range(2, min(len(chain), r + 1)):
+            chain[k][r] = {x + y for g in range(1, r - k + 2)
+                           for x in reach[g + 1] for y in chain[k - 1][r - g]}
+        if r >= 2:
+            reach[r + 1] = {c + 1 for t in allowed if t <= r + 1 for c in chain[t - 1][r]}
+        chain[1][r] = reach[r + 1]
+    return reach, chain
+
+
 def enumerate_by_interval_bounds(
     n_vertices: int, m: Optional[int], cell_filter: CellFilter
 ) -> Iterator[tuple[Chord, ...]]:

@@ -272,8 +272,11 @@ def test_cache_ignores_rows_written_by_other_source(cache_env):
     ["quiddities", "--n", "14", "--m", "6", "--no-cache"],
     ["classes", "--n", "14", "--m", "6"],
     ["classes", "--n", "12", "--m", "7", "--max-results", "10000000"],
+    ["modular", "verify", "--n", "13", "--entry-bound", "2"],
     ["cf", "convert", "1,1000000000"],
     ["cf", "strip", "1000000000,1"],
+    ["enumerate", "--n", "201", "--max-results", "1"],
+    ["enumerate", "--n", "100000", "--m", "2", "--max-results", "1"],
 ])
 def test_unreachable_work_is_refused_up_front(cache_env, capsys, argv):
     start = time.perf_counter()
@@ -318,6 +321,27 @@ def test_classes_max_results_lowers_the_family_cap(capsys):
     assert capsys.readouterr().err == "error: 36 dissections exceed the cap of 35\n"
     code, out = run(["classes", "--n", "8", "--m", "3", "--ell", "3", "--max-results", "36"])
     assert code == 0 and len(json.loads(out)) == 34
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "8", "--max-results", "-1"],
+    ["classes", "--n", "8", "--m", "3", "--max-results", "-5"],
+])
+def test_negative_max_results_is_refused(capsys, argv):
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == f"error: --max-results must be at least 0, got {argv[-1]}\n"
+
+
+def test_largest_polygons_under_the_caps_are_answered(cache_env):
+    # the first dissection of the largest polygon enumerate takes; and
+    # the largest polygon the modular correspondence check takes
+    code, out = run(["enumerate", "--n", "200", "--max-results", "1"])
+    assert (code, out) == (0, "200:" + ",".join(f"{i}-199" for i in range(1, 198)) + "\n")
+    code, out = run(["modular", "verify", "--n", "12", "--entry-bound", "2"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["forward_checked"], report["forward_failures"]) == (27201, [])
+    assert (report["converse_missing"], report["converse_extra"]) == ([], [])
 
 
 def test_cli_module_runs_as_a_script():

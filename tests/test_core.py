@@ -158,6 +158,19 @@ def test_quiddity_examples():
     assert quiddity(parse_dissection("8:1-3,5-7")).entries == (1, 2, 1, 2, 1, 2, 1, 2)
 
 
+def test_quiddity_cross_check_catches_a_wrong_sweep(monkeypatch):
+    # cells() and quiddity() share one sweep; the chord degrees must
+    # still catch a sweep that loses a vertex
+    from quiddity import core
+
+    d = parse_dissection("8:1-3,5-7")
+    sweep = core._sweep
+    monkeypatch.setattr(core, "_sweep", lambda d: [c[:-1] if k == 0 else c
+                                                  for k, c in enumerate(sweep(d))])
+    with pytest.raises(AssertionError, match="self-check failed"):
+        quiddity(d)
+
+
 def test_quiddity_string():
     assert str(quiddity(parse_dissection("8:1-3,5-7"))) == "1,2,1,2,1,2,1,2"
 

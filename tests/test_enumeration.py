@@ -7,15 +7,17 @@ import time
 
 from quiddity import Dissection, DomainError, ResourceLimitError, dihedral_orbit, quiddity
 from quiddity.enumeration import (
+    ENUMERATE_N_CAP,
     CellFilter,
+    _reach_masks,
     count_dissections,
     count_quiddities,
     enumerate_dissections,
     quiddity_classes,
 )
-from quiddity import formulas
+from quiddity import cell_size_profile, formulas
 
-from oracles import enumerate_by_interval_bounds, total_dissections
+from oracles import enumerate_by_interval_bounds, reach_and_chain_by_sumsets, total_dissections
 
 ELL3 = CellFilter.ell_periodic(3)
 
@@ -62,6 +64,48 @@ def test_order_matches_interval_bound_enumerator_exhaustively(filt):
 
 
 @pytest.mark.parametrize("filt", [
+    CellFilter.all_cells(), CellFilter.ell_periodic(2), ELL3, CellFilter.size_set({3, 4}),
+    CellFilter.size_set({5}), CellFilter.size_set({4, 7}), CellFilter.size_set({3, 5, 6}),
+], ids=lambda f: f.describe())
+def test_reach_masks_match_sums_over_every_split(filt):
+    # the enumerator reads both the sub-polygon masks and the masks of
+    # k >= 1 gaps spanning r edges off reach; the reference sums over
+    # every split of the span into gaps
+    for n in range(3, 26):
+        reach = _reach_masks(n, filt.allowed_sizes_upto(n))
+        ref_reach, ref_chain = reach_and_chain_by_sumsets(n, filt.allowed_sizes_upto(n))
+        bits = [{c for c in range(n) if mask >> c & 1} for mask in reach]
+        assert bits == ref_reach
+        for k in range(1, len(ref_chain)):
+            for r in range(k, n):
+                assert ref_chain[k][r] == bits[r - k + 2], (n, k, r)
+
+
+@pytest.mark.parametrize("n, m, filt", [
+    (12, 10, CellFilter.all_cells()), (13, 4, CellFilter.all_cells()),
+    (12, 7, ELL3), (13, 5, ELL3),
+    (12, 6, CellFilter.size_set({3, 4})), (13, 6, CellFilter.size_set({3, 4})),
+], ids=str)
+def test_families_past_the_order_oracle_are_exactly_the_family(n, m, filt):
+    # every member rebuilds equal through the validating constructor, is
+    # distinct and has m cells under the filter, and the closed form
+    # counts them, so the enumerator yields the family and nothing else
+    found = list(enumerate_dissections(n, m, filt))
+    assert len(found) == count_dissections(n, m, filt)
+    assert len(set(found)) == len(found)
+    for d in found:
+        assert d == Dissection(d.n_vertices, d.chords)
+        profile = cell_size_profile(d)
+        assert len(profile) == m and all(filt.allows(s) for s in profile)
+
+
+def test_enumeration_refuses_polygons_over_its_cap():
+    assert next(enumerate_dissections(ENUMERATE_N_CAP, 2)) is not None
+    with pytest.raises(ResourceLimitError):
+        next(enumerate_dissections(ENUMERATE_N_CAP + 1, 2))
+
+
+@pytest.mark.parametrize("filt", [
     CellFilter.all_cells(), CellFilter.ell_periodic(2), CellFilter.size_set({3, 4}),
 ], ids=lambda f: f.describe())
 @pytest.mark.parametrize("n", [16, 20, 24, 30])
@@ -91,7 +135,6 @@ def test_no_duplicates_and_canonical_forms():
 
 
 def test_filters_restrict_cell_sizes():
-    from quiddity import cell_size_profile
     for d in enumerate_dissections(9, None, ELL3):
         assert all(s % 3 == 0 for s in cell_size_profile(d))
     for d in enumerate_dissections(9, None, CellFilter.size_set({3, 4})):
@@ -106,7 +149,6 @@ def test_period_one_equals_unrestricted():
 
 
 def test_period_two_means_odd_cells():
-    from quiddity import cell_size_profile
     ell2 = CellFilter.ell_periodic(2)
     for n in range(3, 10):
         odd = {d for m in range(1, n - 1) for d in enumerate_dissections(n, m, ell2)}
