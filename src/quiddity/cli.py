@@ -71,9 +71,9 @@ def _refuse_over(value: int, cap: int, what: str) -> None:
         raise ResourceLimitError(f"{what} {value} is over the cap of {cap}")
 
 
-def _refuse_negative_max_results(args: argparse.Namespace) -> None:
-    if args.max_results is not None and args.max_results < 0:
-        raise DomainError(f"--max-results must be at least 0, got {args.max_results}")
+def _refuse_negative(value: Optional[int], flag: str) -> None:
+    if value is not None and value < 0:
+        raise DomainError(f"{flag} must be at least 0, got {value}")
 
 
 def _print_digit_limit() -> int:
@@ -112,11 +112,12 @@ def _dumps(obj) -> str:
 
 
 def _parse_filter(args: argparse.Namespace) -> CellFilter:
-    if getattr(args, "ell", None) is not None and getattr(args, "sizes", None):
+    # an empty --sizes= is a size list to reject, not an absent flag
+    if args.ell is not None and args.sizes is not None:
         raise DomainError("give at most one of --ell and --sizes")
-    if getattr(args, "ell", None) is not None:
+    if args.ell is not None:
         return CellFilter.ell_periodic(args.ell)
-    if getattr(args, "sizes", None):
+    if args.sizes is not None:
         try:
             sizes = {int(tok) for tok in args.sizes.split(",")}
         except ValueError:
@@ -297,6 +298,7 @@ def _run_formula(args: argparse.Namespace, out) -> int:
 
 
 def _run_table(args: argparse.Namespace, out) -> int:
+    _refuse_negative(args.max_n, "--max-n")
     _refuse_over(args.max_n, TABLE_MAX_N_CAP, "--max-n")
 
     def compute() -> str:
@@ -407,7 +409,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return 0
 
         if args.verb == "enumerate":
-            _refuse_negative_max_results(args)
+            _refuse_negative(args.max_results, "--max-results")
             stream = enumerate_dissections(args.n, args.m, _parse_filter(args))
             results = []
             for count, d in enumerate(stream):
@@ -423,11 +425,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
         if args.verb in ("count", "quiddities"):
             filt = _parse_filter(args)
-            if args.verb == "count":
-                compute = lambda: str(count_dissections(args.n, args.m, filt))
-            else:
-                _refuse_over(count_dissections(args.n, args.m, filt), FAMILY_CAP, "family size")
-                compute = lambda: str(count_quiddities(args.n, args.m, filt))
+            counter = count_dissections if args.verb == "count" else count_quiddities
+            compute = lambda: str(counter(args.n, args.m, filt))
             value = _cached_value(
                 args, args.verb, args.verb, compute,
                 n=str(args.n), m=str(args.m), filt=filt.describe())
@@ -435,13 +434,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return 0
 
         if args.verb == "classes":
-            _refuse_negative_max_results(args)
-            table = quiddity_classes(args.n, args.m, _parse_filter(args),
-                                     max_dissections=min(args.max_results, FAMILY_CAP))
-            payload = {
-                str(q): sorted(str(d) for d in ds)
-                for q, ds in table.classes.items()
-            }
+            _refuse_negative(args.max_results, "--max-results")
+            classes = quiddity_classes(args.n, args.m, _parse_filter(args),
+                                       max_dissections=min(args.max_results, FAMILY_CAP))
+            payload = {str(q): sorted(str(d) for d in ds) for q, ds in classes.items()}
             print(_dumps(payload), file=out)
             return 0
 

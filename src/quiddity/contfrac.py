@@ -94,40 +94,23 @@ def strip_triangulation(
     """
     bottom = 1 + sum(cf.terms[0::2])
     top = 1 + sum(cf.terms[1::2])
-    n = bottom + top
-
-    def bottom_vertex(k: int) -> int:
-        return k
 
     def top_vertex(k: int) -> int:
         # top row runs right to left after the bottom row
         return bottom + (top - 1 - k)
 
-    triangles = []
+    # Each triangle steps one end of the rung (bottom p, top q) along its
+    # row.  The rungs between triangles are the chords; the first rung,
+    # (0, n-1), and the last, (bottom-1, bottom), are polygon edges.
+    chords = []
     p = q = 0
     for pos, a in enumerate(cf.terms):
         for _ in range(a):
             if pos % 2 == 0:
-                triangles.append(
-                    (bottom_vertex(p), bottom_vertex(p + 1), top_vertex(q))
-                )
                 p += 1
             else:
-                triangles.append(
-                    (bottom_vertex(p), top_vertex(q + 1), top_vertex(q))
-                )
                 q += 1
-    assert p == bottom - 1 and q == top - 1
-
-    edge_count: dict[tuple[int, int], int] = {}
-    for tri in triangles:
-        for i in range(3):
-            u, v = tri[i], tri[(i + 1) % 3]
-            edge = (min(u, v), max(u, v))
-            edge_count[edge] = edge_count.get(edge, 0) + 1
-    chords = [
-        e for e, cnt in edge_count.items()
-        if cnt == 2 or ((e[1] - e[0]) % n not in (1, n - 1))
-    ]
-    dissection = Dissection(n, tuple(chords))
+            chords.append((p, top_vertex(q)))
+    chords.pop()
+    dissection = Dissection(bottom + top, tuple(chords))
     return dissection, tuple(top_vertex(k) for k in range(top))

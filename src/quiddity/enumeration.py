@@ -24,7 +24,6 @@ never dissections, so generation still streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional
 
 from . import formulas
@@ -34,15 +33,15 @@ from .core import (
     DomainError,
     Quiddity,
     ResourceLimitError,
-    dihedral_transform,
     quiddity,
 )
 
-# Largest family, by its closed-form count, that ``quiddity_classes``
-# materializes by default and the ``quiddities`` and ``classes`` verbs
-# enumerate.  It admits every family of an N-gon with N <= 11; the
-# largest, 32,032 dissections of the 11-gon into 7 cells, takes 0.6 s for
-# ``quiddities`` and 1.0-1.3 s for ``classes`` on a 2-core machine.
+# Largest family, by its closed-form count, that ``count_quiddities``
+# and, by default, ``quiddity_classes`` enumerate, and so the
+# ``quiddities`` and ``classes`` verbs.  It admits every family of an
+# N-gon with N <= 11; the largest, 32,032 dissections of the 11-gon
+# into 7 cells, takes 0.6 s for ``quiddities`` and 1.0-1.3 s for
+# ``classes`` on a 2-core machine.
 # Few-cell families of larger polygons cost more per member, since a
 # quiddity has N entries: ``classes --n 27 --m 3`` (34,776) takes
 # 1.4-1.6 s, most of it in ``quiddity()``.
@@ -295,42 +294,26 @@ def count_dissections(
         n_vertices - 2, m, [t - 2 for t in cell_filter.allowed_sizes_upto(n_vertices)])
 
 
+def _refuse_large_family(
+    n_vertices: int, m: int, cell_filter: CellFilter, cap: int = FAMILY_CAP
+) -> None:
+    """Refuse, before enumerating, a family of more than ``cap``
+    dissections by its closed-form count."""
+    expected = count_dissections(n_vertices, m, cell_filter)
+    if expected > cap:
+        raise ResourceLimitError(f"{expected} dissections exceed the cap of {cap}")
+
+
 def count_quiddities(
     n_vertices: int, m: int, cell_filter: CellFilter = ALL_CELLS
 ) -> int:
-    """Number of distinct quiddity vectors over the enumerated family."""
-    _check_range(n_vertices, m)
+    """Number of distinct quiddity vectors over the enumerated family.
+    Refuses families larger than ``FAMILY_CAP``."""
+    _refuse_large_family(n_vertices, m, cell_filter)
     seen: set[tuple[int, ...]] = set()
     for d in enumerate_dissections(n_vertices, m, cell_filter):
         seen.add(quiddity(d).entries)
     return len(seen)
-
-
-@dataclass(frozen=True)
-class QuiddityClassTable:
-    """Full map from quiddity to the dissections realizing it, for a
-    fixed (N, m, filter), with a per-class dihedral-congruence report."""
-
-    n_vertices: int
-    m: int
-    cell_filter: CellFilter
-    classes: dict[Quiddity, tuple[Dissection, ...]]
-
-    def total_dissections(self) -> int:
-        return sum(len(v) for v in self.classes.values())
-
-    @cached_property
-    def dihedral_closed(self) -> dict[Quiddity, bool]:
-        """Per class, whether all its members are relabelings of the
-        first under the dihedral group; computed on first read.  A
-        relabeling carries the quiddity along, so it can map the first
-        member into the class only if it fixes the quiddity; only those
-        are tried."""
-        return {
-            q: len(ds) == 1
-            or set(ds) <= {dihedral_transform(ds[0], r, f) for r, f in _symmetries(q.entries)}
-            for q, ds in self.classes.items()
-        }
 
 
 def quiddity_classes(
@@ -338,36 +321,12 @@ def quiddity_classes(
     m: int,
     cell_filter: CellFilter = ALL_CELLS,
     max_dissections: int = FAMILY_CAP,
-) -> QuiddityClassTable:
-    """Group every enumerated dissection by its quiddity.
-
-    Refuses to materialize families larger than ``max_dissections``.
-    The table's ``dihedral_closed`` flags are computed when first read.
+) -> dict[Quiddity, tuple[Dissection, ...]]:
+    """Group every enumerated dissection by its quiddity, each class in
+    enumeration order.  Refuses families larger than ``max_dissections``.
     """
-    _check_range(n_vertices, m)
-    expected = count_dissections(n_vertices, m, cell_filter)
-    if expected > max_dissections:
-        raise ResourceLimitError(
-            f"{expected} dissections exceed the cap of {max_dissections}"
-        )
+    _refuse_large_family(n_vertices, m, cell_filter, max_dissections)
     grouped: dict[Quiddity, list[Dissection]] = {}
     for d in enumerate_dissections(n_vertices, m, cell_filter):
         grouped.setdefault(quiddity(d), []).append(d)
-    classes = {q: tuple(ds) for q, ds in grouped.items()}
-    return QuiddityClassTable(n_vertices, m, cell_filter, classes)
-
-
-def _symmetries(entries: tuple[int, ...]) -> list[tuple[int, bool]]:
-    """The relabelings (rotation, reflected), as ``dihedral_transform``
-    takes them, that fix a vertex labelling.  (r, False) moves entry i
-    to i + r, which rotates the tuple right by r, and (r, True) moves it
-    to r - i, which rotates the reversed tuple right by r + 1; each
-    rotation is read off a doubled copy."""
-    n = len(entries)
-    found = []
-    for reflected, source in ((False, entries * 2), (True, entries[::-1] * 2)):
-        for r in range(n):
-            shift = (r + reflected) % n
-            if source[n - shift:2 * n - shift] == entries:
-                found.append((r, reflected))
-    return found
+    return {q: tuple(ds) for q, ds in grouped.items()}

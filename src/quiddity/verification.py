@@ -110,8 +110,8 @@ def check_equal_size_injectivity(max_n: int) -> CheckResult:
         for m in range(1, n + 1):
             if n % m:
                 continue
-            table = quiddity_classes(n_vertices, m, CellFilter.equal_size(n // m + 2))
-            bad = [q for q, ds in table.classes.items() if len(ds) > 1]
+            classes = quiddity_classes(n_vertices, m, CellFilter.equal_size(n // m + 2))
+            bad = [q for q, ds in classes.items() if len(ds) > 1]
             if bad:
                 return CheckResult(
                     "equal-size-injectivity", False,
@@ -124,9 +124,9 @@ def find_non_dihedral_pair(max_n: int) -> Optional[tuple[Dissection, Dissection]
     relabeling, searching all dissections by polygon size."""
     for n_vertices in range(3, max_n + 1):
         for m in range(1, n_vertices - 1):
-            table = quiddity_classes(n_vertices, m)
-            for q in sorted(table.classes, key=lambda q: q.entries):
-                ds = table.classes[q]
+            classes = quiddity_classes(n_vertices, m)
+            for q in sorted(classes, key=lambda q: q.entries):
+                ds = classes[q]
                 if len(ds) < 2:
                     continue
                 orbit = dihedral_orbit(ds[0])
@@ -142,9 +142,9 @@ def find_equal_quiddity_without_surgery(n_vertices: int = 8) -> Optional[tuple[D
     from .surgery import find_surgeries
 
     for m in range(1, n_vertices - 1):
-        table = quiddity_classes(n_vertices, m, CellFilter.size_set({3, 4}))
-        for q in sorted(table.classes, key=lambda q: q.entries):
-            ds = table.classes[q]
+        classes = quiddity_classes(n_vertices, m, CellFilter.size_set({3, 4}))
+        for q in sorted(classes, key=lambda q: q.entries):
+            ds = classes[q]
             if len(ds) >= 2 and all(not find_surgeries(d, False) for d in ds[:2]):
                 return ds[0], ds[1]
     return None

@@ -332,6 +332,26 @@ def test_negative_max_results_is_refused(capsys, argv):
     assert capsys.readouterr().err == f"error: --max-results must be at least 0, got {argv[-1]}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "8", "--m", "3", "--sizes=", "--no-cache"],
+    ["quiddities", "--n", "8", "--m", "3", "--sizes=", "--no-cache"],
+    ["enumerate", "--n", "6", "--m", "2", "--sizes="],
+    ["classes", "--n", "6", "--m", "2", "--sizes="],
+    ["count", "--n", "8", "--m", "3", "--ell", "3", "--sizes=", "--no-cache"],
+])
+def test_empty_size_list_is_refused(capsys, argv):
+    # an empty list names no size; it must not read as every size
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_negative_table_max_n_is_refused_before_the_cache(cache_env, capsys):
+    assert run(["table", "--max-n", "-3"]) == (1, "")
+    assert capsys.readouterr().err == "error: --max-n must be at least 0, got -3\n"
+    assert not cache_env.exists()
+    assert run(["table", "--max-n", "0", "--no-cache"]) == (0, "n,m,value\n0,0,1\n")
+
+
 def test_largest_polygons_under_the_caps_are_answered(cache_env):
     # the first dissection of the largest polygon enumerate takes; and
     # the largest polygon the modular correspondence check takes

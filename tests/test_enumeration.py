@@ -1,4 +1,4 @@
-"""Exhaustive generation, streaming counts, and quiddity class tables."""
+"""Exhaustive generation, streaming counts, and quiddity classes."""
 from __future__ import annotations
 
 import pytest
@@ -183,46 +183,37 @@ def test_quiddity_count_octagon():
 
 
 def test_quiddity_classes_octagon_structure():
-    table = quiddity_classes(8, 3, ELL3)
-    sizes = sorted(len(ds) for ds in table.classes.values())
+    classes = quiddity_classes(8, 3, ELL3)
+    sizes = sorted(len(ds) for ds in classes.values())
     assert sizes == [1] * 32 + [2, 2]
-    assert table.total_dissections() == 36
     # the paired classes are rotations of one another
-    for q, ds in table.classes.items():
+    for ds in classes.values():
         if len(ds) == 2:
-            assert table.dihedral_closed[q]
             assert ds[1] in dihedral_orbit(ds[0])
 
 
 @pytest.mark.parametrize("cell_filter", [
     CellFilter.all_cells(), ELL3, CellFilter.size_set({3, 4}),
 ], ids=str)
-def test_dihedral_closed_flags_match_the_full_orbit_rule(cell_filter):
-    # the flag only tries the relabelings that fix the quiddity; the full
-    # orbit of the first member must give the same answer
-    multi = 0
+def test_quiddity_classes_partition_each_family(cell_filter):
     for n in range(3, 11):
         for m in range(1, n - 1):
-            table = quiddity_classes(n, m, cell_filter)
-            for q, ds in table.classes.items():
-                if len(ds) > 1:  # a lone member is its own class's orbit
-                    orbit = dihedral_orbit(ds[0])
-                    assert table.dihedral_closed[q] == all(d in orbit for d in ds), (n, m, q)
-                    multi += 1
-                else:
-                    assert table.dihedral_closed[q]
-    assert multi > 0
+            classes = quiddity_classes(n, m, cell_filter)
+            for q, ds in classes.items():
+                assert all(quiddity(d) == q for d in ds), (n, m, q)
+            assert len(classes) == count_quiddities(n, m, cell_filter), (n, m)
+            assert sum(len(ds) for ds in classes.values()) == \
+                count_dissections(n, m, cell_filter), (n, m)
 
 
 def test_pentagon_triangulation_classes_are_singletons():
-    table = quiddity_classes(5, 3)
-    assert len(table.classes) == 5
-    assert all(len(ds) == 1 for ds in table.classes.values())
+    classes = quiddity_classes(5, 3)
+    assert len(classes) == 5
+    assert all(len(ds) == 1 for ds in classes.values())
 
 
 def test_class_table_consistency():
-    table = quiddity_classes(8, 3, ELL3)
-    for q, ds in table.classes.items():
+    for q, ds in quiddity_classes(8, 3, ELL3).items():
         for d in ds:
             assert quiddity(d) == q
             assert len(d.chords) == 2  # m - 1 chords
@@ -231,6 +222,14 @@ def test_class_table_consistency():
 def test_materialization_cap():
     with pytest.raises(ResourceLimitError):
         quiddity_classes(12, 10, max_dissections=10)
+
+
+def test_quiddity_count_is_refused_over_the_family_cap():
+    # 659,736 dissections; enumerating them took about a minute
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        count_quiddities(14, 6)
+    assert time.perf_counter() - start < 1
 
 
 def test_out_of_range_arguments():
@@ -269,9 +268,7 @@ def test_non_dihedral_equal_quiddity_pair_at_nine():
     assert quiddity(a) == quiddity(b)
     assert b not in dihedral_orbit(a)
     assert cell_size_profile(a) != cell_size_profile(b)
-    table = quiddity_classes(9, 3)
-    assert b in table.classes[quiddity(a)]
-    assert not table.dihedral_closed[quiddity(a)]
+    assert b in quiddity_classes(9, 3)[quiddity(a)]
 
 
 def test_total_quiddity_counts_match_closed_form_column_sums():
