@@ -1,7 +1,6 @@
 """Exact enumeration of polygon dissections and their quiddities."""
 
 from .core import (
-    Cell,
     Dissection,
     DomainError,
     ParseError,
@@ -21,7 +20,6 @@ from .core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cell",
     "Dissection",
     "DomainError",
     "ParseError",

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    Cell,
     Chord,
     Dissection,
     DomainError,
@@ -40,18 +39,18 @@ class SurgeryMove:
     them (all with sorted endpoints)."""
 
     cell_index: int
-    cell: Cell
+    cell: tuple[int, ...]
     removed: tuple[Chord, Chord]
     added: tuple[Chord, Chord]
 
 
-def base_edge(cell: Cell) -> Chord:
+def base_edge(cell: tuple[int, ...]) -> Chord:
     """The cell's edge toward the base cell: its closing edge (last,
     first), which spans all its other edges."""
-    return (cell.vertices[0], cell.vertices[-1])
+    return (cell[0], cell[-1])
 
 
-def base_distance(d: Dissection, cell: Cell) -> int:
+def base_distance(d: Dissection, cell: tuple[int, ...]) -> int:
     """Dual-tree distance from the cell to the base cell: the number of
     chords nesting the cell's base edge, that edge included."""
     lo, hi = base_edge(cell)
@@ -65,49 +64,29 @@ def find_surgeries(d: Dissection, require_3periodic: bool) -> list[SurgeryMove]:
     moves whose result is again 3-periodic are kept.
     """
     cs = cells(d)
-    if require_3periodic and any(c.size % 3 for c in cs):
+    if require_3periodic and any(len(c) % 3 for c in cs):
         raise DomainError("3-periodic surgery needs a 3-periodic dissection")
-    # A chord is the base edge of the cell beyond it and an inner edge
-    # of the cell on the base side; the inner edges cover every chord.
-    beyond = {base_edge(c): c for c in cs}
-    within = {
-        (u, v): c for c in cs for u, v in zip(c.vertices, c.vertices[1:]) if v - u > 1
-    }
-
+    chords = set(d.chords)
     moves = []
     for idx, cell in enumerate(cs):
-        size = cell.size
-        if size < 6:
+        t = len(cell)
+        if t < 6:
             continue
-        boundary = list(cell.edges())
-        chord_positions = [
-            k for k, (u, v) in enumerate(boundary)
-            if (min(u, v), max(u, v)) in within
-        ]
-        for pos_a in range(len(chord_positions)):
-            for pos_b in range(pos_a + 1, len(chord_positions)):
-                i, j = chord_positions[pos_a], chord_positions[pos_b]
-                between = j - i - 1
-                around = size - (j - i) - 1
-                if between < 2 or around < 2:
+        # edge k joins cell[k] and cell[(k + 1) % t]; the last is the
+        # base edge.  A move re-pairs chord edges i < j with at least
+        # two edges between them on both sides.  It cuts the cell into
+        # arcs of j - i and t - (j - i) vertices and merges the two
+        # cells beyond the chords into one of their summed size, so on
+        # a 3-periodic input only j - i needs a test.
+        edges = [*zip(cell, cell[1:]), (cell[0], cell[-1])]
+        at = [k for k, e in enumerate(edges) if e in chords]
+        for a, i in enumerate(at):
+            for j in at[a + 1:]:
+                if not 3 <= j - i <= t - 3 or (require_3periodic and (j - i) % 3):
                     continue
-                a, b = boundary[i]
-                c, dd = boundary[j]
-                removed = tuple(sorted(
-                    ((min(a, b), max(a, b)), (min(c, dd), max(c, dd)))
-                ))
-                added = tuple(sorted(
-                    ((min(a, dd), max(a, dd)), (min(b, c), max(b, c)))
-                ))
-                if require_3periodic:
-                    size1 = j - i
-                    size2 = size - size1
-                    merged = sum(
-                        (within[e] if e == base_edge(cell) else beyond[e]).size
-                        for e in removed
-                    )
-                    if size1 % 3 or size2 % 3 or merged % 3:
-                        continue
+                p, q, r, s = cell[i], cell[i + 1], cell[j], cell[(j + 1) % t]
+                removed = tuple(sorted((edges[i], edges[j])))
+                added = tuple(sorted(((min(p, s), max(p, s)), (q, r))))
                 moves.append(SurgeryMove(idx, cell, removed, added))
     return moves
 
@@ -173,7 +152,7 @@ def canonicalize_trace(
             return d, tuple(applied)
         if rng is None:
             move = min(moves, key=lambda mv: (
-                -base_distance(d, mv.cell), mv.cell.vertices[0], mv.added))
+                -base_distance(d, mv.cell), mv.cell[0], mv.added))
         else:
             move = rng.choice(sorted(moves, key=lambda mv: (mv.cell_index, mv.removed)))
         applied.append(move)

@@ -22,6 +22,7 @@ from .modular import (
 )
 from .surgery import (
     canonicalize_maximally_open,
+    find_surgeries,
     is_maximally_open,
     surgery_class,
 )
@@ -88,7 +89,7 @@ def check_quiddity_counts(max_n: int) -> CheckResult:
         want_total = sum(
             formulas.quiddity_count_3periodic(n, m) for m in range(0, n + 1)
         )
-        if len(total) != want_total and n_vertices >= 3:
+        if len(total) != want_total:
             return CheckResult("quiddity-counts", False, f"column total at N={n_vertices}")
     return CheckResult("quiddity-counts", True, f"matches closed form for all N <= {max_n}")
 
@@ -139,8 +140,6 @@ def find_non_dihedral_pair(max_n: int) -> Optional[tuple[Dissection, Dissection]
 def find_equal_quiddity_without_surgery(n_vertices: int = 8) -> Optional[tuple[Dissection, Dissection]]:
     """Equal-quiddity pair among triangle/quadrilateral dissections
     (which admit no surgery at all)."""
-    from .surgery import find_surgeries
-
     for m in range(1, n_vertices - 1):
         classes = quiddity_classes(n_vertices, m, CellFilter.size_set({3, 4}))
         for q in sorted(classes, key=lambda q: q.entries):

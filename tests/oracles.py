@@ -57,6 +57,39 @@ def chord_sides(cycles: list[tuple[int, ...]]) -> dict[tuple[int, int], list[int
     return sides
 
 
+def surgery_moves_by_definition(
+    d: Dissection, require_3periodic: bool
+) -> list[tuple[int, tuple[Chord, Chord], tuple[Chord, Chord]]]:
+    """Every surgery as (cell index, removed chords, added chords), from
+    the definition alone: two chord edges of one splitting-oracle cell,
+    with at least two cell edges between them on both sides, swapped
+    for the other pairing of their ends that does not cross.  In
+    3-periodic mode a move is kept iff the splitting oracle finds its
+    result 3-periodic."""
+    def pair(u: int, v: int) -> Chord:
+        return (min(u, v), max(u, v))
+
+    chords = set(d.chords)
+    moves = []
+    for idx, cycle in enumerate(cells_by_splitting(d)):
+        t = len(cycle)
+        edges = [(cycle[k], cycle[(k + 1) % t]) for k in range(t)]
+        for i, j in itertools.combinations(range(t), 2):
+            (a, b), (c, e) = edges[i], edges[j]
+            if pair(a, b) not in chords or pair(c, e) not in chords:
+                continue
+            if j - i - 1 < 2 or t - (j - i) - 1 < 2:
+                continue
+            removed = tuple(sorted((pair(a, b), pair(c, e))))
+            added = tuple(sorted((pair(a, e), pair(b, c))))
+            if require_3periodic:
+                result = Dissection(d.n_vertices, tuple((chords - set(removed)) | set(added)))
+                if any(len(cell) % 3 for cell in cells_by_splitting(result)):
+                    continue
+            moves.append((idx, removed, added))
+    return moves
+
+
 def total_dissections(n: int) -> int:
     """Number of dissections of the (n+2)-gon over all cell counts
     (the super-Catalan/little Schroeder sequence), via the recurrence

@@ -286,6 +286,19 @@ def test_unreachable_work_is_refused_up_front(cache_env, capsys, argv):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["of", "100000000:"],
+    ["surgery", "moves", "100000000:"],
+])
+def test_huge_polygon_text_is_refused_before_any_work(capsys, argv):
+    # the cells and chord degrees of a 10^8-gon once took more memory
+    # than the machine had
+    start = time.perf_counter()
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == "error: vertex count 100000000 is over the cap of 1000000\n"
+    assert time.perf_counter() - start < 1
+
+
 def test_few_cell_family_of_a_large_polygon_is_quick(cache_env):
     # 14,421 dissections; a search that tries every base cell took 99 s
     # to print the same count

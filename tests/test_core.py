@@ -10,6 +10,7 @@ from quiddity import (
     Dissection,
     DomainError,
     ParseError,
+    ResourceLimitError,
     cell_size_profile,
     cells,
     dihedral_transform,
@@ -19,6 +20,7 @@ from quiddity import (
     parse_dissection,
     quiddity,
 )
+from quiddity.core import PARSE_N_CAP
 from quiddity.enumeration import enumerate_dissections
 from quiddity.surgery import base_edge
 
@@ -65,21 +67,27 @@ def test_parse_errors_name_the_offender(bad, fragment):
     assert fragment in str(err.value)
 
 
+def test_parse_refuses_a_vertex_count_over_the_cap():
+    assert parse_dissection(f"{PARSE_N_CAP}:0-2").n_vertices == PARSE_N_CAP
+    with pytest.raises(ResourceLimitError):
+        parse_dissection(f"{PARSE_N_CAP + 1}:")
+
+
 def test_cells_pentagon():
     cs = cells(parse_dissection("5:0-2,0-3"))
-    assert [c.vertices for c in cs] == [(0, 1, 2), (0, 2, 3), (0, 3, 4)]
+    assert list(cs) == [(0, 1, 2), (0, 2, 3), (0, 3, 4)]
 
 
 def test_cells_octagon_pair_of_ears():
     cs = cells(parse_dissection("8:1-3,5-7"))
-    assert [c.vertices for c in cs] == [(0, 1, 3, 4, 5, 7), (1, 2, 3), (5, 6, 7)]
-    assert sorted(c.size for c in cs) == [3, 3, 6]
+    assert list(cs) == [(0, 1, 3, 4, 5, 7), (1, 2, 3), (5, 6, 7)]
+    assert sorted(len(c) for c in cs) == [3, 3, 6]
 
 
 def test_cells_octagon_three_chords():
     cs = cells(parse_dissection("8:1-3,3-5,5-7"))
     assert len(cs) == 4
-    assert sum(c.size for c in cs) == 8 + 2 * 3
+    assert sum(len(c) for c in cs) == 8 + 2 * 3
 
 
 def _inner_chords(vertices):
@@ -94,7 +102,7 @@ def test_dual_tree_shape():
         d = parse_dissection(text)
         cs = cells(d)
         assert len(cs) == len(d.chords) + 1
-        parent = {e: k for k, c in enumerate(cs) for e in _inner_chords(c.vertices)}
+        parent = {e: k for k, c in enumerate(cs) for e in _inner_chords(c)}
         assert len(parent) == len(cs) - 1
         for k in range(len(cs)):
             path = [k]
@@ -111,11 +119,11 @@ def test_cells_match_splitting_oracle_exhaustively():
         for d in enumerate_dissections(n):
             cs = cells(d)
             want = cells_by_splitting(d)
-            assert [c.vertices for c in cs] == want
+            assert list(cs) == want
             sides = chord_sides(want)
             for chord in d.chords:
                 beyond = [k for k, c in enumerate(cs) if base_edge(c) == chord]
-                within = [k for k, c in enumerate(cs) if chord in _inner_chords(c.vertices)]
+                within = [k for k, c in enumerate(cs) if chord in _inner_chords(c)]
                 assert len(beyond) == len(within) == 1
                 assert sorted(beyond + within) == sides[chord]
 
@@ -246,6 +254,6 @@ def test_cell_count_and_size_sum_invariants():
         for d in enumerate_dissections(n):
             cs = cells(d)
             assert len(cs) == len(d.chords) + 1
-            assert sum(c.size for c in cs) == n + 2 * len(d.chords)
+            assert sum(len(c) for c in cs) == n + 2 * len(d.chords)
             q = quiddity(d)
             assert sum(q.entries) == n + 2 * len(d.chords)

@@ -29,7 +29,7 @@ from quiddity.surgery import (
     surgery_class,
 )
 
-from oracles import cells_by_splitting, chord_sides
+from oracles import cells_by_splitting, chord_sides, surgery_moves_by_definition
 
 ELL3 = CellFilter.ell_periodic(3)
 OCTAGON = parse_dissection("8:1-3,5-7")
@@ -52,6 +52,22 @@ def test_small_cells_admit_no_moves():
     assert find_surgeries(parse_dissection("6:"), True) == []
     for d in enumerate_dissections(8, None, CellFilter.size_set({3, 4, 5})):
         assert find_surgeries(d, False) == []
+
+
+def test_moves_match_the_definition_exhaustively():
+    # plain moves on every dissection with N <= 10; 3-periodic moves on
+    # every 3-periodic one with N <= 11, the first N with a 9-vertex cell
+    # that has two chord edges, so the first where a plain move can cut
+    # a 3-periodic cell into arcs whose sizes are not multiples of 3
+    def found(d, require_3periodic):
+        return [(mv.cell_index, mv.removed, mv.added)
+                for mv in find_surgeries(d, require_3periodic)]
+
+    for n in range(3, 11):
+        for d in enumerate_dissections(n):
+            assert found(d, False) == surgery_moves_by_definition(d, False), d
+    for d in three_periodic(11):
+        assert found(d, True) == surgery_moves_by_definition(d, True), d
 
 
 def test_apply_octagon_move():
@@ -94,14 +110,14 @@ def test_surgery_cell_bookkeeping_random_instances():
         sides = chord_sides(want)
         for mv in find_surgeries(d, False):
             cell = mv.cell
-            assert want[mv.cell_index] == cell.vertices
-            boundary = list(cell.edges())
+            assert want[mv.cell_index] == cell
+            boundary = [(u, cell[(k + 1) % len(cell)]) for k, u in enumerate(cell)]
             positions = {
                 (min(u, v), max(u, v)): k for k, (u, v) in enumerate(boundary)
             }
             i, j = sorted((positions[mv.removed[0]], positions[mv.removed[1]]))
             size1 = j - i
-            size2 = cell.size - size1
+            size2 = len(cell) - size1
             others = [
                 next(c for c in sides[chord] if c != mv.cell_index)
                 for chord in mv.removed
@@ -116,7 +132,7 @@ def test_surgery_cell_bookkeeping_random_instances():
 
 def test_base_cell_data_octagon():
     cs = cells(OCTAGON)
-    hexagon = next(c for c in cs if c.size == 6)
+    hexagon = next(c for c in cs if len(c) == 6)
     assert base_distance(OCTAGON, hexagon) == 0
     assert base_edge(hexagon) == (0, 7)
     assert sorted(base_distance(OCTAGON, c) for c in cs) == [0, 1, 1]
@@ -162,7 +178,7 @@ def test_move_cell_is_the_indexed_cell_exhaustively():
         for d in enumerate_dissections(n):
             cs = cells(d)
             moves = find_surgeries(d, False)
-            if all(c.size % 3 == 0 for c in cs):
+            if all(len(c) % 3 == 0 for c in cs):
                 moves += find_surgeries(d, True)
             for mv in moves:
                 assert mv.cell == cs[mv.cell_index]
