@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -410,17 +411,17 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
         if args.verb == "enumerate":
             _refuse_negative(args.max_results, "--max-results")
-            stream = enumerate_dissections(args.n, args.m, _parse_filter(args))
-            results = []
-            for count, d in enumerate(stream):
-                if args.max_results is not None and count >= args.max_results:
-                    break
-                if args.json:
-                    results.append(str(d))
-                else:
+            # a limit of 0 never asks the stream for a dissection
+            stream = itertools.islice(
+                enumerate_dissections(args.n, args.m, _parse_filter(args)), args.max_results)
+            if args.json:  # the bytes of _dumps(list of texts), written as they come
+                out.write("[")
+                for count, d in enumerate(stream):
+                    out.write(("," if count else "") + json.dumps(str(d)))
+                out.write("]\n")
+            else:
+                for d in stream:
                     print(d, file=out)
-            if args.json:
-                print(_dumps(results), file=out)
             return 0
 
         if args.verb in ("count", "quiddities"):

@@ -1,10 +1,11 @@
 """Exhaustive generation and counting of dissections under cell-size filters.
 
 Generation designates the polygon edge (0, N-1) as the base edge,
-chooses the cell containing it, and recurses into the sub-polygons cut
-off by that cell.  Every dissection determines its base cell uniquely,
-so each one is produced exactly once, in a fixed deterministic order,
-with no isomorphism rejection.
+chooses the cell containing it, and fills the sub-polygons cut off by
+that cell the same way, each over the chord it is cut off by.  Every
+dissection determines its base cell uniquely, so each one is produced
+exactly once, in a fixed deterministic order, with no isomorphism
+rejection.
 
 The search is steered by exact cell-count masks, built once per call:
 for each sub-polygon size, the set of cell counts its dissections can
@@ -15,16 +16,24 @@ the time is proportional to the number of dissections yielded.
 
 A sub-polygon's feasible base cells, and its gaps' masks, depend only
 on its shape: its span and its wanted counts, not its position.  So
-each call keeps a plan table, keyed by shape and base-cell size, that
-lists them once, relative to the sub-polygon's first vertex, the first
-time the search reaches that shape; every later sub-polygon of the
-shape replays the plan shifted to its position.  The table holds plans,
-never dissections, so generation still streams.
+each call keeps a plan table, keyed by shape, that lists them once,
+relative to the sub-polygon's first vertex, the first time the search
+reaches that shape; every later sub-polygon of the shape replays the
+plan shifted to its position.  The table holds plans, never
+dissections, so generation still streams.
+
+The search is one loop over an explicit stack (compare the stack-based
+generation of nested structures in Knuth, TAOCP 4A, 7.2.1.6).  A stack
+entry is a choice point, a sub-polygon whose mask allows more than one
+cell; a gap that must be exactly one cell is placed inline.  Each
+dissection is handed up once, from that one loop.  The loop also logs
+every cell it places, so the family functions read each member's
+quiddity off the log, cross-checked against 1 + chord degree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from . import formulas
 from .core import (
@@ -33,18 +42,18 @@ from .core import (
     DomainError,
     Quiddity,
     ResourceLimitError,
-    quiddity,
 )
 
 # Largest family, by its closed-form count, that ``count_quiddities``
 # and, by default, ``quiddity_classes`` enumerate, and so the
 # ``quiddities`` and ``classes`` verbs.  It admits every family of an
 # N-gon with N <= 11; the largest, 32,032 dissections of the 11-gon
-# into 7 cells, takes 0.6 s for ``quiddities`` and 1.0-1.3 s for
-# ``classes`` on a 2-core machine.
+# into 7 cells, takes 0.2 s for ``quiddities`` and 0.7-0.9 s for
+# ``classes`` on a 2-core machine, about half of the latter in
+# formatting and sorting its output.
 # Few-cell families of larger polygons cost more per member, since a
 # quiddity has N entries: ``classes --n 27 --m 3`` (34,776) takes
-# 1.4-1.6 s, most of it in ``quiddity()``.
+# 0.9-1.1 s.
 FAMILY_CAP = 35_000
 
 # Largest polygon that ``enumerate_dissections`` accepts.  Before a
@@ -152,11 +161,14 @@ def _differences(want: int, a: int) -> int:
     return out
 
 
-# A planned gap (p, q) of a base cell, relative to the first vertex of
-# its sub-polygon, with reach[q - p + 1] and its fits mask: the counts of
-# the gap that the gaps after it can complete to a wanted total, before
-# earlier gaps used any.
-_Step = tuple[int, int, int, int]
+# A planned gap of a base cell that holds a cell (two or more polygon
+# edges), relative to the first vertex of its sub-polygon:
+# (p, q, reach[q - p + 1], fits, corners, next).  ``fits`` holds the
+# counts of the gap that the gaps after it can complete to a wanted
+# total, before earlier gaps used any; ``corners`` is range(q - p + 1),
+# the gap's corners relative to p, for when it is one cell; ``next`` is
+# the base cell's next such gap, or None.
+_Step = tuple[int, int, int, int, range, Optional["_Step"]]
 
 
 def _reach_masks(n_vertices: int, allowed: list[int]) -> list[int]:
@@ -177,23 +189,60 @@ def _reach_masks(n_vertices: int, allowed: list[int]) -> list[int]:
     return reach
 
 
-def enumerate_dissections(
-    n_vertices: int,
-    m: Optional[int] = None,
-    cell_filter: CellFilter = ALL_CELLS,
-) -> Iterator[Dissection]:
-    """Yield every dissection of the N-gon exactly once, in canonical
-    form, restricted to ``m`` cells if given and to the size filter.
+def _base_cells(
+    reach: list[int], span: int, t: int, want: int
+) -> list[tuple[tuple[int, ...], tuple[Chord, ...]]]:
+    """Every base cell of size t on the edge (0, span) whose gaps can
+    hold a total count in ``want``, in lexicographic order of its
+    corners, as (its t corners, its gaps that hold a cell: two or more
+    polygon edges)."""
+    found: list[tuple[tuple[int, ...], tuple[Chord, ...]]] = []
 
-    The order is deterministic: base cells are chosen by increasing
-    size then by vertex tuple, and sub-polygons fill left to right.
-    Exact cell-count masks steer the search, so every branch it enters
-    ends in at least one dissection.  A sub-polygon's base cells depend
-    only on its shape, its span and wanted counts, so each shape's are
-    planned once per call, with their gaps' masks, and replayed at
-    every position it occurs; the plans, not the dissections, are kept.
-    After a set-up polynomial in N, the time is proportional to the
-    number of dissections yielded.  Refuses N over ``ENUMERATE_N_CAP``.
+    def extend(corners: tuple[int, ...], gaps: tuple[Chord, ...], left: int, rest: int) -> None:
+        # ``left`` gaps follow the last corner; ``rest`` is the totals
+        # they may have
+        prev = corners[-1]
+        if left == 1:
+            found.append((corners + (span,), gaps + ((prev, span),) if span - prev >= 2 else gaps))
+            return
+        # k >= 1 consecutive gaps spanning r polygon edges, a gap of
+        # span g being a sub-polygon on g + 1 vertices, hold the totals
+        # of one sub-polygon on r - k + 2 vertices: the excesses add
+        # up the same way, and a gap of span 1 holds nothing
+        for c in range(prev + 1, span - left + 2):
+            after = _differences(rest, reach[c - prev + 1])
+            if reach[span - c - left + 3] & after:
+                extend(corners + (c,), gaps + ((prev, c),) if c - prev >= 2 else gaps,
+                       left - 1, after)
+
+    if reach[span - t + 3] & want:  # its t - 1 gaps span the span edges
+        extend((0,), (), t - 1, want)
+    return found
+
+
+def _walk(
+    n_vertices: int, m: Optional[int], cell_filter: CellFilter
+) -> Iterator[tuple[list[Chord], list[tuple[int, Sequence[int]]]]]:
+    """The enumerator: an iterator over (chords, log) for every
+    dissection of the N-gon with ``m`` cells (any count if None) under
+    the filter, in the order of ``enumerate_dissections``.  The
+    arguments are checked on the call, before any item is asked for.
+
+    ``chords`` lists the dissection's chords in the order placed and
+    ``log`` its cells, each as (shift, corners), the cell's vertices
+    being shift plus each corner.  Both are the walk's working lists,
+    valid until the next item is asked for.
+
+    One loop over an explicit stack of choice points: sub-polygons whose
+    wanted-count mask allows more than one cell.  An entry holds the
+    sub-polygon's shape, with the base cells planned for it so far, the
+    index of the next one, the sub-polygon's first vertex, the
+    continuation and the lengths of ``chords`` and ``log`` on entry, to
+    which it cuts both back before placing its next base cell.  The
+    continuation is the gaps of enclosing base cells still to fill, a
+    linked list of (next step, first vertex, chord count before the
+    base cell's gaps, enclosing continuation) that entries share.  A
+    gap whose mask allows exactly one cell is that cell, placed inline.
     """
     _check_range(n_vertices, m)
     if n_vertices > ENUMERATE_N_CAP:
@@ -202,86 +251,138 @@ def enumerate_dissections(
         )
     allowed = cell_filter.allowed_sizes_upto(n_vertices)
     reach = _reach_masks(n_vertices, allowed)
+    # runs[k]: the corners of a one-cell gap on k vertices, relative to
+    # its first vertex
+    runs = [range(k) for k in range(n_vertices + 1)]
 
-    def base_cells(span: int, t: int, want: int) -> list[list[Chord]]:
-        """Every base cell of size t on the edge (0, span) whose gaps can
-        hold a total count in ``want``, by its corners in lexicographic
-        order, as the list of its gaps that hold a cell (two or more
-        polygon edges)."""
-        found: list[list[Chord]] = []
+    # (span, gaps' wanted totals) -> [its base cells planned so far, the
+    # position in ``allowed`` of the next size to plan, span, wanted
+    # totals].  A planned base cell is (its corners relative to the
+    # shape's first vertex, those between one-edge gaps included, its
+    # first step).  Sizes are planned in increasing order, each when the
+    # search has used every base cell of the sizes before it, so a
+    # polygon's first line does not wait for all of its base cells.
+    shapes: dict[tuple[int, int], list] = {}
 
-        def extend(prev: int, left: int, rest: int, gaps: list[Chord]) -> None:
-            # ``left`` gaps follow corner ``prev``; ``rest`` is the
-            # totals they may have
-            if left == 1:
-                found.append(gaps + [(prev, span)] if span - prev >= 2 else gaps)
-                return
-            # k >= 1 consecutive gaps spanning r polygon edges, a gap of
-            # span g being a sub-polygon on g + 1 vertices, hold the totals
-            # of one sub-polygon on r - k + 2 vertices: the excesses add
-            # up the same way, and a gap of span 1 holds nothing
-            for c in range(prev + 1, span - left + 2):
-                after = _differences(rest, reach[c - prev + 1])
-                if reach[span - c - left + 3] & after:
-                    extend(c, left - 1, after, gaps + [(prev, c)] if c - prev >= 2 else gaps)
+    def shape_of(span: int, want: int) -> list:
+        """The record of a sub-polygon shape, made on first use."""
+        shape = shapes.get((span, want))
+        if shape is None:
+            shape = shapes[span, want] = [[], 0, span, want]
+        return shape
 
-        if reach[span - t + 3] & want:  # its t - 1 gaps span the span edges
-            extend(0, t - 1, want, [])
-        return found
-
-    # (span, t, gaps' wanted totals) -> the base cells of size t of that
-    # shape, each as its steps, one per gap (p, q) that holds a cell,
-    # relative to the shape's first vertex.  Keyed by size too, so that a
-    # size is planned only when the search reaches it.
-    plans: dict[tuple[int, int, int], list[tuple[_Step, ...]]] = {}
-
-    def plan(span: int, t: int, want: int) -> list[tuple[_Step, ...]]:
-        steps = plans.get((span, t, want))
-        if steps is None:
-            steps = plans[span, t, want] = []
-            for gaps in base_cells(span, t, want):
-                cell = []
-                suffix = 1
+    def plan_next_size(shape: list) -> bool:
+        """Append the base cells of the next size that has any; False
+        when no size is left."""
+        planned, pos, span, want = shape
+        before = len(planned)
+        while len(planned) == before and pos < len(allowed) and allowed[pos] <= span + 1:
+            for corners, gaps in _base_cells(reach, span, allowed[pos], want):
+                step: Optional[_Step] = None  # its gaps, linked left to right
+                suffix = 1  # the counts the gaps after this one can have
                 for p, q in reversed(gaps):
-                    cell.append((p, q, reach[q - p + 1], _differences(want, suffix)))
+                    step = (p, q, reach[q - p + 1], _differences(want, suffix),
+                            runs[q - p + 1], step)
                     suffix = _sumset(reach[q - p + 1], suffix)
-                steps.append(tuple(reversed(cell)))
-        return steps
+                planned.append((corners, step))
+            pos += 1
+        shape[1] = pos
+        return len(planned) > before
 
-    def gen(lo: int, hi: int, want: int):
-        """Dissections of the sub-polygon on vertices lo..hi (at least
-        three) whose base edge is (lo, hi), with a cell count in the mask
-        ``want``.  Yields (chords, cell count)."""
-        span = hi - lo
-        for t in allowed:
-            if t > span + 1:
+    def search() -> Iterator[tuple[list[Chord], list[tuple[int, Sequence[int]]]]]:
+        chords: list[Chord] = []
+        log: list[tuple[int, Sequence[int]]] = []
+        leaf = (chords, log)
+        want = 1 << m if m is not None else (1 << (n_vertices - 1)) - 2
+        # the base cell is one of the cells, so its gaps want one fewer
+        stack = [[shape_of(n_vertices - 1, want >> 1), 0, 0, None, 0, 0]]
+        while stack:
+            point = stack[-1]
+            shape, idx, lo, cont, n_chords, n_log = point
+            planned = shape[0]
+            if idx == len(planned) and not plan_next_size(shape):
+                stack.pop()
+                continue
+            point[1] = idx + 1
+            del chords[n_chords:]
+            del log[n_log:]
+            corners, step = planned[idx]
+            log.append((lo, corners))
+            mark = n_chords  # the gaps of this base cell hold len(chords) - mark cells
+            while True:  # fill gaps left to right up to the next choice point
+                if step is None:
+                    if cont is None:  # every gap is filled
+                        yield leaf
+                        break
+                    step, lo, mark, cont = cont  # on to an enclosing base cell
+                    continue
+                p, q, sub_reach, fits, run, step = step
+                sub_want = sub_reach & (fits >> (len(chords) - mark))
+                chords.append((lo + p, lo + q))
+                if sub_want == 2:  # exactly one cell: the gap itself
+                    log.append((lo + p, run))
+                    continue
+                stack.append([shape_of(q - p, sub_want >> 1), 0, lo + p,
+                              (step, lo, mark, cont), len(chords), len(log)])
                 break
-            for steps in plan(span, t, want >> 1):  # the base cell is one of the cells
-                yield from fill(steps, lo, 0, (), 0)
 
-    def fill(steps: tuple[_Step, ...], lo: int, idx: int, acc: tuple[Chord, ...], used: int):
-        """Fill gaps idx, idx+1, ... of a base cell, planned relative to
-        ``lo``, left to right, after the earlier gaps gave the chords
-        ``acc`` and ``used`` cells."""
-        while idx < len(steps):
-            p, q, sub_reach, fits = steps[idx]
-            sub_want = sub_reach & (fits >> used)
-            if sub_want != 2:
-                break
-            # one cell: the gap is a cell, with no chords inside
-            acc += ((p + lo, q + lo),)
-            used += 1
-            idx += 1
-        else:  # every gap is filled
-            yield acc, used + 1
-            return
-        chord = (p + lo, q + lo)
-        for sub_chords, sub_cells in gen(chord[0], chord[1], sub_want):
-            yield from fill(steps, lo, idx + 1, acc + (chord,) + sub_chords, used + sub_cells)
+    return search()
 
-    want = 1 << m if m is not None else (1 << (n_vertices - 1)) - 2
-    for chords, _ in gen(0, n_vertices - 1, want):
-        yield Dissection._trusted(n_vertices, chords)
+
+def enumerate_dissections(
+    n_vertices: int,
+    m: Optional[int] = None,
+    cell_filter: CellFilter = ALL_CELLS,
+) -> Iterator[Dissection]:
+    """Every dissection of the N-gon exactly once, in canonical form,
+    restricted to ``m`` cells if given and to the size filter, as an
+    iterator.
+
+    The order is deterministic: base cells are chosen by increasing
+    size then by vertex tuple, and sub-polygons fill left to right.
+    Exact cell-count masks steer the search, so every branch it enters
+    ends in at least one dissection.  A sub-polygon's base cells depend
+    only on its shape, its span and wanted counts, so each shape's are
+    planned once per call, with their gaps' masks, and replayed at
+    every position it occurs; the plans, not the dissections, are kept.
+    The search is one loop over an explicit stack of choice points
+    (``_walk``), so each dissection is handed up once.  After a set-up
+    polynomial in N, the time is proportional to the number of
+    dissections yielded.
+    The arguments are checked, and N over ``ENUMERATE_N_CAP`` refused,
+    on the call, before any dissection is asked for.
+    """
+    walk = _walk(n_vertices, m, cell_filter)
+    return (Dissection._trusted(n_vertices, chords) for chords, _ in walk)
+
+
+def _carried_quiddities(
+    n_vertices: int, m: Optional[int], cell_filter: CellFilter
+) -> Iterator[tuple[list[Chord], tuple[int, ...]]]:
+    """(chords, quiddity entries) of every dissection
+    ``enumerate_dissections`` yields, in its order, without ``quiddity()``.
+
+    The entries count each vertex's cells in the walk's log, and are
+    checked against 1 + chord degree on every member, so the quiddity is
+    still computed two independent ways; a mismatch is a bug in the
+    walk's plans or log and raises at once.  ``chords`` is the walk's
+    working list, valid until the next item is asked for.
+    """
+    for chords, log in _walk(n_vertices, m, cell_filter):
+        by_membership = [0] * n_vertices
+        for lo, corners in log:
+            for v in corners:
+                by_membership[lo + v] += 1
+        by_degree = [1] * n_vertices
+        for i, j in chords:
+            by_degree[i] += 1
+            by_degree[j] += 1
+        if by_membership != by_degree:
+            raise AssertionError(
+                f"quiddity self-check failed for {Dissection._trusted(n_vertices, chords)}: "
+                f"{by_membership} vs {by_degree}"
+            )
+        yield chords, tuple(by_membership)
 
 
 def count_dissections(
@@ -310,10 +411,7 @@ def count_quiddities(
     """Number of distinct quiddity vectors over the enumerated family.
     Refuses families larger than ``FAMILY_CAP``."""
     _refuse_large_family(n_vertices, m, cell_filter)
-    seen: set[tuple[int, ...]] = set()
-    for d in enumerate_dissections(n_vertices, m, cell_filter):
-        seen.add(quiddity(d).entries)
-    return len(seen)
+    return len({entries for _, entries in _carried_quiddities(n_vertices, m, cell_filter)})
 
 
 def quiddity_classes(
@@ -326,7 +424,7 @@ def quiddity_classes(
     enumeration order.  Refuses families larger than ``max_dissections``.
     """
     _refuse_large_family(n_vertices, m, cell_filter, max_dissections)
-    grouped: dict[Quiddity, list[Dissection]] = {}
-    for d in enumerate_dissections(n_vertices, m, cell_filter):
-        grouped.setdefault(quiddity(d), []).append(d)
-    return {q: tuple(ds) for q, ds in grouped.items()}
+    grouped: dict[tuple[int, ...], list[Dissection]] = {}
+    for chords, entries in _carried_quiddities(n_vertices, m, cell_filter):
+        grouped.setdefault(entries, []).append(Dissection._trusted(n_vertices, chords))
+    return {Quiddity(entries): tuple(ds) for entries, ds in grouped.items()}

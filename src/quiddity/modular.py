@@ -16,15 +16,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import formulas
-from .core import DomainError, ResourceLimitError, quiddity
-from .enumeration import CellFilter, enumerate_dissections
+from .core import DomainError, ResourceLimitError
+from .enumeration import CellFilter, _carried_quiddities
 
-# Work refused by the correspondence check, each sized to at most about
-# 2 s on a 2-core machine: coefficient tuples classified (32-54k/s) and
-# 3-periodic dissections enumerated with their quiddities (42-48k/s).
-# The dissection cap admits N = 12 (30,083; ``modular verify --n 12
-# --entry-bound 2`` takes 1.7-1.8 s, classifying 27,201 quiddities too)
-# and refuses N = 13 (114,660).
+# Work refused by the correspondence check, on a 2-core machine:
+# coefficient tuples classified (32-54k/s) and 3-periodic dissections
+# enumerated with their quiddities (106-130k/s, read off the
+# enumerator's cell log).  The dissection cap admits N = 12 (30,083,
+# 0.23-0.28 s; ``modular verify --n 12 --entry-bound 2`` takes
+# 1.6-1.7 s, most of it classifying 27,201 quiddities) and refuses
+# N = 13 (114,660).  Raising it would move refusals that the CLI
+# contract test records.
 TUPLE_CAP = 80_000
 DISSECTION_CAP = 35_000
 
@@ -113,8 +115,8 @@ def iterate_recurrence(cs: Sequence[int], v0: int, v1: int) -> tuple[int, int]:
 def three_periodic_quiddities(n_vertices: int) -> set[tuple[int, ...]]:
     """All distinct quiddities of 3-periodic dissections of the N-gon,
     over every cell count."""
-    return {quiddity(d).entries
-            for d in enumerate_dissections(n_vertices, None, CellFilter.ell_periodic(3))}
+    return {entries for _, entries
+            in _carried_quiddities(n_vertices, None, CellFilter.ell_periodic(3))}
 
 
 def verify_monodromy_correspondence(

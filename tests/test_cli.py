@@ -15,9 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quiddity import ResourceLimitError, cache, formulas
+from quiddity import ResourceLimitError, cache, cli, formulas
 from quiddity.cache import source_key
-from quiddity.cli import SERIES_ORDER_CAP, main
+from quiddity.cli import SERIES_ORDER_CAP, _dumps, main
+from quiddity.enumeration import CellFilter, enumerate_dissections
 from quiddity.formulas import (
     dissection_count,
     ell_periodic_count,
@@ -81,6 +82,42 @@ def test_enumerate_streams_lines(cache_env):
 def test_enumerate_max_results(cache_env):
     code, out = run(["enumerate", "--n", "6", "--max-results", "3"])
     assert len(out.splitlines()) == 3
+
+
+def test_enumerate_with_no_results_asks_for_no_dissection(cache_env, monkeypatch, capsys):
+    asked = []
+    real = cli.enumerate_dissections
+
+    def counting(*args):
+        for d in real(*args):
+            asked.append(d)
+            yield d
+
+    monkeypatch.setattr(cli, "enumerate_dissections", counting)
+    # planning the 200-gon's first dissection takes most of a second
+    assert run(["enumerate", "--n", "200", "--max-results", "0"]) == (0, "")
+    assert asked == []
+    assert run(["enumerate", "--n", "8", "--max-results", "3"])[0] == 0
+    assert len(asked) == 3
+    # a bad polygon is still refused when no dissection is asked for
+    monkeypatch.undo()
+    assert run(["enumerate", "--n", "2", "--max-results", "0"]) == (1, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [(), ("--ell", "3"), ("--sizes", "3,4")], ids=str)
+def test_enumerate_json_streams_the_bytes_of_one_dump(cache_env, flags):
+    filt = {(): CellFilter.all_cells(), ("--ell", "3"): CellFilter.ell_periodic(3),
+            ("--sizes", "3,4"): CellFilter.size_set({3, 4})}[flags]
+    for n in range(3, 10):
+        for m in (None, *range(1, n - 1)):
+            by_m = () if m is None else ("--m", str(m))
+            code, out = run(["enumerate", "--n", str(n), *by_m, *flags, "--json"])
+            want = _dumps([str(d) for d in enumerate_dissections(n, m, filt)]) + "\n"
+            assert (code, out) == (0, want), (n, m)
+            limited = run(["enumerate", "--n", str(n), *by_m, *flags, "--json",
+                           "--max-results", "2"])
+            assert limited == (0, _dumps(json.loads(want)[:2]) + "\n"), (n, m)
 
 
 def test_table_csv(cache_env):

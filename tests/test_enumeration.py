@@ -1,14 +1,17 @@
 """Exhaustive generation, streaming counts, and quiddity classes."""
 from __future__ import annotations
 
-import pytest
-
+import itertools
 import time
 
+import pytest
+
 from quiddity import Dissection, DomainError, ResourceLimitError, dihedral_orbit, quiddity
+from quiddity import enumeration, modular
 from quiddity.enumeration import (
     ENUMERATE_N_CAP,
     CellFilter,
+    _carried_quiddities,
     _reach_masks,
     count_dissections,
     count_quiddities,
@@ -20,6 +23,12 @@ from quiddity import cell_size_profile, formulas
 from oracles import enumerate_by_interval_bounds, reach_and_chain_by_sumsets, total_dissections
 
 ELL3 = CellFilter.ell_periodic(3)
+# the test filters: every size, both ell kinds, and size sets with and
+# without a closed-form count
+SEVEN_FILTERS = [
+    CellFilter.all_cells(), CellFilter.ell_periodic(2), ELL3, CellFilter.size_set({3, 4}),
+    CellFilter.size_set({5}), CellFilter.size_set({4, 7}), CellFilter.size_set({3, 5, 6}),
+]
 
 
 def test_pentagon_has_eleven_dissections():
@@ -47,10 +56,7 @@ def test_counts_match_enumeration_lengths():
                     sum(1 for _ in enumerate_dissections(n, m, filt))
 
 
-@pytest.mark.parametrize("filt", [
-    CellFilter.all_cells(), CellFilter.ell_periodic(2), ELL3, CellFilter.size_set({3, 4}),
-    CellFilter.size_set({5}), CellFilter.size_set({4, 7}), CellFilter.size_set({3, 5, 6}),
-], ids=lambda f: f.describe())
+@pytest.mark.parametrize("filt", SEVEN_FILTERS, ids=lambda f: f.describe())
 def test_order_matches_interval_bound_enumerator_exhaustively(filt):
     # the order is part of the ``enumerate`` output; the package builds
     # its dissections without validating them, so the m = None pass also
@@ -63,10 +69,68 @@ def test_order_matches_interval_bound_enumerator_exhaustively(filt):
                 assert all(d == Dissection(d.n_vertices, d.chords) for d in found)
 
 
-@pytest.mark.parametrize("filt", [
-    CellFilter.all_cells(), CellFilter.ell_periodic(2), ELL3, CellFilter.size_set({3, 4}),
-    CellFilter.size_set({5}), CellFilter.size_set({4, 7}), CellFilter.size_set({3, 5, 6}),
-], ids=lambda f: f.describe())
+@pytest.mark.parametrize("filt", SEVEN_FILTERS, ids=lambda f: f.describe())
+def test_carried_quiddities_match_quiddity_exhaustively(filt):
+    # the family functions read each member's quiddity off the cells the
+    # walk logged; ``quiddity()`` sweeps the chords for the cells again
+    for n in range(3, 12):
+        members = itertools.zip_longest(
+            enumerate_dissections(n, None, filt), _carried_quiddities(n, None, filt))
+        for d, (chords, entries) in members:
+            assert d == Dissection(n, tuple(chords))
+            assert entries == quiddity(d).entries, d
+
+
+def _drop_a_planned_corner(monkeypatch):
+    # the first base cell planned loses its second corner, which is
+    # never an end of the base edge; the chords it plans are unchanged
+    real = enumeration._base_cells
+    done = []
+
+    def tampered(*args):
+        found = real(*args)
+        if found and not done:
+            corners, gaps = found[0]
+            found[0] = (corners[:1] + corners[2:], gaps)
+            done.append(True)
+        return found
+
+    monkeypatch.setattr(enumeration, "_base_cells", tampered)
+
+
+def _drop_a_logged_corner(monkeypatch):
+    # the last cell logged before the first member loses its last corner
+    real = enumeration._walk
+
+    def tampered(*args):
+        for chords, log in real(*args):
+            shift, corners = log[-1]
+            log[-1] = (shift, corners[:-1])
+            yield chords, log
+
+    monkeypatch.setattr(enumeration, "_walk", tampered)
+
+
+@pytest.mark.parametrize("tamper", [_drop_a_planned_corner, _drop_a_logged_corner])
+@pytest.mark.parametrize("family", [
+    lambda: enumeration.count_quiddities(8, 3),
+    lambda: enumeration.quiddity_classes(9, 4, ELL3),
+    lambda: modular.three_periodic_quiddities(9),
+], ids=["count_quiddities", "quiddity_classes", "three_periodic_quiddities"])
+def test_cross_check_catches_a_skipped_corner(monkeypatch, tamper, family):
+    tamper(monkeypatch)
+    with pytest.raises(AssertionError, match="self-check"):
+        family()
+
+
+def test_enumeration_checks_its_arguments_before_the_first_item():
+    with pytest.raises(DomainError):
+        enumerate_dissections(2)
+    with pytest.raises(ResourceLimitError):
+        enumerate_dissections(ENUMERATE_N_CAP + 1, 2)
+
+
+@pytest.mark.parametrize("filt", SEVEN_FILTERS, ids=lambda f: f.describe())
 def test_reach_masks_match_sums_over_every_split(filt):
     # the enumerator reads both the sub-polygon masks and the masks of
     # k >= 1 gaps spanning r edges off reach; the reference sums over
@@ -261,7 +325,7 @@ def test_enumeration_order_is_deterministic():
 def test_non_dihedral_equal_quiddity_pair_at_nine():
     # smallest equal-quiddity pair not congruent under the dihedral
     # group; the cell-size profiles already differ
-    from quiddity import cell_size_profile, parse_dissection
+    from quiddity import parse_dissection
 
     a = parse_dissection("9:2-8,4-6")
     b = parse_dissection("9:2-4,6-8")
