@@ -35,9 +35,9 @@ from .enumeration import (
     ALL_CELLS,
     FAMILY_CAP,
     CellFilter,
+    _texts,
     count_dissections,
     count_quiddities,
-    enumerate_dissections,
     quiddity_classes,
 )
 from .modular import classify_monodromy, elementary_product, verify_monodromy_correspondence
@@ -413,15 +413,17 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             _refuse_negative(args.max_results, "--max-results")
             # a limit of 0 never asks the stream for a dissection
             stream = itertools.islice(
-                enumerate_dissections(args.n, args.m, _parse_filter(args)), args.max_results)
+                _texts(args.n, args.m, _parse_filter(args)), args.max_results)
             if args.json:  # the bytes of _dumps(list of texts), written as they come
+                # a text holds only digits, ':', '-' and ',', so quoting
+                # it is json.dumps
                 out.write("[")
-                for count, d in enumerate(stream):
-                    out.write(("," if count else "") + json.dumps(str(d)))
+                for count, text in enumerate(stream):
+                    out.write(("," if count else "") + '"' + text + '"')
                 out.write("]\n")
             else:
-                for d in stream:
-                    print(d, file=out)
+                for text in stream:
+                    out.write(text + "\n")
             return 0
 
         if args.verb in ("count", "quiddities"):

@@ -100,11 +100,11 @@ class Quiddity:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(e < 1 for e in self.entries):
+        if self.entries and min(self.entries) < 1:
             raise DomainError("quiddity entries must be positive")
 
     def __str__(self) -> str:
-        return ",".join(str(e) for e in self.entries)
+        return ",".join(map(str, self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -28,7 +28,9 @@ entry is a choice point, a sub-polygon whose mask allows more than one
 cell; a gap that must be exactly one cell is placed inline.  Each
 dissection is handed up once, from that one loop.  The loop also logs
 every cell it places, so the family functions read each member's
-quiddity off the log, cross-checked against 1 + chord degree.
+quiddity off the log, cross-checked against 1 + chord degree, and the
+``enumerate`` verb writes each member's line straight from the walk's
+chords (``_texts``), with no ``Dissection`` built.
 """
 from __future__ import annotations
 
@@ -58,9 +60,13 @@ FAMILY_CAP = 35_000
 
 # Largest polygon that ``enumerate_dissections`` accepts.  Before a
 # shape's first dissection it plans that shape's base cells, so the
-# first dissection costs O(N^3) mask operations over the spans below N:
-# at N = 200 it takes 0.5-1.4 s, the most with every cell allowed, on a
-# 2-core machine.
+# first dissection costs at least O(N^3) mask operations over the spans
+# below N, and more when the filter forces large base cells, which have
+# many corner choices.  At N = 200, on a 2-core machine, it takes
+# 1.1-1.9 s with every cell allowed, 7-8.5 s (100 MB) with every cell a
+# quadrilateral (sizes {3, 4}, m = 99), and 27-32 s (535 MB) with every
+# cell a pentagon (sizes {3, 5}, m = 66); every cell a hexagon at
+# N = 198 ran for over 80 s and 1.7 GB before its first line.
 ENUMERATE_N_CAP = 200
 
 
@@ -351,9 +357,32 @@ def enumerate_dissections(
     dissections yielded.
     The arguments are checked, and N over ``ENUMERATE_N_CAP`` refused,
     on the call, before any dissection is asked for.
+    The ``enumerate`` verb reads the same walk through ``_texts``, which
+    writes each line from the walk's chords without this iterator's
+    ``Dissection`` objects.
     """
     walk = _walk(n_vertices, m, cell_filter)
     return (Dissection._trusted(n_vertices, chords) for chords, _ in walk)
+
+
+def _texts(
+    n_vertices: int, m: Optional[int] = None, cell_filter: CellFilter = ALL_CELLS
+) -> Iterator[str]:
+    """The canonical text, ``str(d)``, of every dissection
+    ``enumerate_dissections`` yields, in its order, written from the
+    walk's chords with no ``Dissection``: ``N:`` and the sorted chords,
+    each chord's text looked up in a table made once per call, at the
+    first line, so that asking for none builds no N^2 table.  The
+    arguments are checked on the call."""
+    walk = _walk(n_vertices, m, cell_filter)
+
+    def lines() -> Iterator[str]:
+        names = [[f"{i}-{j}" for j in range(n_vertices)] for i in range(n_vertices)]
+        head = f"{n_vertices}:"
+        for chords, _ in walk:
+            yield head + ",".join([names[i][j] for i, j in sorted(chords)])
+
+    return lines()
 
 
 def _carried_quiddities(

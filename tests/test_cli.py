@@ -86,14 +86,14 @@ def test_enumerate_max_results(cache_env):
 
 def test_enumerate_with_no_results_asks_for_no_dissection(cache_env, monkeypatch, capsys):
     asked = []
-    real = cli.enumerate_dissections
+    real = cli._texts
 
     def counting(*args):
-        for d in real(*args):
-            asked.append(d)
-            yield d
+        for text in real(*args):
+            asked.append(text)
+            yield text
 
-    monkeypatch.setattr(cli, "enumerate_dissections", counting)
+    monkeypatch.setattr(cli, "_texts", counting)
     # planning the 200-gon's first dissection takes most of a second
     assert run(["enumerate", "--n", "200", "--max-results", "0"]) == (0, "")
     assert asked == []

@@ -13,6 +13,7 @@ from quiddity.enumeration import (
     CellFilter,
     _carried_quiddities,
     _reach_masks,
+    _texts,
     count_dissections,
     count_quiddities,
     enumerate_dissections,
@@ -124,10 +125,20 @@ def test_cross_check_catches_a_skipped_corner(monkeypatch, tamper, family):
 
 
 def test_enumeration_checks_its_arguments_before_the_first_item():
-    with pytest.raises(DomainError):
-        enumerate_dissections(2)
-    with pytest.raises(ResourceLimitError):
-        enumerate_dissections(ENUMERATE_N_CAP + 1, 2)
+    for stream in (enumerate_dissections, _texts):
+        with pytest.raises(DomainError):
+            stream(2)
+        with pytest.raises(ResourceLimitError):
+            stream(ENUMERATE_N_CAP + 1, 2)
+
+
+@pytest.mark.parametrize("filt", SEVEN_FILTERS, ids=lambda f: f.describe())
+def test_texts_match_the_dissections_exhaustively(filt):
+    # the ``enumerate`` verb writes these lines from the walk's chords,
+    # with no ``Dissection`` and no ``format_dissection``
+    for n in range(3, 12):
+        for m in (None, *range(1, n - 1)):
+            assert list(_texts(n, m, filt)) == [str(d) for d in enumerate_dissections(n, m, filt)]
 
 
 @pytest.mark.parametrize("filt", SEVEN_FILTERS, ids=lambda f: f.describe())
