@@ -8,7 +8,9 @@ One flat verb per module operation: enumeration (``enumerate``,
 output, deterministic byte for byte; counting verbs go through a
 persistent cache unless ``--no-cache`` is given.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error, 2 usage error; a reader that
+closes the pipe early ends the run with exit code 0 and nothing on
+stderr.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -478,7 +481,16 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``quiddity enumerate ... | head``):
+        # point stdout at /dev/null so the interpreter's final flush is
+        # silent, and exit as a success
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,13 +14,21 @@ cell's first and last vertex.  A surgery is opening when it removes the
 acting cell's base edge, and a 3-periodic dissection admitting no
 3-periodic opening surgery is maximally open: the canonical
 representative of its quiddity class.
+
+Canonicalization and the class search extract the input's cells once
+and carry each state's cells from move to move (``_cells_after``): the
+acting cell splits into two arcs and the two cells beyond the removed
+chords merge.  Canonicalization reads the opening moves off the cells by
+a rule local to each cell (``_opening``); ``opening_moves`` and
+``is_maximally_open`` keep to the full move search, as an independent
+check of that rule.  Each class member is validated once.
 """
 from __future__ import annotations
 
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     Chord,
@@ -30,6 +38,13 @@ from .core import (
     cells,
     quiddity,
 )
+
+# Largest states x N that ``surgery_class`` visits by default, since
+# each state costs O(N).  The slowest classes found at the cap take about
+# 2 s on a 2-core machine (a 41-gon whose 20-gon cell has a triangle on
+# every chord edge is refused after 1.6 s); a random 3-periodic 150-gon
+# whose class has 84,624 states took 81 s and 399 MB before the cap.
+SURGERY_CLASS_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -57,38 +72,71 @@ def base_distance(d: Dissection, cell: tuple[int, ...]) -> int:
     return sum(1 for i, j in d.chords if i <= lo and hi <= j)
 
 
+def _move(idx: int, cell: tuple[int, ...], i: int, j: int) -> SurgeryMove:
+    """The move re-pairing edges i < j of the cell, where edge k joins
+    cell[k] and cell[(k + 1) % t]."""
+    p, q, r, s = cell[i], cell[i + 1], cell[j], cell[(j + 1) % len(cell)]
+    removed = tuple(sorted(((p, q), (min(r, s), max(r, s)))))
+    added = tuple(sorted(((min(p, s), max(p, s)), (q, r))))
+    return SurgeryMove(idx, cell, removed, added)
+
+
+def _moves(
+    n: int, cs: Sequence[tuple[int, ...]], require_3periodic: bool
+) -> list[SurgeryMove]:
+    """All legal surgery moves on the dissection of the N-gon whose
+    cells, in :func:`cells` order, are ``cs``."""
+    if require_3periodic and any(len(c) % 3 for c in cs):
+        raise DomainError("3-periodic surgery needs a 3-periodic dissection")
+    moves = []
+    for idx, cell in enumerate(cs):
+        t = len(cell)
+        if t < 6:
+            continue
+        # the edge between consecutive corners u < v is a chord iff
+        # v - u >= 2, and the base edge (last) iff it is not (0, N-1).
+        # A move re-pairs chord edges i < j with at least two edges
+        # between them on both sides.  It cuts the cell into arcs of
+        # j - i and t - (j - i) vertices and merges the two cells beyond
+        # the chords into one of their summed size, so on a 3-periodic
+        # input only j - i needs a test.
+        at = [k for k in range(t - 1) if cell[k + 1] - cell[k] >= 2]
+        if cell[-1] - cell[0] != n - 1:
+            at.append(t - 1)
+        for a, i in enumerate(at):
+            for j in at[a + 1:]:
+                if 3 <= j - i <= t - 3 and not (require_3periodic and (j - i) % 3):
+                    moves.append(_move(idx, cell, i, j))
+    return moves
+
+
 def find_surgeries(d: Dissection, require_3periodic: bool) -> list[SurgeryMove]:
     """All legal surgery moves on a dissection.
 
     With ``require_3periodic`` the input must be 3-periodic and only
     moves whose result is again 3-periodic are kept.
     """
-    cs = cells(d)
-    if require_3periodic and any(len(c) % 3 for c in cs):
-        raise DomainError("3-periodic surgery needs a 3-periodic dissection")
-    chords = set(d.chords)
-    moves = []
-    for idx, cell in enumerate(cs):
-        t = len(cell)
-        if t < 6:
-            continue
-        # edge k joins cell[k] and cell[(k + 1) % t]; the last is the
-        # base edge.  A move re-pairs chord edges i < j with at least
-        # two edges between them on both sides.  It cuts the cell into
-        # arcs of j - i and t - (j - i) vertices and merges the two
-        # cells beyond the chords into one of their summed size, so on
-        # a 3-periodic input only j - i needs a test.
-        edges = [*zip(cell, cell[1:]), (cell[0], cell[-1])]
-        at = [k for k, e in enumerate(edges) if e in chords]
-        for a, i in enumerate(at):
-            for j in at[a + 1:]:
-                if not 3 <= j - i <= t - 3 or (require_3periodic and (j - i) % 3):
-                    continue
-                p, q, r, s = cell[i], cell[i + 1], cell[j], cell[(j + 1) % t]
-                removed = tuple(sorted((edges[i], edges[j])))
-                added = tuple(sorted(((min(p, s), max(p, s)), (q, r))))
-                moves.append(SurgeryMove(idx, cell, removed, added))
-    return moves
+    return _moves(d.n_vertices, cells(d), require_3periodic)
+
+
+def _cells_after(cs: Sequence[tuple[int, ...]], move: SurgeryMove) -> list[tuple[int, ...]]:
+    """The cells, in :func:`cells` order, after a legal move on the
+    dissection whose cells are ``cs``: the acting cell splits into its
+    two arcs, and the two cells beyond the removed chords merge."""
+    cell = move.cell
+    t = len(cell)
+    i, j = sorted(t - 1 if (a, b) == (cell[0], cell[-1]) else cell.index(a)
+                  for a, b in move.removed)
+    out = list(cs)
+    del out[move.cell_index]
+    # a chord is an edge of exactly two cells, and no other cell holds
+    # both its ends
+    x, y = [next(c for c in out if a in c and b in c) for a, b in move.removed]
+    out.remove(x)
+    out.remove(y)
+    out += [cell[i + 1:j + 1], cell[:i + 1] + cell[j + 1:], tuple(sorted(x + y))]
+    out.sort(key=lambda c: (c[0], len(c), c))
+    return out
 
 
 def apply_surgery(
@@ -131,6 +179,24 @@ def is_maximally_open(d: Dissection) -> bool:
     return not opening_moves(d)
 
 
+def _opening(n: int, cs: Sequence[tuple[int, ...]]) -> list[SurgeryMove]:
+    """The 3-periodic opening moves on the 3-periodic dissection of the
+    N-gon whose cells are ``cs``, in :func:`find_surgeries` order, by a
+    rule local to each cell: a non-base cell of t vertices opens at each
+    chord edge in position 2, 5, ..., t - 4, together with its base
+    edge."""
+    return [_move(idx, cell, k, len(cell) - 1)
+            for idx, cell in enumerate(cs) if cell[-1] - cell[0] != n - 1
+            for k in range(2, len(cell) - 3, 3) if cell[k + 1] - cell[k] >= 2]
+
+
+def _base_distance(cs: Sequence[tuple[int, ...]], cell: tuple[int, ...]) -> int:
+    """:func:`base_distance` from the cells: each chord is the base edge
+    of one cell, and the base cell's (0, N-1) nests every edge."""
+    lo, hi = base_edge(cell)
+    return sum(1 for c in cs if c[0] <= lo and hi <= c[-1]) - 1
+
+
 def canonicalize_trace(
     d: Dissection, rng: Optional[random.Random] = None
 ) -> tuple[Dissection, tuple[SurgeryMove, ...]]:
@@ -141,23 +207,38 @@ def canonicalize_trace(
     ties broken by the cell's smallest vertex, then by the added chords;
     passing an ``rng`` picks admissible moves at random instead (the
     fixed point must not depend on the choice, which the test suite
-    verifies rather than assumes).  Each state's cells are extracted
-    once.
+    verifies rather than assumes).  The cells are extracted once and
+    carried from move to move; the fixed point is validated once, and
+    checked against the input's chord degrees and its own cells.
     """
+    n = d.n_vertices
+    cs = list(cells(d))
+    if any(len(c) % 3 for c in cs):
+        raise DomainError("3-periodic surgery needs a 3-periodic dissection")
     applied = []
-    limit = 2 * d.n_vertices * (len(d.chords) + 1) + 10
-    for _ in range(limit):
-        moves = opening_moves(d)
+    for _ in range(2 * n * (len(d.chords) + 1) + 10):
+        moves = _opening(n, cs)
         if not moves:
-            return d, tuple(applied)
+            break
         if rng is None:
             move = min(moves, key=lambda mv: (
-                -base_distance(d, mv.cell), mv.cell[0], mv.added))
-        else:
-            move = rng.choice(sorted(moves, key=lambda mv: (mv.cell_index, mv.removed)))
+                -_base_distance(cs, mv.cell), mv.cell[0], mv.added))
+        else:  # the moves come sorted by (cell_index, removed)
+            move = rng.choice(moves)
         applied.append(move)
-        d = apply_surgery(d, move, moves)
-    raise AssertionError("opening surgeries did not terminate")
+        cs = _cells_after(cs, move)
+    else:
+        raise AssertionError("opening surgeries did not terminate")
+    if not applied:
+        return d, ()
+    result = Dissection(n, tuple(base_edge(c) for c in cs if c[-1] - c[0] != n - 1))
+    if len(result.chords) != len(d.chords):
+        raise AssertionError("surgery changed the chord count")
+    if result.chord_degrees() != d.chord_degrees():
+        raise AssertionError("surgery changed the quiddity")
+    if list(cells(result)) != cs:
+        raise AssertionError(f"carried cells disagree with the cells of {result}")
+    return result, tuple(applied)
 
 
 def canonicalize_maximally_open(
@@ -172,25 +253,37 @@ def canonicalize_maximally_open(
 def surgery_class(
     d: Dissection,
     require_3periodic: bool,
-    max_states: int = 1_000_000,
+    max_states: Optional[int] = None,
 ) -> frozenset[Dissection]:
     """Closure of a dissection under (3-periodic) surgeries, by
-    breadth-first search, extracting each state's cells once."""
-    seen = {d}
-    queue = deque([d])
+    breadth-first search.  Each state carries its cells from its parent;
+    a state reached again is skipped before anything is built, and a new
+    one is validated once and checked against its parent's chord
+    degrees.  Refuses a class of more than ``max_states`` states
+    (default ``SURGERY_CLASS_CAP // N``)."""
+    n = d.n_vertices
+    if max_states is None:
+        max_states = SURGERY_CLASS_CAP // n
+    seen = {d.chords: d}
+    queue = deque([(d, cells(d))])
     while queue:
-        cur = queue.popleft()
-        moves = find_surgeries(cur, require_3periodic)
-        for mv in moves:
-            nxt = apply_surgery(cur, mv, moves)
-            if nxt not in seen:
-                if len(seen) >= max_states:
-                    raise ResourceLimitError(
-                        f"surgery class exceeds the cap of {max_states} states"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
+        cur, cs = queue.popleft()
+        degrees = cur.chord_degrees()
+        for mv in _moves(n, cs, require_3periodic):
+            chords = tuple(sorted([c for c in cur.chords if c not in mv.removed]
+                                  + list(mv.added)))
+            if chords in seen:
+                continue
+            if len(seen) >= max_states:
+                raise ResourceLimitError(
+                    f"surgery class exceeds the cap of {max_states} states"
+                )
+            nxt = Dissection(n, chords)
+            if nxt.chord_degrees() != degrees:
+                raise AssertionError("surgery changed the quiddity")
+            seen[chords] = nxt
+            queue.append((nxt, _cells_after(cs, mv)))
+    return frozenset(seen.values())
 
 
 def class_export(d: Dissection, require_3periodic: bool = True) -> dict[str, object]:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quiddity import ResourceLimitError, cache, cli, formulas
+from quiddity import ResourceLimitError, cache, cli, formulas, surgery
 from quiddity.cache import source_key
 from quiddity.cli import SERIES_ORDER_CAP, _dumps, main
 from quiddity.enumeration import CellFilter, enumerate_dissections
@@ -421,6 +421,33 @@ def test_cli_module_runs_as_a_script():
         [sys.executable, "-m", "quiddity.cli", "count", "--n", "8", "--m", "3", "--no-cache"],
         env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout) == (0, "120\n")
+
+
+def test_surgery_class_over_its_cap_is_refused(capsys, monkeypatch):
+    # the default cap of states x N, lowered below the 56 states of this
+    # 30-gon's class
+    text = "30:4-25,5-7,7-22,9-11,11-21,13-16,14-16,22-24,27-29"
+    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * 55)
+    assert run(["surgery", "class", text, "--require-3p"]) == (1, "")
+    assert capsys.readouterr().err == "error: surgery class exceeds the cap of 55 states\n"
+    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * 56)
+    code, out = run(["surgery", "class", text, "--require-3p"])
+    assert (code, len(json.loads(out)["members"])) == (0, 56)
+
+
+def test_closed_pipe_ends_quietly():
+    # a reader such as ``head -1`` closes the pipe long before the
+    # 12-gon's 4 million dissections are written
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quiddity.cli", "enumerate", "--n", "12"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"12:")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert err == ""  # no traceback, no "Exception ignored" at exit
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ import pytest
 
 from quiddity import (
     DomainError,
+    ResourceLimitError,
     cell_size_profile,
     cells,
     parse_dissection,
@@ -16,6 +17,9 @@ from quiddity import (
 from quiddity import core, surgery
 from quiddity.enumeration import CellFilter, enumerate_dissections
 from quiddity.surgery import (
+    _base_distance,
+    _cells_after,
+    _opening,
     apply_surgery,
     base_distance,
     base_edge,
@@ -168,9 +172,11 @@ def test_base_edge_and_distance_match_dual_tree_search_exhaustively():
     for n in range(3, 11):
         for d in enumerate_dissections(n):
             distance, edge = dual_tree_reference(d)
-            for k, cell in enumerate(cells(d)):
+            cs = cells(d)
+            for k, cell in enumerate(cs):
                 assert base_edge(cell) == edge[k]
                 assert base_distance(d, cell) == distance[k]
+                assert _base_distance(cs, cell) == distance[k]
 
 
 def test_move_cell_is_the_indexed_cell_exhaustively():
@@ -318,12 +324,47 @@ def cells_calls(monkeypatch):
 
 
 def test_canonicalize_extracts_cells_once_per_state(cells_calls):
+    # once from the input; once more from the result, to check the cells
+    # carried from move to move
     result, trace = canonicalize_trace(THIRTY_GON)
     assert len(trace) >= 4
-    assert len(cells_calls) <= len(trace) + 1
+    assert len(cells_calls) <= 2
 
 
 def test_surgery_class_extracts_cells_once_per_state(cells_calls):
     members = surgery_class(THIRTY_GON, True)
     assert len(members) >= 50
-    assert len(cells_calls) <= len(members)
+    assert len(cells_calls) <= 1
+
+
+def test_carried_cells_match_the_cells_of_the_result_exhaustively():
+    # plain moves on every dissection with N <= 10, 3-periodic moves on
+    # every 3-periodic one with N <= 11
+    def check(d, require_3periodic):
+        cs = list(cells(d))
+        for mv in find_surgeries(d, require_3periodic):
+            assert _cells_after(cs, mv) == list(cells(apply_surgery(d, mv))), (d, mv)
+
+    for n in range(3, 11):
+        for d in enumerate_dissections(n):
+            check(d, False)
+    for d in three_periodic(11):
+        check(d, True)
+
+
+def test_local_rule_gives_the_opening_moves_exhaustively():
+    for d in three_periodic(11):
+        assert _opening(d.n_vertices, list(cells(d))) == opening_moves(d), d
+
+
+def test_surgery_class_refuses_more_states_than_its_cap(monkeypatch):
+    members = surgery_class(THIRTY_GON, True)
+    assert surgery_class(THIRTY_GON, True, max_states=len(members)) == members
+    with pytest.raises(ResourceLimitError):
+        surgery_class(THIRTY_GON, True, max_states=len(members) - 1)
+    # the default cap is on states x N
+    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * len(members))
+    assert surgery_class(THIRTY_GON, True) == members
+    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * len(members) - 1)
+    with pytest.raises(ResourceLimitError):
+        surgery_class(THIRTY_GON, True)
