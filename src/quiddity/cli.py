@@ -8,9 +8,9 @@ One flat verb per module operation: enumeration (``enumerate``,
 output, deterministic byte for byte; counting verbs go through a
 persistent cache unless ``--no-cache`` is given.
 
-Exit codes: 0 success, 1 domain error, 2 usage error; a reader that
-closes the pipe early ends the run with exit code 0 and nothing on
-stderr.
+Exit codes: 0 success, 1 domain error or failed check, 2 usage error.
+A reader that closes stdout early cuts the output short, with nothing
+on stderr and the exit code the run would have had.
 """
 from __future__ import annotations
 
@@ -406,6 +406,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
+    code = 0
     try:
         if args.verb == "of":
             q = quiddity(parse_dissection(args.dissection))
@@ -470,26 +471,28 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
         if args.verb == "verify-all":
             results = run_all(args.scope)
+            code = 0 if all(r.passed for r in results) else 1
             for result in results:
                 print(result.line(), file=out)
-            return 0 if all(r.passed for r in results) else 1
+            return code
 
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed ``out`` early (``quiddity enumerate ... | head``):
+        # the output is cut short, but the exit code stands
+        return code
     raise AssertionError(f"unhandled verb {args.verb!r}")
 
 
 def entry() -> None:
+    code = main()
     try:
-        code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed the pipe (``quiddity enumerate ... | head``):
-        # point stdout at /dev/null so the interpreter's final flush is
-        # silent, and exit as a success
+        # point stdout at /dev/null so the interpreter's final flush is silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 0
     sys.exit(code)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     Chord,
@@ -39,12 +39,17 @@ from .core import (
     quiddity,
 )
 
-# Largest states x N that ``surgery_class`` visits by default, since
-# each state costs O(N).  The slowest classes found at the cap take about
-# 2 s on a 2-core machine (a 41-gon whose 20-gon cell has a triangle on
-# every chord edge is refused after 1.6 s); a random 3-periodic 150-gon
-# whose class has 84,624 states took 81 s and 399 MB before the cap.
-SURGERY_CLASS_CAP = 500_000
+# Largest number of moves tried times N that ``surgery_class`` spends by
+# default.  Each move tried costs O(N) (a new chord tuple, and for a new
+# state a validated Dissection and its cells), so this bounds the
+# search's time and memory, however many moves a state has.  On a
+# 2-core machine the slowest searches found take about 2 s at the cap:
+# an N-gon with chords 0-2, 2-4, ..., N-3 - N-1 (a cell of (N+1)/2
+# vertices with a triangle on each chord edge) is refused after
+# 1.3-2.3 s for N from 41 to 199,997 (whose first state alone has over
+# 10^9 moves); a random 3-periodic 150-gon whose class has
+# 84,624 states took 81 s and 399 MB without a cap.
+SURGERY_CLASS_CAP = 2_500_000
 
 
 @dataclass(frozen=True)
@@ -65,11 +70,13 @@ def base_edge(cell: tuple[int, ...]) -> Chord:
     return (cell[0], cell[-1])
 
 
-def base_distance(d: Dissection, cell: tuple[int, ...]) -> int:
-    """Dual-tree distance from the cell to the base cell: the number of
-    chords nesting the cell's base edge, that edge included."""
+def base_distance(cs: Sequence[tuple[int, ...]], cell: tuple[int, ...]) -> int:
+    """Dual-tree distance from the cell to the base cell, read off the
+    dissection's cells ``cs``: the number of chords nesting the cell's
+    base edge, that edge included.  Each chord is the base edge of one
+    cell, and the base cell's (0, N-1) nests every edge."""
     lo, hi = base_edge(cell)
-    return sum(1 for i, j in d.chords if i <= lo and hi <= j)
+    return sum(1 for c in cs if c[0] <= lo and hi <= c[-1]) - 1
 
 
 def _move(idx: int, cell: tuple[int, ...], i: int, j: int) -> SurgeryMove:
@@ -83,12 +90,11 @@ def _move(idx: int, cell: tuple[int, ...], i: int, j: int) -> SurgeryMove:
 
 def _moves(
     n: int, cs: Sequence[tuple[int, ...]], require_3periodic: bool
-) -> list[SurgeryMove]:
+) -> Iterator[SurgeryMove]:
     """All legal surgery moves on the dissection of the N-gon whose
-    cells, in :func:`cells` order, are ``cs``."""
+    cells, in :func:`cells` order, are ``cs``, one at a time."""
     if require_3periodic and any(len(c) % 3 for c in cs):
         raise DomainError("3-periodic surgery needs a 3-periodic dissection")
-    moves = []
     for idx, cell in enumerate(cs):
         t = len(cell)
         if t < 6:
@@ -106,8 +112,7 @@ def _moves(
         for a, i in enumerate(at):
             for j in at[a + 1:]:
                 if 3 <= j - i <= t - 3 and not (require_3periodic and (j - i) % 3):
-                    moves.append(_move(idx, cell, i, j))
-    return moves
+                    yield _move(idx, cell, i, j)
 
 
 def find_surgeries(d: Dissection, require_3periodic: bool) -> list[SurgeryMove]:
@@ -116,7 +121,7 @@ def find_surgeries(d: Dissection, require_3periodic: bool) -> list[SurgeryMove]:
     With ``require_3periodic`` the input must be 3-periodic and only
     moves whose result is again 3-periodic are kept.
     """
-    return _moves(d.n_vertices, cells(d), require_3periodic)
+    return list(_moves(d.n_vertices, cells(d), require_3periodic))
 
 
 def _cells_after(cs: Sequence[tuple[int, ...]], move: SurgeryMove) -> list[tuple[int, ...]]:
@@ -190,13 +195,6 @@ def _opening(n: int, cs: Sequence[tuple[int, ...]]) -> list[SurgeryMove]:
             for k in range(2, len(cell) - 3, 3) if cell[k + 1] - cell[k] >= 2]
 
 
-def _base_distance(cs: Sequence[tuple[int, ...]], cell: tuple[int, ...]) -> int:
-    """:func:`base_distance` from the cells: each chord is the base edge
-    of one cell, and the base cell's (0, N-1) nests every edge."""
-    lo, hi = base_edge(cell)
-    return sum(1 for c in cs if c[0] <= lo and hi <= c[-1]) - 1
-
-
 def canonicalize_trace(
     d: Dissection, rng: Optional[random.Random] = None
 ) -> tuple[Dissection, tuple[SurgeryMove, ...]]:
@@ -222,7 +220,7 @@ def canonicalize_trace(
             break
         if rng is None:
             move = min(moves, key=lambda mv: (
-                -_base_distance(cs, mv.cell), mv.cell[0], mv.added))
+                -base_distance(cs, mv.cell), mv.cell[0], mv.added))
         else:  # the moves come sorted by (cell_index, removed)
             move = rng.choice(moves)
         applied.append(move)
@@ -253,31 +251,34 @@ def canonicalize_maximally_open(
 def surgery_class(
     d: Dissection,
     require_3periodic: bool,
-    max_states: Optional[int] = None,
+    max_work: Optional[int] = None,
 ) -> frozenset[Dissection]:
     """Closure of a dissection under (3-periodic) surgeries, by
     breadth-first search.  Each state carries its cells from its parent;
     a state reached again is skipped before anything is built, and a new
     one is validated once and checked against its parent's chord
-    degrees.  Refuses a class of more than ``max_states`` states
-    (default ``SURGERY_CLASS_CAP // N``)."""
+    degrees.  Each move tried costs O(N), so the search refuses once the
+    moves tried times N pass ``max_work`` (default
+    ``SURGERY_CLASS_CAP``)."""
     n = d.n_vertices
-    if max_states is None:
-        max_states = SURGERY_CLASS_CAP // n
+    if max_work is None:
+        max_work = SURGERY_CLASS_CAP
+    work = 0
     seen = {d.chords: d}
     queue = deque([(d, cells(d))])
     while queue:
         cur, cs = queue.popleft()
         degrees = cur.chord_degrees()
         for mv in _moves(n, cs, require_3periodic):
+            work += n
+            if work > max_work:
+                raise ResourceLimitError(
+                    f"surgery class exceeds the cap of {max_work} on moves tried x N"
+                )
             chords = tuple(sorted([c for c in cur.chords if c not in mv.removed]
                                   + list(mv.added)))
             if chords in seen:
                 continue
-            if len(seen) >= max_states:
-                raise ResourceLimitError(
-                    f"surgery class exceeds the cap of {max_states} states"
-                )
             nxt = Dissection(n, chords)
             if nxt.chord_degrees() != degrees:
                 raise AssertionError("surgery changed the quiddity")

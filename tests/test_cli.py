@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quiddity import ResourceLimitError, cache, cli, formulas, surgery
+from quiddity import ResourceLimitError, cache, cli, formulas, surgery, verification
 from quiddity.cache import source_key
 from quiddity.cli import SERIES_ORDER_CAP, _dumps, main
 from quiddity.enumeration import CellFilter, enumerate_dissections
@@ -424,13 +424,14 @@ def test_cli_module_runs_as_a_script():
 
 
 def test_surgery_class_over_its_cap_is_refused(capsys, monkeypatch):
-    # the default cap of states x N, lowered below the 56 states of this
-    # 30-gon's class
+    # the default cap on moves tried x N, lowered below the 324 moves
+    # tried on the 56 states of this 30-gon's class
     text = "30:4-25,5-7,7-22,9-11,11-21,13-16,14-16,22-24,27-29"
-    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * 55)
+    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * 324 - 1)
     assert run(["surgery", "class", text, "--require-3p"]) == (1, "")
-    assert capsys.readouterr().err == "error: surgery class exceeds the cap of 55 states\n"
-    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * 56)
+    assert capsys.readouterr().err == (
+        "error: surgery class exceeds the cap of 9719 on moves tried x N\n")
+    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * 324)
     code, out = run(["surgery", "class", text, "--require-3p"])
     assert (code, len(json.loads(out)["members"])) == (0, 56)
 
@@ -448,6 +449,30 @@ def test_closed_pipe_ends_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 0
     assert err == ""  # no traceback, no "Exception ignored" at exit
+
+
+def test_closed_pipe_keeps_the_exit_code(monkeypatch):
+    # failing checks still fail when the reader leaves early
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    checks = [verification.CheckResult("one", True), verification.CheckResult("two", False)]
+    monkeypatch.setattr(cli, "run_all", lambda scope: checks)
+    assert main(["verify-all"], out=ClosedPipe()) == 1
+    checks[1] = verification.CheckResult("two", True)
+    assert main(["verify-all"], out=ClosedPipe()) == 0
+    # a domain error whose error line meets a closed pipe still fails
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "quiddity.cli", "of", "5:0-9"],
+                              env=env, stdout=write, stderr=write, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
 
 
 @pytest.mark.parametrize("argv", [

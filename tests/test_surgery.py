@@ -17,7 +17,6 @@ from quiddity import (
 from quiddity import core, surgery
 from quiddity.enumeration import CellFilter, enumerate_dissections
 from quiddity.surgery import (
-    _base_distance,
     _cells_after,
     _opening,
     apply_surgery,
@@ -137,9 +136,9 @@ def test_surgery_cell_bookkeeping_random_instances():
 def test_base_cell_data_octagon():
     cs = cells(OCTAGON)
     hexagon = next(c for c in cs if len(c) == 6)
-    assert base_distance(OCTAGON, hexagon) == 0
+    assert base_distance(cs, hexagon) == 0
     assert base_edge(hexagon) == (0, 7)
-    assert sorted(base_distance(OCTAGON, c) for c in cs) == [0, 1, 1]
+    assert sorted(base_distance(cs, c) for c in cs) == [0, 1, 1]
 
 
 def dual_tree_reference(d):
@@ -175,8 +174,7 @@ def test_base_edge_and_distance_match_dual_tree_search_exhaustively():
             cs = cells(d)
             for k, cell in enumerate(cs):
                 assert base_edge(cell) == edge[k]
-                assert base_distance(d, cell) == distance[k]
-                assert _base_distance(cs, cell) == distance[k]
+                assert base_distance(cs, cell) == distance[k]
 
 
 def test_move_cell_is_the_indexed_cell_exhaustively():
@@ -357,14 +355,29 @@ def test_local_rule_gives_the_opening_moves_exhaustively():
         assert _opening(d.n_vertices, list(cells(d))) == opening_moves(d), d
 
 
-def test_surgery_class_refuses_more_states_than_its_cap(monkeypatch):
+def test_surgery_class_refuses_more_work_than_its_cap(monkeypatch):
     members = surgery_class(THIRTY_GON, True)
-    assert surgery_class(THIRTY_GON, True, max_states=len(members)) == members
+    # every member's moves are tried once, at a cost of N each
+    work = 30 * sum(len(find_surgeries(m, True)) for m in members)
+    assert surgery_class(THIRTY_GON, True, max_work=work) == members
     with pytest.raises(ResourceLimitError):
-        surgery_class(THIRTY_GON, True, max_states=len(members) - 1)
-    # the default cap is on states x N
-    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * len(members))
+        surgery_class(THIRTY_GON, True, max_work=work - 1)
+    # the default cap is SURGERY_CLASS_CAP, read at call time
+    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", work)
     assert surgery_class(THIRTY_GON, True) == members
-    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * len(members) - 1)
+    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", work - 1)
     with pytest.raises(ResourceLimitError):
         surgery_class(THIRTY_GON, True)
+
+
+def test_surgery_class_refuses_before_listing_a_huge_state(monkeypatch):
+    # a 401-gon with chords 0-2, 2-4, ..., 398-400: one 201-vertex cell
+    # with a triangle on each chord edge, whose first state alone has
+    # thousands of moves
+    d = core.Dissection(401, tuple((i, i + 2) for i in range(0, 400, 2)))
+    built = []
+    move = surgery._move
+    monkeypatch.setattr(surgery, "_move", lambda *a: built.append(a) or move(*a))
+    with pytest.raises(ResourceLimitError):
+        surgery_class(d, True, max_work=401 * 10)
+    assert len(built) == 11
