@@ -16,11 +16,12 @@ the time is proportional to the number of dissections yielded.
 
 A sub-polygon's feasible base cells, and its gaps' masks, depend only
 on its shape: its span and its wanted counts, not its position.  So
-each call keeps a plan table, keyed by shape, that lists them once,
-relative to the sub-polygon's first vertex, the first time the search
-reaches that shape; every later sub-polygon of the shape replays the
+each call keeps a plan table, keyed by shape, that lists them relative
+to the sub-polygon's first vertex, one at a time, each when the search
+first asks for it; every later sub-polygon of the shape replays the
 plan shifted to its position.  The table holds plans, never
-dissections, so generation still streams.
+dissections, so generation still streams, and the first dissection
+plans one base cell per sub-polygon it places.
 
 The search is one loop over an explicit stack (compare the stack-based
 generation of nested structures in Knuth, TAOCP 4A, 7.2.1.6).  A stack
@@ -58,15 +59,18 @@ from .core import (
 # 0.9-1.1 s.
 FAMILY_CAP = 35_000
 
-# Largest polygon that ``enumerate_dissections`` accepts.  Before a
-# shape's first dissection it plans that shape's base cells, so the
-# first dissection costs at least O(N^3) mask operations over the spans
-# below N, and more when the filter forces large base cells, which have
-# many corner choices.  At N = 200, on a 2-core machine, it takes
-# 1.1-1.9 s with every cell allowed, 7-8.5 s (100 MB) with every cell a
-# quadrilateral (sizes {3, 4}, m = 99), and 27-32 s (535 MB) with every
-# cell a pentagon (sizes {3, 5}, m = 66); every cell a hexagon at
-# N = 198 ran for over 80 s and 1.7 GB before its first line.
+# Largest polygon that ``enumerate_dissections`` accepts.  A shape's
+# base cells are planned one at a time, as the search asks for them, so
+# the first dissection plans one base cell per sub-polygon it places.
+# At N = 200, on a 2-core machine, the ``enumerate`` verb's first line
+# takes 0.01-0.03 s with every cell allowed, every cell a quadrilateral
+# (sizes {3, 4}, m = 99) or a pentagon (sizes {3, 5}, m = 66), and at
+# N = 198 with every cell a hexagon.  What still grows with N is the
+# mask arithmetic on N-bit masks (``reach`` and each plan's step masks)
+# and the table of N^2 chord names that ``_texts`` builds at the first
+# line: with the cap lifted, that line took 0.4-0.8 s and 93 MB at
+# N = 1000, and 1.5-2.6 s and 303 MB at N = 2000.  Raising the cap
+# would change which calls the CLI refuses, so it stays.
 ENUMERATE_N_CAP = 200
 
 
@@ -196,20 +200,29 @@ def _reach_masks(n_vertices: int, allowed: list[int]) -> list[int]:
 
 
 def _base_cells(
-    reach: list[int], span: int, t: int, want: int
-) -> list[tuple[tuple[int, ...], tuple[Chord, ...]]]:
-    """Every base cell of size t on the edge (0, span) whose gaps can
-    hold a total count in ``want``, in lexicographic order of its
-    corners, as (its t corners, its gaps that hold a cell: two or more
-    polygon edges)."""
-    found: list[tuple[tuple[int, ...], tuple[Chord, ...]]] = []
+    reach: list[int], allowed: list[int], span: int, want: int
+) -> Iterator[tuple[tuple[int, ...], Optional[_Step]]]:
+    """Every base cell on the edge (0, span), of an allowed size, whose
+    gaps can hold a total count in ``want``, by increasing size and then
+    in lexicographic order of its corners, one at a time as asked for:
+    (its corners, its first step)."""
 
-    def extend(corners: tuple[int, ...], gaps: tuple[Chord, ...], left: int, rest: int) -> None:
+    def extend(
+        corners: tuple[int, ...], gaps: tuple[Chord, ...], left: int, rest: int
+    ) -> Iterator[tuple[tuple[int, ...], Optional[_Step]]]:
         # ``left`` gaps follow the last corner; ``rest`` is the totals
         # they may have
         prev = corners[-1]
         if left == 1:
-            found.append((corners + (span,), gaps + ((prev, span),) if span - prev >= 2 else gaps))
+            if span - prev >= 2:
+                gaps += ((prev, span),)
+            step: Optional[_Step] = None  # its gaps, linked left to right
+            suffix = 1  # the counts the gaps after this one can have
+            for p, q in reversed(gaps):
+                step = (p, q, reach[q - p + 1], _differences(want, suffix),
+                        range(q - p + 1), step)
+                suffix = _sumset(reach[q - p + 1], suffix)
+            yield corners + (span,), step
             return
         # k >= 1 consecutive gaps spanning r polygon edges, a gap of
         # span g being a sub-polygon on g + 1 vertices, hold the totals
@@ -218,12 +231,14 @@ def _base_cells(
         for c in range(prev + 1, span - left + 2):
             after = _differences(rest, reach[c - prev + 1])
             if reach[span - c - left + 3] & after:
-                extend(corners + (c,), gaps + ((prev, c),) if c - prev >= 2 else gaps,
-                       left - 1, after)
+                yield from extend(corners + (c,), gaps + ((prev, c),) if c - prev >= 2 else gaps,
+                                  left - 1, after)
 
-    if reach[span - t + 3] & want:  # its t - 1 gaps span the span edges
-        extend((0,), (), t - 1, want)
-    return found
+    for t in allowed:
+        if t > span + 1:
+            break
+        if reach[span - t + 3] & want:  # its t - 1 gaps span the span edges
+            yield from extend((0,), (), t - 1, want)
 
 
 def _walk(
@@ -257,43 +272,21 @@ def _walk(
         )
     allowed = cell_filter.allowed_sizes_upto(n_vertices)
     reach = _reach_masks(n_vertices, allowed)
-    # runs[k]: the corners of a one-cell gap on k vertices, relative to
-    # its first vertex
-    runs = [range(k) for k in range(n_vertices + 1)]
 
-    # (span, gaps' wanted totals) -> [its base cells planned so far, the
-    # position in ``allowed`` of the next size to plan, span, wanted
-    # totals].  A planned base cell is (its corners relative to the
-    # shape's first vertex, those between one-edge gaps included, its
-    # first step).  Sizes are planned in increasing order, each when the
-    # search has used every base cell of the sizes before it, so a
-    # polygon's first line does not wait for all of its base cells.
-    shapes: dict[tuple[int, int], list] = {}
+    # (span, gaps' wanted totals) -> (its base cells planned so far, the
+    # ``_base_cells`` iterator that plans the rest).  A planned base cell
+    # is (its corners relative to the shape's first vertex, those between
+    # one-edge gaps included, its first step).  A choice point that has
+    # used every planned base cell plans the next one, and pops when the
+    # iterator ends.
+    shapes: dict[tuple[int, int], tuple[list, Iterator]] = {}
 
-    def shape_of(span: int, want: int) -> list:
+    def shape_of(span: int, want: int) -> tuple[list, Iterator]:
         """The record of a sub-polygon shape, made on first use."""
         shape = shapes.get((span, want))
         if shape is None:
-            shape = shapes[span, want] = [[], 0, span, want]
+            shape = shapes[span, want] = ([], _base_cells(reach, allowed, span, want))
         return shape
-
-    def plan_next_size(shape: list) -> bool:
-        """Append the base cells of the next size that has any; False
-        when no size is left."""
-        planned, pos, span, want = shape
-        before = len(planned)
-        while len(planned) == before and pos < len(allowed) and allowed[pos] <= span + 1:
-            for corners, gaps in _base_cells(reach, span, allowed[pos], want):
-                step: Optional[_Step] = None  # its gaps, linked left to right
-                suffix = 1  # the counts the gaps after this one can have
-                for p, q in reversed(gaps):
-                    step = (p, q, reach[q - p + 1], _differences(want, suffix),
-                            runs[q - p + 1], step)
-                    suffix = _sumset(reach[q - p + 1], suffix)
-                planned.append((corners, step))
-            pos += 1
-        shape[1] = pos
-        return len(planned) > before
 
     def search() -> Iterator[tuple[list[Chord], list[tuple[int, Sequence[int]]]]]:
         chords: list[Chord] = []
@@ -305,10 +298,13 @@ def _walk(
         while stack:
             point = stack[-1]
             shape, idx, lo, cont, n_chords, n_log = point
-            planned = shape[0]
-            if idx == len(planned) and not plan_next_size(shape):
-                stack.pop()
-                continue
+            planned, plans = shape
+            if idx == len(planned):
+                plan = next(plans, None)
+                if plan is None:
+                    stack.pop()
+                    continue
+                planned.append(plan)
             point[1] = idx + 1
             del chords[n_chords:]
             del log[n_log:]
@@ -349,8 +345,9 @@ def enumerate_dissections(
     Exact cell-count masks steer the search, so every branch it enters
     ends in at least one dissection.  A sub-polygon's base cells depend
     only on its shape, its span and wanted counts, so each shape's are
-    planned once per call, with their gaps' masks, and replayed at
-    every position it occurs; the plans, not the dissections, are kept.
+    planned once per call, one at a time as the search first needs
+    each, with their gaps' masks, and replayed at every position it
+    occurs; the plans, not the dissections, are kept.
     The search is one loop over an explicit stack of choice points
     (``_walk``), so each dissection is handed up once.  After a set-up
     polynomial in N, the time is proportional to the number of

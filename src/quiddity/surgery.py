@@ -51,6 +51,15 @@ from .core import (
 # 84,624 states took 81 s and 399 MB without a cap.
 SURGERY_CLASS_CAP = 2_500_000
 
+# Largest polygon that ``canonicalize_trace`` accepts, and with it the
+# 3-periodic ``class_export``.  Canonicalization costs O(steps x N), and
+# the steps grow as N^2 on a chain of nested hexagons, each one's third
+# edge the base edge of the next (chords 2 - N-3, 4 - N-5, ...): on a
+# 2-core machine the 302-gon chain takes 2,701 steps and 1.9 s, the
+# 402-gon 4,851 steps and 3.7 s.  Random 3-periodic draws are far
+# cheaper: a 3000-gon takes 1.1 s.
+SURGERY_CANON_CAP = 300
+
 
 @dataclass(frozen=True)
 class SurgeryMove:
@@ -184,6 +193,14 @@ def is_maximally_open(d: Dissection) -> bool:
     return not opening_moves(d)
 
 
+def _refuse_long_canon(n: int) -> None:
+    """Refuse to canonicalize an N-gon over ``SURGERY_CANON_CAP``."""
+    if n > SURGERY_CANON_CAP:
+        raise ResourceLimitError(
+            f"a {n}-gon is over the canonicalization cap of {SURGERY_CANON_CAP} vertices"
+        )
+
+
 def _opening(n: int, cs: Sequence[tuple[int, ...]]) -> list[SurgeryMove]:
     """The 3-periodic opening moves on the 3-periodic dissection of the
     N-gon whose cells are ``cs``, in :func:`find_surgeries` order, by a
@@ -207,9 +224,11 @@ def canonicalize_trace(
     fixed point must not depend on the choice, which the test suite
     verifies rather than assumes).  The cells are extracted once and
     carried from move to move; the fixed point is validated once, and
-    checked against the input's chord degrees and its own cells.
+    checked against the input's chord degrees and its own cells.  An
+    N-gon over ``SURGERY_CANON_CAP`` is refused before any of this.
     """
     n = d.n_vertices
+    _refuse_long_canon(n)
     cs = list(cells(d))
     if any(len(c) % 3 for c in cs):
         raise DomainError("3-periodic surgery needs a 3-periodic dissection")
@@ -289,7 +308,11 @@ def surgery_class(
 
 def class_export(d: Dissection, require_3periodic: bool = True) -> dict[str, object]:
     """JSON-ready view of a surgery class: the shared quiddity, all
-    members, and (for 3-periodic classes) the maximally open member."""
+    members, and (for 3-periodic classes) the maximally open member.
+    A 3-periodic class of an N-gon over ``SURGERY_CANON_CAP`` is refused
+    before the class search."""
+    if require_3periodic:
+        _refuse_long_canon(d.n_vertices)
     members = sorted(str(m) for m in surgery_class(d, require_3periodic))
     out: dict[str, object] = {
         "quiddity": str(quiddity(d)),

@@ -94,7 +94,7 @@ def test_enumerate_with_no_results_asks_for_no_dissection(cache_env, monkeypatch
             yield text
 
     monkeypatch.setattr(cli, "_texts", counting)
-    # planning the 200-gon's first dissection takes most of a second
+    # a first line would build the 200-gon's N^2 chord-name table
     assert run(["enumerate", "--n", "200", "--max-results", "0"]) == (0, "")
     assert asked == []
     assert run(["enumerate", "--n", "8", "--max-results", "3"])[0] == 0
@@ -434,6 +434,19 @@ def test_surgery_class_over_its_cap_is_refused(capsys, monkeypatch):
     monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * 324)
     code, out = run(["surgery", "class", text, "--require-3p"])
     assert (code, len(json.loads(out)["members"])) == (0, 56)
+
+
+def test_surgery_canon_over_its_cap_is_refused(capsys, monkeypatch):
+    # the canonicalization cap, lowered below this 30-gon
+    text = "30:4-25,5-7,7-22,9-11,11-21,13-16,14-16,22-24,27-29"
+    monkeypatch.setattr(surgery, "SURGERY_CANON_CAP", 29)
+    for argv in (["surgery", "canon", text], ["surgery", "class", text, "--require-3p"]):
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: a 30-gon is over the canonicalization cap of 29 vertices\n")
+    monkeypatch.setattr(surgery, "SURGERY_CANON_CAP", 30)
+    code, out = run(["surgery", "canon", text])
+    assert code == 0 and out.startswith("30:")
 
 
 def test_closed_pipe_ends_quietly():

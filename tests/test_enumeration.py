@@ -89,12 +89,11 @@ def _drop_a_planned_corner(monkeypatch):
     done = []
 
     def tampered(*args):
-        found = real(*args)
-        if found and not done:
-            corners, gaps = found[0]
-            found[0] = (corners[:1] + corners[2:], gaps)
-            done.append(True)
-        return found
+        for corners, step in real(*args):
+            if not done:
+                corners = corners[:1] + corners[2:]
+                done.append(True)
+            yield corners, step
 
     monkeypatch.setattr(enumeration, "_base_cells", tampered)
 
@@ -178,6 +177,27 @@ def test_enumeration_refuses_polygons_over_its_cap():
     assert next(enumerate_dissections(ENUMERATE_N_CAP, 2)) is not None
     with pytest.raises(ResourceLimitError):
         next(enumerate_dissections(ENUMERATE_N_CAP + 1, 2))
+
+
+@pytest.mark.parametrize("sizes", [None, {3, 4}], ids=["all", "sizes=3,4"])
+@pytest.mark.parametrize("n", [30, 200])
+def test_first_dissection_plans_at_most_n_base_cells(monkeypatch, n, sizes):
+    # a shape's base cells are planned one at a time, as the search asks
+    # for them, so the first member plans one per sub-polygon it places
+    real = enumeration._base_cells
+    planned = []
+
+    def counted(*args):
+        for plan in real(*args):
+            planned.append(plan)
+            yield plan
+
+    monkeypatch.setattr(enumeration, "_base_cells", counted)
+    if sizes is None:
+        next(enumerate_dissections(n))
+    else:  # every cell a quadrilateral
+        next(enumerate_dissections(n, n // 2 - 1, CellFilter.size_set(sizes)))
+    assert len(planned) <= n
 
 
 @pytest.mark.parametrize("filt", [

@@ -370,6 +370,23 @@ def test_surgery_class_refuses_more_work_than_its_cap(monkeypatch):
         surgery_class(THIRTY_GON, True)
 
 
+def test_canonicalization_refuses_polygons_over_its_cap(monkeypatch, cells_calls):
+    # the cap, lowered below this 30-gon, is read at call time and
+    # checked before any cell is extracted
+    monkeypatch.setattr(surgery, "SURGERY_CANON_CAP", 29)
+    with pytest.raises(ResourceLimitError, match="canonicalization cap of 29"):
+        canonicalize_trace(THIRTY_GON)
+    with pytest.raises(ResourceLimitError, match="canonicalization cap of 29"):
+        class_export(THIRTY_GON, require_3periodic=True)
+    assert cells_calls == []
+    # a class search that is not 3-periodic canonicalizes nothing, so it
+    # is not refused
+    assert len(class_export(THIRTY_GON, require_3periodic=False)["members"]) == 264
+    monkeypatch.setattr(surgery, "SURGERY_CANON_CAP", 30)
+    result, trace = canonicalize_trace(THIRTY_GON)
+    assert class_export(THIRTY_GON)["maximally_open"] == str(result)
+
+
 def test_surgery_class_refuses_before_listing_a_huge_state(monkeypatch):
     # a 401-gon with chords 0-2, 2-4, ..., 398-400: one 201-vertex cell
     # with a triangle on each chord edge, whose first state alone has
