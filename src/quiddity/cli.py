@@ -55,10 +55,11 @@ from .verification import run_all
 # Largest arguments the closed-form verbs accept, each refused up front.
 # A formula argument of 5000 keeps every value under Python's 4300-digit
 # int-to-str limit (all six count at most the (n+2)-gon's dissections,
-# fewer than 5.83^n) and takes at most 1.2 s; the series solver grows about
-# as order^4 (kirkman-cayley and ell-periodic with ell = 1, the slowest,
-# take 1.4-2.0 s at order 85) and the table as max-n^2 (2.0 s at 1200), on
-# a 2-core machine.
+# fewer than 5.83^n) and takes at most 0.07 s (quiddity-3p 4999 2251, the
+# slowest); the series solver grows about as order^4 (kirkman-cayley and
+# ell-periodic with ell = 1, the slowest, take 1.4-2.0 s at order 85) and
+# the table as max-n^2 (0.8 s at 1200, one ``comb`` per entry), on a
+# 2-core machine.
 FORMULA_ARG_CAP = 5000
 SERIES_ORDER_CAP = 85
 TABLE_MAX_N_CAP = 1200
@@ -85,9 +86,15 @@ def _print_digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+@functools.lru_cache(maxsize=None)
+def _print_bound(limit: int) -> int:
+    # the least int with over ``limit`` digits, built once per limit
+    return 10 ** limit
+
+
 def _refuse_unprintable(*values: int) -> None:
     limit = _print_digit_limit()
-    if limit and any(abs(v) >= 10 ** limit for v in values):
+    if limit and any(abs(v) >= _print_bound(limit) for v in values):
         raise ResourceLimitError(f"a result has over {limit} digits, too many to print")
 
 
@@ -102,7 +109,7 @@ def _refuse_unprintable_continuant(terms: tuple[int, ...]) -> None:
     limit = _print_digit_limit()
     if not limit:
         return
-    bound = 10 ** limit
+    bound = _print_bound(limit)
     product, fib, next_fib = 1, 1, 1  # F(1), F(2)
     for t in terms:
         product *= t
@@ -433,7 +440,13 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         if args.verb in ("count", "quiddities"):
             filt = _parse_filter(args)
             counter = count_dissections if args.verb == "count" else count_quiddities
-            compute = lambda: str(counter(args.n, args.m, filt))
+
+            def compute() -> str:
+                # the count's digits are bounded up front only from below
+                value = counter(args.n, args.m, filt)
+                _refuse_unprintable(value)
+                return str(value)
+
             value = _cached_value(
                 args, args.verb, args.verb, compute,
                 n=str(args.n), m=str(args.m), filt=filt.describe())

@@ -219,9 +219,10 @@ def _base_cells(
             step: Optional[_Step] = None  # its gaps, linked left to right
             suffix = 1  # the counts the gaps after this one can have
             for p, q in reversed(gaps):
+                if step is not None:
+                    suffix = _sumset(step[2], suffix)
                 step = (p, q, reach[q - p + 1], _differences(want, suffix),
                         range(q - p + 1), step)
-                suffix = _sumset(reach[q - p + 1], suffix)
             yield corners + (span,), step
             return
         # k >= 1 consecutive gaps spanning r polygon edges, a gap of

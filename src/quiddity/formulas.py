@@ -3,20 +3,29 @@ its special cases (Catalan, Kirkman-Cayley, Fuss, periodic and
 triangle/quadrilateral dissection numbers), and the count of distinct
 quiddities of 3-periodic dissections.
 
-All results are exact big integers.  Intermediate rationals (the
-3-periodic quiddity count sums per-term fractions) must cancel; a
-non-integral total raises, since it can only mean an implementation
-bug.
+All results are exact big integers, computed in integer arithmetic:
+every division (the prescribed-cell count by n+1, each step of the
+composition recurrence, the 3-periodic quiddity sum by its common
+denominator) must be exact, and one that is not raises, since it can
+only mean an implementation bug.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import comb, lcm, lgamma, log
 
 from .core import DomainError, ResourceLimitError
 
-# Composition DP steps refused beyond (about 2 s on a 2-core machine).
-COMPOSITION_STEP_CAP = 35_000_000
+# Largest composition recurrence, in terms summed (the J |parts| work of
+# ``_compositions``), and largest count, in digits of C(n+m, m)/(n+1),
+# which a nonzero count has at least, that ``dissection_count`` takes,
+# each refused up front.  The digit cap is Python's default limit on
+# printing an int; the recurrence's numbers, at most C(n+m, m), stay
+# about that size.  The slowest counts admitted, with every part allowed
+# (or every cell but the triangle), J near 2,235 and m as large as the
+# digit cap lets it (6,159 cells of an 8,396-gon), take 1.7-2.1 s on a
+# 2-core machine; ``count --n 2000 --m 1000`` (500,000 terms) 0.15 s.
+COMPOSITION_STEP_CAP = 2_500_000
+COUNT_DIGIT_CAP = 4300
 
 
 def extended_binomial(a: int, b: int) -> int:
@@ -53,13 +62,44 @@ def _prescribed_cells(n: int, m: int, compositions: int, what: str) -> int:
     return q
 
 
+def _log10_binomial(a: int, b: int) -> float:
+    return (lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)) / log(10)
+
+
 def _compositions(n: int, m: int, parts) -> int:
-    """Number of ordered m-tuples drawn from the set ``parts`` summing to n."""
-    parts = [k for k in parts if k <= n]
-    row = [1] + [0] * n  # row[v]: tuples of the current length summing to v
-    for _ in range(m):
-        row = [sum(row[v - k] for k in parts if k <= v) for v in range(n + 1)]
-    return row[n]
+    """Number of ordered m-tuples drawn from the set ``parts`` summing to n.
+
+    With k0 the least part and J = n - m k0, this is [x^J] Q^m for
+    Q = sum of x^(k - k0) over the parts, which J. C. P. Miller's
+    recurrence for the powers of a power series gives in O(J |parts|)
+    (Knuth, TAOCP vol. 2, 4.7): as Q(0) = 1, r_0 = 1 and
+    j r_j = sum of ((m+1) i - j) r_(j-i) over the shifts i = k - k0 with
+    1 <= i <= j.  The division by j is exact and asserted.  Refuses up
+    front a recurrence of over ``COMPOSITION_STEP_CAP`` terms.
+    """
+    if m == 0 or not parts:
+        return int(n == m == 0)
+    low = min(parts)
+    top = n - m * low
+    shifts = [k - low for k in parts if 0 < k - low <= top]
+    steps = sum(top + 1 - i for i in shifts)  # shift i is summed for j = i..J
+    if steps > COMPOSITION_STEP_CAP:
+        raise ResourceLimitError(
+            f"counting the {n + 2}-gon's dissections into {m} cells takes about "
+            f"{steps} steps, over the cap of {COMPOSITION_STEP_CAP}"
+        )
+    shifts.sort()
+    r = [1]
+    live = 0  # the shifts up to j are shifts[:live]
+    for j in range(1, top + 1):
+        if live < len(shifts) and shifts[live] == j:
+            live += 1
+        value = sum(((m + 1) * i - j) * r[j - i] for i in shifts[:live])
+        q, rem = divmod(value, j)
+        if rem:
+            raise AssertionError(f"composition recurrence at {j} is not integral: {value}/{j}")
+        r.append(q)
+    return r[top] if top >= 0 else 0
 
 
 def dissection_count(n: int, m: int, parts) -> int:
@@ -69,20 +109,20 @@ def dissection_count(n: int, m: int, parts) -> int:
     C(n+m, m)/(n+1) times the number of compositions of n into m parts
     from ``parts`` (the prescribed-cell-size count of Przytycki and
     Sikora); every closed form below is a special case.  Follows the
-    2-gon convention D(0, 0) = 1 and D(0, m) = 0 for m > 0.  Refuses a
-    composition table of over ``COMPOSITION_STEP_CAP`` steps up front.
+    2-gon convention D(0, 0) = 1 and D(0, m) = 0 for m > 0.  Refuses up
+    front a count that, if nonzero, has over ``COUNT_DIGIT_CAP`` digits,
+    and a composition recurrence of over ``COMPOSITION_STEP_CAP`` terms.
     """
     _check_nonneg(n=n, m=m)
     parts = set(parts)
     if min(parts, default=1) < 1:
         raise DomainError("composition parts must be positive (cell sizes at least 3)")
-    # The row DP fills m rows of n+1 entries, each summing over the
-    # parts up to n; an entry's own overhead is about 12 part additions.
-    steps = m * (n + 1) * (sum(1 for k in parts if k <= n) + 12)
-    if steps > COMPOSITION_STEP_CAP:
+    # a nonzero count has at least the digits of C(n+m, m)/(n+1)
+    digits = _log10_binomial(n + m, m) - log(n + 1, 10)
+    if digits > COUNT_DIGIT_CAP:
         raise ResourceLimitError(
-            f"counting the {n + 2}-gon's dissections into {m} cells takes about "
-            f"{steps} steps, over the cap of {COMPOSITION_STEP_CAP}"
+            f"the {n + 2}-gon's dissections into {m} cells number about 10^{digits:.0f} "
+            f"if any, over the cap of {COUNT_DIGIT_CAP} digits"
         )
     return _prescribed_cells(n, m, _compositions(n, m, parts), "dissection_count")
 
@@ -155,23 +195,30 @@ def quiddity_count_3periodic(n: int, m: int) -> int:
         (n-m-3s+2)/(n-s+1) * C(m+s-2, s) * C(n+m-s-1, m-1)
 
     for 0 <= s <= (n-m)/3.  Individual terms need not be integers, so
-    they are accumulated as exact fractions; the total is asserted
-    integral.  Follows the 2-gon convention at (0, 0).
+    they are summed over the common denominator, the lcm of the n-s+1,
+    and the division of the total by it is asserted exact.  From s to
+    s+1 both binomials step by an exact small ratio, so the sum takes
+    one ``comb``.  Follows the 2-gon convention at (0, 0).
     """
     _check_nonneg(n=n, m=m)
     if n == 0:
         return 1 if m == 0 else 0
     if m == 0 or m > n or (n - m) % 3 != 0:
         return 0
-    total = Fraction(0)
-    for s in range((n - m) // 3 + 1):
-        term = Fraction(n - m - 3 * s + 2, n - s + 1)
-        term *= extended_binomial(m + s - 2, s)
-        term *= extended_binomial(n + m - s - 1, m - 1)
-        total += term
-    if total.denominator != 1:
-        raise AssertionError(f"quiddity count for ({n}, {m}) is not integral: {total}")
-    return total.numerator
+    top = (n - m) // 3
+    denominator = lcm(*range(n - top + 1, n + 2))
+    # C(m+s-2, s) and C(n+m-s-1, m-1) at s = 0; C(-1, 0) = 1 when m = 1
+    left, right = 1, comb(n + m - 1, m - 1)
+    total = 0
+    for s in range(top + 1):
+        total += (n - m - 3 * s + 2) * (denominator // (n - s + 1)) * left * right
+        left = left * (m + s - 1) // (s + 1)
+        right = right * (n - s) // (n + m - s - 1)
+    value, rem = divmod(total, denominator)
+    if rem:
+        raise AssertionError(
+            f"quiddity count for ({n}, {m}) is not integral: {total}/{denominator}")
+    return value
 
 
 def quiddity_table_diagonals(max_n: int) -> dict[int, list[tuple[int, int]]]:

@@ -15,16 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quiddity import ResourceLimitError, cache, cli, formulas, surgery, verification
+from quiddity import cache, cli, formulas, surgery, verification
 from quiddity.cache import source_key
 from quiddity.cli import SERIES_ORDER_CAP, _dumps, main
 from quiddity.enumeration import CellFilter, enumerate_dissections
-from quiddity.formulas import (
-    dissection_count,
-    ell_periodic_count,
-    kirkman_cayley,
-    tri_quad_count,
-)
+from quiddity.formulas import ell_periodic_count, kirkman_cayley, tri_quad_count
 
 
 def run(argv, monkeypatch=None, cache_dir=None):
@@ -269,11 +264,20 @@ def test_shared_parser_matches_fresh_interpreters(capsys):
 
 
 def test_count_refuses_oversized_composition_tables(cache_env, capsys):
+    for n, m, why in [
+        ("3000", "500", "steps, over the cap of 2500000"),   # 3.1 million recurrence terms
+        ("20000", "10000", "over the cap of 4300 digits"),  # about 10^8286 dissections
+        ("7000", "6800", "has over 4300 digits, too many to print"),  # 4,537 digits
+    ]:
+        code, out = run(["count", "--n", n, "--m", m, "--no-cache"])
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and why in err, err
+
+
+def test_count_answers_what_the_row_table_refused(cache_env):
     code, out = run(["count", "--n", "2000", "--m", "1000", "--no-cache"])
-    assert (code, out) == (1, "")
-    assert capsys.readouterr().err.startswith("error:")
-    with pytest.raises(ResourceLimitError):
-        dissection_count(400, 250, range(1, 401))
+    assert (code, out) == (0, f"{kirkman_cayley(1998, 1000)}\n")
 
 
 @pytest.mark.parametrize("flags, closed_form", [

@@ -81,6 +81,7 @@ def _query_grid() -> list[list[str]]:
         for m in (2, 13, 20):
             for filt in FILTERS + [("--ell", "2")]:
                 grid.append(["count", "--n", str(n), "--m", str(m), *filt, "--no-cache"])
+    grid.append(["count", "--n", "2000", "--m", "1000", "--no-cache"])
     for name, args in [("catalan", ["0"]), ("catalan", ["40"]), ("kirkman-cayley", ["9", "4"]),
                        ("fuss", ["12", "4"]), ("fuss", ["12", "5"]),
                        ("ell-periodic", ["12", "4", "3"]), ("tri-quad", ["10", "6"]),
@@ -106,7 +107,9 @@ def _query_grid() -> list[list[str]]:
 def _refusal_grid() -> list[list[str]]:
     return [
         # refused by a cap, exit 1
-        ["count", "--n", "2000", "--m", "1000", "--no-cache"],
+        ["count", "--n", "3000", "--m", "500", "--no-cache"],  # recurrence terms
+        ["count", "--n", "20000", "--m", "10000", "--no-cache"],  # digits, up front
+        ["count", "--n", "7000", "--m", "6800", "--no-cache"],  # digits, once counted
         ["formula", "catalan", "5001", "--no-cache"],
         ["series", "kirkman-cayley", "--order", "86"],
         ["table", "--max-n", "1201", "--no-cache"],

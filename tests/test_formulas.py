@@ -1,11 +1,16 @@
 """Closed-form counting formulas and their degenerate conventions."""
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+
 import pytest
 
-from quiddity import DomainError
+from quiddity import DomainError, ResourceLimitError
 from quiddity.formulas import (
+    _compositions,
     catalan,
+    dissection_count,
     ell_periodic_count,
     extended_binomial,
     fuss,
@@ -13,6 +18,7 @@ from quiddity.formulas import (
     quiddity_count_3periodic,
     tri_quad_count,
 )
+from quiddity.series import compose_q, p_equation, solve_fixed_point
 from quiddity.verification import known_quiddity_table
 
 
@@ -119,3 +125,49 @@ def test_negative_arguments_rejected():
                lambda: ell_periodic_count(4, 1, 0)):
         with pytest.raises(DomainError):
             fn()
+
+
+PART_SETS = [set(), {1}, {2}, {1, 2}, {2, 3}, {1, 3, 5}, {2, 5, 7}, {4}, set(range(1, 13))]
+
+
+def test_compositions_match_brute_force_tuples():
+    for parts in PART_SETS:
+        for m in range(6):
+            sums = Counter(map(sum, itertools.product(parts, repeat=m)))
+            for n in range(16):
+                assert _compositions(n, m, parts) == sums[n], (n, m, parts)
+
+
+# every n <= 40, and a few up to 200, for each m
+WIDE_N = [*range(41), 97, 150, 200]
+
+
+def test_dissection_count_matches_the_closed_forms():
+    # each closed form counts its compositions by a binomial, not by the
+    # recurrence
+    for n in WIDE_N:
+        every = range(1, n + 1)
+        for m in range(n + 2):
+            assert dissection_count(n, m, every) == kirkman_cayley(n, m), (n, m)
+            if m == 0:
+                continue
+            assert dissection_count(n, m, {1, 2}) == tri_quad_count(n, m), (n, m)
+            for ell in (1, 2, 3, 5):
+                assert dissection_count(n, m, range(1, n + 1, ell)) == \
+                    ell_periodic_count(n, m, ell), (n, m, ell)
+            if m <= n and n % m == 0:
+                assert dissection_count(n, m, {n // m}) == fuss(n, m), (n, m)
+
+
+def test_dissection_count_refuses_up_front():
+    with pytest.raises(ResourceLimitError, match="steps"):
+        dissection_count(2998, 500, range(1, 2999))  # 3.1 million terms
+    with pytest.raises(ResourceLimitError, match="digits"):
+        dissection_count(19998, 10000, range(1, 19999))  # about 10^8286
+
+
+def test_quiddity_count_matches_the_series_coefficients():
+    q = compose_q(solve_fixed_point(p_equation(), 30))
+    for n in range(31):
+        for m in range(n + 1):
+            assert quiddity_count_3periodic(n, m) == q.coefficient(n, m), (n, m)
