@@ -1,11 +1,13 @@
-"""Persistent result cache for the command-line front end.
+"""Persistent result cache for the command-line ``table`` verb, the
+only verb that still caches.
 
 One CSV file per command family under the cache directory, key columns
-first and the value last, so cached results stay inspectable and
-diffable.  Rows carry a hash of the package's source files; rows
-written by any other source are ignored, so a code change never serves
-an old answer.  Writes take an advisory lock on the directory so
-concurrent invocations stay single-writer.
+first and the value last (for ``table``, the path of a side file that
+holds the payload), so cached results stay inspectable and diffable.
+Rows carry a hash of the package's source files; rows written by any
+other source are ignored, so a code change never serves an old answer.
+Writes take an advisory lock on the directory so concurrent
+invocations stay single-writer.
 """
 from __future__ import annotations
 

@@ -5,8 +5,9 @@ One flat verb per module operation: enumeration (``enumerate``,
 (``formula``, ``table``), generating series (``series``), surgery
 (``surgery``), continued fractions (``cf``), matrix products
 (``modular``) and the oracle suite (``verify-all``).  Machine-readable
-output, deterministic byte for byte; counting verbs go through a
-persistent cache unless ``--no-cache`` is given.
+output, deterministic byte for byte.  ``table`` goes through a
+persistent cache unless ``--no-cache`` is given; ``count``,
+``quiddities`` and ``formula`` accept the cache flags and ignore them.
 
 Exit codes: 0 success, 1 domain error or failed check, 2 usage error.
 A reader that closes stdout early cuts the output short, with nothing
@@ -156,9 +157,13 @@ def _add_filter_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sizes", help="comma-separated allowed cell sizes")
 
 
-def _add_cache_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--no-cache", action="store_true")
-    sub.add_argument("--cache-dir")
+def _add_cache_flags(sub: argparse.ArgumentParser, ignored: bool = False) -> None:
+    # count, quiddities and formula answer faster than a cache lookup, so
+    # they take the flags and ignore them
+    note = " (accepted and ignored: only table caches)" if ignored else ""
+    sub.add_argument("--no-cache", action="store_true",
+                     help="neither read nor write the result cache" + note)
+    sub.add_argument("--cache-dir", help="result cache directory" + note)
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,14 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_filter_flags(p)
-    _add_cache_flags(p)
+    _add_cache_flags(p, ignored=True)
     p.add_argument("--json", action="store_true")
 
     p = verbs.add_parser("quiddities", help="number of distinct quiddities")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     _add_filter_flags(p)
-    _add_cache_flags(p)
+    _add_cache_flags(p, ignored=True)
     p.add_argument("--json", action="store_true")
 
     p = verbs.add_parser("classes", help="map from quiddity to dissections")
@@ -207,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "catalan", "kirkman-cayley", "fuss", "ell-periodic", "tri-quad", "quiddity-3p",
     ])
     p.add_argument("args", type=int, nargs="*")
-    _add_cache_flags(p)
+    _add_cache_flags(p, ignored=True)
     p.add_argument("--json", action="store_true")
 
     p = verbs.add_parser("series", help="solve a generating-function equation")
@@ -263,20 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cached_value(args: argparse.Namespace, family: str, command: str,
-                  compute, n: str = "", m: str = "", filt: str = "",
-                  order: str = "") -> str:
-    if getattr(args, "no_cache", False):
-        return compute()
-    cache = ResultCache(resolve_cache_dir(getattr(args, "cache_dir", None)))
-    hit = cache.get(family, command, n, m, filt, order)
-    if hit is not None:
-        return hit
-    value = compute()
-    cache.put(family, command, value, n, m, filt, order)
-    return value
-
-
 def _run_formula(args: argparse.Namespace, out) -> int:
     arity = {
         "catalan": 1, "kirkman-cayley": 2, "fuss": 2,
@@ -287,23 +278,15 @@ def _run_formula(args: argparse.Namespace, out) -> int:
     for value in args.args:
         _refuse_over(value, FORMULA_ARG_CAP, "formula argument")
 
-    def compute() -> str:
-        fn = {
-            "catalan": lambda a: formulas.catalan(a[0]),
-            "kirkman-cayley": lambda a: formulas.kirkman_cayley(a[0], a[1]),
-            "fuss": lambda a: formulas.fuss(a[0], a[1]),
-            "ell-periodic": lambda a: formulas.ell_periodic_count(a[0], a[1], a[2]),
-            "tri-quad": lambda a: formulas.tri_quad_count(a[0], a[1]),
-            "quiddity-3p": lambda a: formulas.quiddity_count_3periodic(a[0], a[1]),
-        }[args.name]
-        return str(fn(args.args))
-
-    value = _cached_value(
-        args, "formula", f"formula-{args.name}", compute,
-        n=str(args.args[0]) if args.args else "",
-        m=str(args.args[1]) if len(args.args) > 1 else "",
-        filt=str(args.args[2]) if len(args.args) > 2 else "",
-    )
+    fn = {
+        "catalan": formulas.catalan,
+        "kirkman-cayley": formulas.kirkman_cayley,
+        "fuss": formulas.fuss,
+        "ell-periodic": formulas.ell_periodic_count,
+        "tri-quad": formulas.tri_quad_count,
+        "quiddity-3p": formulas.quiddity_count_3periodic,
+    }[args.name]
+    value = str(fn(*args.args))
     print(_dumps({"value": value}) if args.json else value, file=out)
     return 0
 
@@ -323,8 +306,12 @@ def _run_table(args: argparse.Namespace, out) -> int:
         print(compute(), file=out)
         return 0
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
-    payload = cache.get_payload(
-        "table", "table", f"table-{args.max_n}.csv", compute, n=str(args.max_n))
+    try:
+        payload = cache.get_payload(
+            "table", "table", f"table-{args.max_n}.csv", compute, n=str(args.max_n))
+    except OSError as exc:  # say which directory, not where it failed
+        raise DomainError(
+            f"cache directory {cache.directory} is unusable: {exc.strerror or exc}") from None
     print(payload, file=out)
     return 0
 
@@ -438,19 +425,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             return 0
 
         if args.verb in ("count", "quiddities"):
-            filt = _parse_filter(args)
             counter = count_dissections if args.verb == "count" else count_quiddities
-
-            def compute() -> str:
-                # the count's digits are bounded up front only from below
-                value = counter(args.n, args.m, filt)
-                _refuse_unprintable(value)
-                return str(value)
-
-            value = _cached_value(
-                args, args.verb, args.verb, compute,
-                n=str(args.n), m=str(args.m), filt=filt.describe())
-            print(_dumps({"value": value}) if args.json else value, file=out)
+            value = counter(args.n, args.m, _parse_filter(args))
+            # the count's digits are bounded up front only from below
+            _refuse_unprintable(value)
+            print(_dumps({"value": str(value)}) if args.json else value, file=out)
             return 0
 
         if args.verb == "classes":

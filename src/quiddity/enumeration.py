@@ -124,8 +124,13 @@ class CellFilter:
             return size % self.ell == 3 % self.ell
         return size in self.sizes
 
-    def allowed_sizes_upto(self, limit: int) -> list[int]:
-        return [t for t in range(3, limit + 1) if self.allows(t)]
+    def allowed_sizes_upto(self, limit: int, less: int = 0) -> Sequence[int]:
+        """The allowed sizes up to ``limit``, ascending, each minus
+        ``less``: a range for all cells and ``ell``, so it takes O(1)
+        time and memory whatever the limit."""
+        if self.kind == "sizes":
+            return sorted(t - less for t in self.sizes if t <= limit)
+        return range(3 - less, limit + 1 - less, self.ell or 1)
 
     def describe(self) -> str:
         if self.kind == "all":
@@ -181,7 +186,7 @@ def _differences(want: int, a: int) -> int:
 _Step = tuple[int, int, int, int, range, Optional["_Step"]]
 
 
-def _reach_masks(n_vertices: int, allowed: list[int]) -> list[int]:
+def _reach_masks(n_vertices: int, allowed: Sequence[int]) -> list[int]:
     """reach[s]: the cell counts that a sub-polygon on s consecutive
     vertices, over its base edge, can have under the filter, as a bit
     mask (bit c set when c cells are reachable; an edge, s = 2, has 0
@@ -200,7 +205,7 @@ def _reach_masks(n_vertices: int, allowed: list[int]) -> list[int]:
 
 
 def _base_cells(
-    reach: list[int], allowed: list[int], span: int, want: int
+    reach: list[int], allowed: Sequence[int], span: int, want: int
 ) -> Iterator[tuple[tuple[int, ...], Optional[_Step]]]:
     """Every base cell on the edge (0, span), of an allowed size, whose
     gaps can hold a total count in ``want``, by increasing size and then
@@ -419,7 +424,7 @@ def count_dissections(
     filter, from the composition formula (no materialization)."""
     _check_range(n_vertices, m)
     return formulas.dissection_count(
-        n_vertices - 2, m, [t - 2 for t in cell_filter.allowed_sizes_upto(n_vertices)])
+        n_vertices - 2, m, cell_filter.allowed_sizes_upto(n_vertices, less=2))
 
 
 def _refuse_large_family(

@@ -11,7 +11,8 @@ only mean an implementation bug.
 """
 from __future__ import annotations
 
-from math import comb, lcm, lgamma, log
+from bisect import bisect_right
+from math import comb, gcd, lcm, lgamma, log
 
 from .core import DomainError, ResourceLimitError
 
@@ -66,29 +67,53 @@ def _log10_binomial(a: int, b: int) -> float:
     return (lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)) / log(10)
 
 
+def _ascending(parts):
+    # a range with a positive step is already ascending and distinct, and
+    # stays a range, read in O(1) whatever its length
+    return parts if isinstance(parts, range) and parts.step > 0 else sorted(set(parts))
+
+
+def _total(parts) -> int:
+    if isinstance(parts, range):  # an arithmetic progression
+        return len(parts) * (parts[0] + parts[-1]) // 2 if parts else 0
+    return sum(parts)
+
+
 def _compositions(n: int, m: int, parts) -> int:
-    """Number of ordered m-tuples drawn from the set ``parts`` summing to n.
+    """Number of ordered m-tuples drawn from the ascending, distinct
+    parts ``parts`` (a list, or a range, which is never listed) summing
+    to n.
 
     With k0 the least part and J = n - m k0, this is [x^J] Q^m for
     Q = sum of x^(k - k0) over the parts, which J. C. P. Miller's
     recurrence for the powers of a power series gives in O(J |parts|)
     (Knuth, TAOCP vol. 2, 4.7): as Q(0) = 1, r_0 = 1 and
     j r_j = sum of ((m+1) i - j) r_(j-i) over the shifts i = k - k0 with
-    1 <= i <= j.  The division by j is exact and asserted.  Refuses up
-    front a recurrence of over ``COMPOSITION_STEP_CAP`` terms.
+    1 <= i <= j.  The division by j is exact and asserted.  Only parts
+    up to k0 + J matter, and their terms are counted in closed form, so
+    a recurrence of over ``COMPOSITION_STEP_CAP`` terms is refused up
+    front in time and memory that do not grow with n.  When every shift
+    is a multiple of g, so is every exponent of Q, and the recurrence
+    runs on Q(x^(1/g)) up to J/g.
     """
     if m == 0 or not parts:
         return int(n == m == 0)
-    low = min(parts)
+    low = parts[0]
     top = n - m * low
-    shifts = [k - low for k in parts if 0 < k - low <= top]
-    steps = sum(top + 1 - i for i in shifts)  # shift i is summed for j = i..J
+    if top < 0:
+        return 0
+    above = parts[1:bisect_right(parts, low + top)]  # the parts low + i, 1 <= i <= J
+    steps = len(above) * (top + 1 + low) - _total(above)  # shift i is summed for j = i..J
     if steps > COMPOSITION_STEP_CAP:
         raise ResourceLimitError(
             f"counting the {n + 2}-gon's dissections into {m} cells takes about "
             f"{steps} steps, over the cap of {COMPOSITION_STEP_CAP}"
         )
-    shifts.sort()
+    g = gcd(*(k - low for k in above)) or 1
+    if top % g:
+        return 0
+    top //= g
+    shifts = [(k - low) // g for k in above]
     r = [1]
     live = 0  # the shifts up to j are shifts[:live]
     for j in range(1, top + 1):
@@ -99,7 +124,7 @@ def _compositions(n: int, m: int, parts) -> int:
         if rem:
             raise AssertionError(f"composition recurrence at {j} is not integral: {value}/{j}")
         r.append(q)
-    return r[top] if top >= 0 else 0
+    return r[top]
 
 
 def dissection_count(n: int, m: int, parts) -> int:
@@ -109,14 +134,19 @@ def dissection_count(n: int, m: int, parts) -> int:
     C(n+m, m)/(n+1) times the number of compositions of n into m parts
     from ``parts`` (the prescribed-cell-size count of Przytycki and
     Sikora); every closed form below is a special case.  Follows the
-    2-gon convention D(0, 0) = 1 and D(0, m) = 0 for m > 0.  Refuses up
-    front a count that, if nonzero, has over ``COUNT_DIGIT_CAP`` digits,
-    and a composition recurrence of over ``COMPOSITION_STEP_CAP`` terms.
+    2-gon convention D(0, 0) = 1 and D(0, m) = 0 for m > 0.  ``parts``
+    is any iterable of positive integers; a range with a positive step
+    is read without being listed.  Zero when no m parts can sum to n.
+    Otherwise refuses up front a count that, if nonzero, has over
+    ``COUNT_DIGIT_CAP`` digits, and a composition recurrence of over
+    ``COMPOSITION_STEP_CAP`` terms.
     """
     _check_nonneg(n=n, m=m)
-    parts = set(parts)
-    if min(parts, default=1) < 1:
+    parts = _ascending(parts)
+    if parts and parts[0] < 1:
         raise DomainError("composition parts must be positive (cell sizes at least 3)")
+    if m and (not parts or n < m * parts[0]):
+        return 0  # m parts sum to at least m times the least
     # a nonzero count has at least the digits of C(n+m, m)/(n+1)
     digits = _log10_binomial(n + m, m) - log(n + 1, 10)
     if digits > COUNT_DIGIT_CAP:

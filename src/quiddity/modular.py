@@ -20,13 +20,13 @@ from .core import DomainError, ResourceLimitError
 from .enumeration import CellFilter, _carried_quiddities
 
 # Work refused by the correspondence check, on a 2-core machine:
-# coefficient tuples classified (32-54k/s) and 3-periodic dissections
-# enumerated with their quiddities (106-130k/s, read off the
-# enumerator's cell log).  The dissection cap admits N = 12 (30,083,
-# 0.23-0.28 s; ``modular verify --n 12 --entry-bound 2`` takes
-# 1.6-1.7 s, most of it classifying 27,201 quiddities) and refuses
-# N = 13 (114,660).  Raising it would move refusals that the CLI
-# contract test records.
+# coefficient tuples classified (270-280k/s, each product stepped on
+# four integers) and 3-periodic dissections enumerated with their
+# quiddities (275-290k/s, read off the enumerator's cell log).  The
+# dissection cap admits N = 12 (30,083, 0.10-0.11 s; ``modular verify
+# --n 12 --entry-bound 2`` takes 0.4-0.5 s) and refuses N = 13
+# (114,660).  Raising it would move refusals that the CLI contract test
+# records.
 TUPLE_CAP = 80_000
 DISSECTION_CAP = 35_000
 
@@ -75,10 +75,12 @@ def elementary_product(cs: Sequence[int]) -> Mat2:
         raise DomainError("elementary product needs at least one coefficient")
     if any(c < 1 for c in cs):
         raise DomainError("coefficients must be positive integers")
-    out = IDENTITY
-    for c in cs:
-        out = out * elementary(c)
-    return out
+    # (a b; c d) (x -1; 1 0) = (a x + b, -a; c x + d, -c), stepped on
+    # the four entries, with one Mat2 built at the end
+    a, b, c, d = 1, 0, 0, 1
+    for x in cs:
+        a, b, c, d = a * x + b, -a, c * x + d, -c
+    return Mat2(a, b, c, d)
 
 
 @dataclass(frozen=True)

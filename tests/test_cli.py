@@ -193,21 +193,53 @@ def test_output_is_deterministic(cache_env):
     assert a == b
 
 
-def test_cache_transparency(cache_env):
-    fresh = run(["count", "--n", "7", "--m", "3", "--no-cache"])
-    warm1 = run(["count", "--n", "7", "--m", "3"])
-    warm2 = run(["count", "--n", "7", "--m", "3"])  # served from cache
-    assert fresh == warm1 == warm2
-    cache_file = cache_env / "count.csv"
-    assert cache_file.exists()
-    assert "count,7,3,all,,56" in cache_file.read_text()
+def test_cache_transparency(cache_env, monkeypatch):
+    # only table caches; a warm run prints the cold bytes without
+    # computing a single entry
+    fresh = run(["table", "--max-n", "9", "--no-cache"])
+    cold = run(["table", "--max-n", "9"])
+    with monkeypatch.context() as warm:
+        warm.setattr(formulas, "quiddity_count_3periodic", None)  # calling it fails
+        assert run(["table", "--max-n", "9"]) == fresh == cold
+    side_file = cache_env / f"table-9-{source_key()}.csv"
+    assert f"table,9,,,,{side_file},{source_key()}" in (cache_env / "table.csv").read_text()
+    assert side_file.read_text() + "\n" == fresh[1]
 
 
 def test_cache_dir_flag_beats_env(cache_env, tmp_path):
     explicit = tmp_path / "elsewhere"
-    code, out = run(["count", "--n", "6", "--m", "2", "--cache-dir", str(explicit)])
-    assert (explicit / "count.csv").exists()
-    assert not (cache_env / "count.csv").exists()
+    code, out = run(["table", "--max-n", "6", "--cache-dir", str(explicit)])
+    assert (code, out) == run(["table", "--max-n", "6", "--no-cache"])
+    assert (explicit / "table.csv").exists()
+    assert not cache_env.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "7", "--m", "3"],
+    ["count", "--n", "8", "--m", "3", "--ell", "3", "--json"],
+    ["formula", "catalan", "9"],
+    ["formula", "quiddity-3p", "40", "28", "--json"],
+    ["quiddities", "--n", "8", "--m", "3", "--ell", "3"],
+])
+def test_count_formula_and_quiddities_touch_no_cache(tmp_path, monkeypatch, argv):
+    # the cache flags are accepted and ignored: the answer is computed,
+    # and nothing is read or written under the directory either names
+    fresh = run([*argv, "--no-cache"])
+    unused = tmp_path / "cache"
+    assert run([*argv, "--cache-dir", str(unused)]) == fresh
+    monkeypatch.setenv("QUIDDITY_CACHE_DIR", str(unused))
+    assert run(argv) == fresh
+    assert fresh[0] == 0 and not unused.exists()
+
+
+def test_table_with_an_unusable_cache_directory_is_refused(cache_env, tmp_path, capsys):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    for directory in (regular / "sub", regular):
+        assert run(["table", "--max-n", "8", "--cache-dir", str(directory)]) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cache directory {directory} is unusable: ")
+        assert err.count("\n") == 1
 
 
 def test_table_cache_transparency(cache_env):
@@ -294,13 +326,45 @@ def test_count_answers_the_largest_benchmark_queries(cache_env, flags, closed_fo
 
 
 def test_cache_ignores_rows_written_by_other_source(cache_env):
-    # a row is served only under the hash of the source that wrote it
+    # a table is served only under the hash of the source that wrote it
+    fresh = run(["table", "--max-n", "7", "--no-cache"])
     cache_env.mkdir(parents=True)
     header = "command,n,m,filter,order,value,tool_version\n"
-    (cache_env / "count.csv").write_text(header + "count,7,3,all,,999,0.1.0\n")
-    assert run(["count", "--n", "7", "--m", "3"]) == (0, "56\n")
-    (cache_env / "count.csv").write_text(header + f"count,7,3,all,,999,{source_key()}\n")
-    assert run(["count", "--n", "7", "--m", "3"]) == (0, "999\n")
+    stale = cache_env / "table-7-0.1.0.csv"
+    stale.write_text("999")
+    (cache_env / "table.csv").write_text(header + f"table,7,,,,{stale},0.1.0\n")
+    assert run(["table", "--max-n", "7"]) == fresh
+    mine = cache_env / f"table-7-{source_key()}.csv"
+    mine.write_text("999")
+    (cache_env / "table.csv").write_text(header + f"table,7,,,,{mine},{source_key()}\n")
+    assert run(["table", "--max-n", "7"]) == (0, "999\n")
+
+
+def test_count_with_no_composition_prints_zero(capsys):
+    # 10,000 quadrilaterals need a 20,002-gon; the digit estimate once
+    # refused this count as about 10^8286 dissections
+    assert run(["count", "--n", "20001", "--m", "10000", "--sizes", "4", "--no-cache"]) == (0, "0\n")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("flags", [(), ("--ell", "2"), ("--sizes", "3,4,99999999")])
+def test_count_of_a_huge_polygon_is_refused_before_any_work(capsys, flags):
+    # listing every allowed cell size took 0.4 s and 128 MB at 10^6
+    # vertices, and would take gigabytes at 10^8
+    start = time.perf_counter()
+    assert run(["count", "--n", "100000000", "--m", "3", *flags, "--no-cache"]) == (1, "")
+    assert "steps, over the cap of 2500000" in capsys.readouterr().err
+    assert time.perf_counter() - start < 0.1
+
+
+def test_count_with_one_large_period_is_answered_at_once():
+    # the cells of a 10^8-gon: two triangles and one (10^8 - 2)-gon; the
+    # recurrence steps only over multiples of the period
+    start = time.perf_counter()
+    ell = 10**8 - 5
+    code, out = run(["count", "--n", "100000000", "--m", "3", "--ell", str(ell), "--no-cache"])
+    assert (code, out) == (0, f"{ell_periodic_count(10**8 - 2, 3, ell)}\n")
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("argv", [

@@ -82,6 +82,8 @@ def _query_grid() -> list[list[str]]:
             for filt in FILTERS + [("--ell", "2")]:
                 grid.append(["count", "--n", str(n), "--m", str(m), *filt, "--no-cache"])
     grid.append(["count", "--n", "2000", "--m", "1000", "--no-cache"])
+    # no composition: 10,000 quadrilaterals need a 20,002-gon
+    grid.append(["count", "--n", "20001", "--m", "10000", "--sizes", "4", "--no-cache"])
     for name, args in [("catalan", ["0"]), ("catalan", ["40"]), ("kirkman-cayley", ["9", "4"]),
                        ("fuss", ["12", "4"]), ("fuss", ["12", "5"]),
                        ("ell-periodic", ["12", "4", "3"]), ("tri-quad", ["10", "6"]),
@@ -108,6 +110,7 @@ def _refusal_grid() -> list[list[str]]:
     return [
         # refused by a cap, exit 1
         ["count", "--n", "3000", "--m", "500", "--no-cache"],  # recurrence terms
+        ["count", "--n", "100000000", "--m", "3", "--no-cache"],  # the same, sizes unlisted
         ["count", "--n", "20000", "--m", "10000", "--no-cache"],  # digits, up front
         ["count", "--n", "7000", "--m", "6800", "--no-cache"],  # digits, once counted
         ["formula", "catalan", "5001", "--no-cache"],
@@ -132,6 +135,7 @@ def _refusal_grid() -> list[list[str]]:
         ["enumerate", "--n", "8", "--max-results", "-1"],
         ["classes", "--n", "8", "--m", "3", "--max-results", "-5"],
         ["table", "--max-n", "-3", "--no-cache"],
+        ["table", "--max-n", "8", "--cache-dir", "/dev/null/sub"],  # not a directory
         ["count", "--n", "2", "--m", "1", "--no-cache"],
         ["formula", "catalan", "1", "2", "--no-cache"],
         ["series", "ell-periodic", "--order", "4"],

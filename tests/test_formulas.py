@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 from collections import Counter
 
 import pytest
@@ -127,7 +128,8 @@ def test_negative_arguments_rejected():
             fn()
 
 
-PART_SETS = [set(), {1}, {2}, {1, 2}, {2, 3}, {1, 3, 5}, {2, 5, 7}, {4}, set(range(1, 13))]
+PART_SETS = [set(), {1}, {2}, {1, 2}, {2, 3}, {1, 3, 5}, {2, 5, 7}, {4}, set(range(1, 13)),
+             {1, 7}, {2, 6, 14}]
 
 
 def test_compositions_match_brute_force_tuples():
@@ -135,7 +137,7 @@ def test_compositions_match_brute_force_tuples():
         for m in range(6):
             sums = Counter(map(sum, itertools.product(parts, repeat=m)))
             for n in range(16):
-                assert _compositions(n, m, parts) == sums[n], (n, m, parts)
+                assert _compositions(n, m, sorted(parts)) == sums[n], (n, m, parts)
 
 
 # every n <= 40, and a few up to 200, for each m
@@ -164,6 +166,32 @@ def test_dissection_count_refuses_up_front():
         dissection_count(2998, 500, range(1, 2999))  # 3.1 million terms
     with pytest.raises(ResourceLimitError, match="digits"):
         dissection_count(19998, 10000, range(1, 19999))  # about 10^8286
+
+
+def test_dissection_count_reads_a_range_without_listing_it():
+    # parts given as a range, as a list and as a set count the same
+    for n in (12, 30, 61):
+        for m in range(1, n + 1):
+            for parts in (range(1, n + 1), range(1, n + 1, 3), range(2, n + 1, 4)):
+                want = dissection_count(n, m, set(parts))
+                assert dissection_count(n, m, parts) == dissection_count(n, m, list(parts)) == want
+    # a recurrence over every part of a huge polygon is refused by its
+    # closed-form step count, and one period as large as the polygon is
+    # answered by stepping over its multiples only
+    n = 10**8
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="steps"):
+        dissection_count(n, 3, range(1, n + 1))
+    assert dissection_count(n, 3, range(1, n + 1, n - 3)) == ell_periodic_count(n, 3, n - 3)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_dissection_count_is_zero_without_a_composition():
+    # 10,000 parts of 2 sum to more than 19,999: zero, not refused by the
+    # digit estimate; likewise no allowed part at all
+    assert dissection_count(19999, 10000, {2}) == 0
+    assert dissection_count(19998, 10000, {3, 5}) == 0
+    assert dissection_count(19998, 10000, []) == 0
 
 
 def test_quiddity_count_matches_the_series_coefficients():

@@ -2,8 +2,10 @@
 quiddity correspondence."""
 from __future__ import annotations
 
+import operator
 import random
 from collections import deque
+from functools import reduce
 
 import pytest
 
@@ -50,6 +52,14 @@ def test_products_have_determinant_one():
     for _ in range(100):
         cs = [rng.randint(1, 6) for _ in range(rng.randint(1, 9))]
         assert elementary_product(cs).determinant() == 1
+
+
+def test_product_matches_the_product_of_elementary_matrices():
+    # the oracle multiplies Mat2 factors; the function steps four integers
+    rng = random.Random(17)
+    for _ in range(300):
+        cs = [rng.randint(1, 9) for _ in range(rng.randint(1, 12))]
+        assert elementary_product(cs) == reduce(operator.mul, map(elementary, cs), IDENTITY), cs
 
 
 def test_empty_and_invalid_input_rejected():
