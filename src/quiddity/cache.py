@@ -81,14 +81,15 @@ class ResultCache:
         """Multi-line results: the CSV row stores a file path, the
         payload lives in a side file under the cache directory, named
         ``filename`` with the source hash before its suffix, so each
-        source reads only the side files it wrote."""
+        source reads only the side files it wrote.  The directory is made
+        first, so an unusable one is refused before ``compute`` runs."""
+        self.directory.mkdir(parents=True, exist_ok=True)
         name = Path(filename)
         side_file = self.directory / f"{name.stem}-{source_key()}{name.suffix}"
         row = self.get(family, command, n, m, filt, order)
         if row is not None and side_file.exists():
             return side_file.read_text()
         payload = compute()
-        self.directory.mkdir(parents=True, exist_ok=True)
         side_file.write_text(payload)
         if row is None:
             self.put(family, command, str(side_file), n, m, filt, order)

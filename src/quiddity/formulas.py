@@ -16,15 +16,18 @@ from math import comb, gcd, lcm, lgamma, log
 
 from .core import DomainError, ResourceLimitError
 
-# Largest composition recurrence, in terms summed (the J |parts| work of
-# ``_compositions``), and largest count, in digits of C(n+m, m)/(n+1),
-# which a nonzero count has at least, that ``dissection_count`` takes,
-# each refused up front.  The digit cap is Python's default limit on
-# printing an int; the recurrence's numbers, at most C(n+m, m), stay
-# about that size.  The slowest counts admitted, with every part allowed
-# (or every cell but the triangle), J near 2,235 and m as large as the
-# digit cap lets it (6,159 cells of an 8,396-gon), take 1.7-2.1 s on a
-# 2-core machine; ``count --n 2000 --m 1000`` (500,000 terms) 0.15 s.
+# Largest composition recurrence, in terms summed or loop iterations if
+# more (the J |parts| work of ``_compositions``), and largest count, in
+# digits of C(n+m, m)/(n+1), which a nonzero count has at least, that
+# ``dissection_count`` takes, each refused up front.  The digit cap is
+# Python's default limit on printing an int; the recurrence's numbers,
+# at most C(n+m, m), stay about that size.  The slowest counts admitted,
+# with every part allowed (or every cell but the triangle), J near 2,235
+# and m as large as the digit cap lets it (6,159 cells of an 8,396-gon),
+# take 1.7-2.1 s on a 2-core machine; ``count --n 2000 --m 1000``
+# (500,000 terms) 0.15 s.  A size set with few shifts, all near J, is
+# bounded by the J/g loop: ``count --n 2499999 --m 3 --sizes
+# 3,2499996,2499997`` takes 1.5-2.0 s.
 COMPOSITION_STEP_CAP = 2_500_000
 COUNT_DIGIT_CAP = 4300
 
@@ -89,12 +92,12 @@ def _compositions(n: int, m: int, parts) -> int:
     recurrence for the powers of a power series gives in O(J |parts|)
     (Knuth, TAOCP vol. 2, 4.7): as Q(0) = 1, r_0 = 1 and
     j r_j = sum of ((m+1) i - j) r_(j-i) over the shifts i = k - k0 with
-    1 <= i <= j.  The division by j is exact and asserted.  Only parts
-    up to k0 + J matter, and their terms are counted in closed form, so
-    a recurrence of over ``COMPOSITION_STEP_CAP`` terms is refused up
-    front in time and memory that do not grow with n.  When every shift
-    is a multiple of g, so is every exponent of Q, and the recurrence
-    runs on Q(x^(1/g)) up to J/g.
+    1 <= i <= j.  The division by j is exact and asserted.  When every
+    shift is a multiple of g, so is every exponent of Q, and the
+    recurrence runs on Q(x^(1/g)) up to J/g.  Only parts up to k0 + J
+    matter, and their terms are counted in closed form, so a recurrence
+    of over ``COMPOSITION_STEP_CAP`` terms, or of J/g iterations if more,
+    is refused up front in time and memory that do not grow with n.
     """
     if m == 0 or not parts:
         return int(n == m == 0)
@@ -103,13 +106,16 @@ def _compositions(n: int, m: int, parts) -> int:
     if top < 0:
         return 0
     above = parts[1:bisect_right(parts, low + top)]  # the parts low + i, 1 <= i <= J
-    steps = len(above) * (top + 1 + low) - _total(above)  # shift i is summed for j = i..J
+    # a progression's shifts share the gcd of its first two
+    g = gcd(*(k - low for k in (above[:2] if isinstance(above, range) else above))) or 1
+    # shift i is summed for j = i..J, and the loop runs J/g times however
+    # few terms it sums
+    steps = max(len(above) * (top + 1 + low) - _total(above), top // g)
     if steps > COMPOSITION_STEP_CAP:
         raise ResourceLimitError(
             f"counting the {n + 2}-gon's dissections into {m} cells takes about "
             f"{steps} steps, over the cap of {COMPOSITION_STEP_CAP}"
         )
-    g = gcd(*(k - low for k in above)) or 1
     if top % g:
         return 0
     top //= g

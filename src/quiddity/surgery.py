@@ -18,14 +18,17 @@ representative of its quiddity class.
 Canonicalization and the class search extract the input's cells once
 and carry each state's cells from move to move (``_cells_after``): the
 acting cell splits into two arcs and the two cells beyond the removed
-chords merge.  Canonicalization reads the opening moves off the cells by
-a rule local to each cell (``_opening``); ``opening_moves`` and
-``is_maximally_open`` keep to the full move search, as an independent
-check of that rule.  Each class member is validated once.
+chords merge.  Canonicalization applies the first opening move in cells
+order, read off the cells by a rule local to each cell (``_opening``),
+until none remains; any order ends at the class's one maximally open
+member.  ``opening_moves`` and ``is_maximally_open`` keep to the full
+move search, as an independent check of that rule.  Each class member
+is validated once.
 """
 from __future__ import annotations
 
 import random
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
@@ -53,12 +56,12 @@ SURGERY_CLASS_CAP = 2_500_000
 
 # Largest polygon that ``canonicalize_trace`` accepts, and with it the
 # 3-periodic ``class_export``.  Canonicalization costs O(steps x N), and
-# the steps grow as N^2 on a chain of nested hexagons, each one's third
-# edge the base edge of the next (chords 2 - N-3, 4 - N-5, ...): on a
-# 2-core machine the 302-gon chain takes 2,701 steps and 1.9 s, the
-# 402-gon 4,851 steps and 3.7 s.  Random 3-periodic draws are far
-# cheaper: a 3000-gon takes 1.1 s.
-SURGERY_CANON_CAP = 300
+# no 3-periodic dissection found takes over (N - 6)/2 steps (none with
+# N <= 16 does).  The slowest shape found takes that many: (N - 6)/2
+# triangles fanned on each side of one hexagon, whose 5000-gon takes
+# 2.0-2.2 s through ``surgery canon`` on a 2-core machine; a chain of
+# nested hexagons (chords 2 - N-3, 4 - N-5, ...) takes 0.3-0.4 s.
+SURGERY_CANON_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -77,15 +80,6 @@ def base_edge(cell: tuple[int, ...]) -> Chord:
     """The cell's edge toward the base cell: its closing edge (last,
     first), which spans all its other edges."""
     return (cell[0], cell[-1])
-
-
-def base_distance(cs: Sequence[tuple[int, ...]], cell: tuple[int, ...]) -> int:
-    """Dual-tree distance from the cell to the base cell, read off the
-    dissection's cells ``cs``: the number of chords nesting the cell's
-    base edge, that edge included.  Each chord is the base edge of one
-    cell, and the base cell's (0, N-1) nests every edge."""
-    lo, hi = base_edge(cell)
-    return sum(1 for c in cs if c[0] <= lo and hi <= c[-1]) - 1
 
 
 def _move(idx: int, cell: tuple[int, ...], i: int, j: int) -> SurgeryMove:
@@ -148,8 +142,8 @@ def _cells_after(cs: Sequence[tuple[int, ...]], move: SurgeryMove) -> list[tuple
     x, y = [next(c for c in out if a in c and b in c) for a, b in move.removed]
     out.remove(x)
     out.remove(y)
-    out += [cell[i + 1:j + 1], cell[:i + 1] + cell[j + 1:], tuple(sorted(x + y))]
-    out.sort(key=lambda c: (c[0], len(c), c))
+    for new in (cell[i + 1:j + 1], cell[:i + 1] + cell[j + 1:], tuple(sorted(x + y))):
+        insort(out, new, key=lambda c: (c[0], len(c), c))
     return out
 
 
@@ -201,15 +195,15 @@ def _refuse_long_canon(n: int) -> None:
         )
 
 
-def _opening(n: int, cs: Sequence[tuple[int, ...]]) -> list[SurgeryMove]:
+def _opening(n: int, cs: Sequence[tuple[int, ...]]) -> Iterator[SurgeryMove]:
     """The 3-periodic opening moves on the 3-periodic dissection of the
-    N-gon whose cells are ``cs``, in :func:`find_surgeries` order, by a
-    rule local to each cell: a non-base cell of t vertices opens at each
-    chord edge in position 2, 5, ..., t - 4, together with its base
-    edge."""
-    return [_move(idx, cell, k, len(cell) - 1)
-            for idx, cell in enumerate(cs) if cell[-1] - cell[0] != n - 1
-            for k in range(2, len(cell) - 3, 3) if cell[k + 1] - cell[k] >= 2]
+    N-gon whose cells are ``cs``, one at a time in :func:`find_surgeries`
+    order, by a rule local to each cell: a non-base cell of t vertices
+    opens at each chord edge in position 2, 5, ..., t - 4, together with
+    its base edge."""
+    return (_move(idx, cell, k, len(cell) - 1)
+            for idx, cell in enumerate(cs) if len(cell) > 5 and cell[-1] - cell[0] != n - 1
+            for k in range(2, len(cell) - 3, 3) if cell[k + 1] - cell[k] >= 2)
 
 
 def canonicalize_trace(
@@ -218,14 +212,17 @@ def canonicalize_trace(
     """Apply 3-periodic opening surgeries until none remains, returning
     the fixed point and the moves applied.
 
-    The default policy opens the cells furthest from the base first,
-    ties broken by the cell's smallest vertex, then by the added chords;
-    passing an ``rng`` picks admissible moves at random instead (the
-    fixed point must not depend on the choice, which the test suite
-    verifies rather than assumes).  The cells are extracted once and
-    carried from move to move; the fixed point is validated once, and
-    checked against the input's chord degrees and its own cells.  An
-    N-gon over ``SURGERY_CANON_CAP`` is refused before any of this.
+    By default each step takes the first opening move in cells order,
+    then by position in the cell; passing an ``rng`` picks admissible
+    moves at random instead.  Any order reaches the same fixed point:
+    each opening surgery keeps the quiddity and shortens the chords'
+    total length, so the moves end at a maximally open member of the
+    input's quiddity class, and the paper's surgery theorem gives each
+    3-periodic class exactly one (the test suite checks this rather than
+    assumes it).  The cells are extracted once and carried from move to
+    move; the fixed point is validated once, and checked against the
+    input's chord degrees and its own cells.  An N-gon over
+    ``SURGERY_CANON_CAP`` is refused before any of this.
     """
     n = d.n_vertices
     _refuse_long_canon(n)
@@ -234,14 +231,13 @@ def canonicalize_trace(
         raise DomainError("3-periodic surgery needs a 3-periodic dissection")
     applied = []
     for _ in range(2 * n * (len(d.chords) + 1) + 10):
-        moves = _opening(n, cs)
-        if not moves:
-            break
         if rng is None:
-            move = min(moves, key=lambda mv: (
-                -base_distance(cs, mv.cell), mv.cell[0], mv.added))
+            move = next(_opening(n, cs), None)
         else:  # the moves come sorted by (cell_index, removed)
-            move = rng.choice(moves)
+            moves = list(_opening(n, cs))
+            move = rng.choice(moves) if moves else None
+        if move is None:
+            break
         applied.append(move)
         cs = _cells_after(cs, move)
     else:

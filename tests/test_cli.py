@@ -242,6 +242,22 @@ def test_table_with_an_unusable_cache_directory_is_refused(cache_env, tmp_path, 
         assert err.count("\n") == 1
 
 
+def test_table_with_an_unusable_cache_directory_computes_nothing(tmp_path, monkeypatch, capsys):
+    # the directory is made before the table is computed, so the refusal
+    # costs no count
+    calls = []
+    count = formulas.quiddity_count_3periodic
+    monkeypatch.setattr(formulas, "quiddity_count_3periodic",
+                        lambda n, m: calls.append((n, m)) or count(n, m))
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    assert run(["table", "--max-n", "1200", "--cache-dir", str(regular / "sub")]) == (1, "")
+    assert "is unusable" in capsys.readouterr().err
+    assert calls == []
+    assert run(["table", "--max-n", "8", "--no-cache"])[0] == 0
+    assert calls
+
+
 def test_table_cache_transparency(cache_env):
     fresh = run(["table", "--max-n", "8", "--no-cache"])
     warm1 = run(["table", "--max-n", "8"])

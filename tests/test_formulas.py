@@ -4,10 +4,11 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
+from math import comb
 
 import pytest
 
-from quiddity import DomainError, ResourceLimitError
+from quiddity import DomainError, ResourceLimitError, formulas
 from quiddity.formulas import (
     _compositions,
     catalan,
@@ -184,6 +185,21 @@ def test_dissection_count_reads_a_range_without_listing_it():
         dissection_count(n, 3, range(1, n + 1))
     assert dissection_count(n, 3, range(1, n + 1, n - 3)) == ell_periodic_count(n, 3, n - 3)
     assert time.perf_counter() - start < 0.1
+
+
+def test_dissection_count_counts_its_loop_into_the_step_cap(monkeypatch):
+    # parts {1, n-3, n-2} give three terms but a loop of J = n - 3
+    # iterations, so the step estimate is J: refused at once at 10^8, and
+    # answered exactly at the cap (three compositions: 1 + 1 + (n-2) in
+    # any order)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="takes about 99999997 steps"):
+        dissection_count(10**8, 3, [1, 10**8 - 3, 10**8 - 2])
+    assert time.perf_counter() - start < 0.1
+    monkeypatch.setattr(formulas, "COMPOSITION_STEP_CAP", 997)
+    assert dissection_count(1000, 3, [1, 997, 998]) == 3 * comb(1003, 3) // 1001
+    with pytest.raises(ResourceLimitError, match="steps"):
+        dissection_count(1001, 3, [1, 998, 999])
 
 
 def test_dissection_count_is_zero_without_a_composition():

@@ -20,7 +20,6 @@ from quiddity.surgery import (
     _cells_after,
     _opening,
     apply_surgery,
-    base_distance,
     base_edge,
     canonicalize_maximally_open,
     canonicalize_trace,
@@ -42,6 +41,12 @@ OCTAGON_TWIN = parse_dissection("8:1-7,3-5")
 def three_periodic(max_n):
     for n in range(3, max_n + 1):
         yield from enumerate_dissections(n, None, ELL3)
+
+
+def hexagon_chain(n):
+    """The N-gon (N = 2 mod 4) cut by chords 2 - N-3, 4 - N-5, ... into
+    nested hexagons, each one's third edge the base edge of the next."""
+    return core.Dissection(n, tuple((k, n - 1 - k) for k in range(2, n // 2 - 1, 2)))
 
 
 def test_octagon_has_one_3periodic_move():
@@ -136,14 +141,13 @@ def test_surgery_cell_bookkeeping_random_instances():
 def test_base_cell_data_octagon():
     cs = cells(OCTAGON)
     hexagon = next(c for c in cs if len(c) == 6)
-    assert base_distance(cs, hexagon) == 0
     assert base_edge(hexagon) == (0, 7)
-    assert sorted(base_distance(cs, c) for c in cs) == [0, 1, 1]
+    assert sorted(base_edge(c) for c in cs) == [(0, 7), (1, 3), (5, 7)]
 
 
 def dual_tree_reference(d):
-    """Distance to the base cell and base edge of every oracle cell, by
-    a breadth-first search of the dual tree from the cell on (0, N-1)."""
+    """Base edge of every oracle cell, by a breadth-first search of the
+    dual tree from the cell on (0, N-1)."""
     n = d.n_vertices
     want = cells_by_splitting(d)
     sides = chord_sides(want)
@@ -153,28 +157,24 @@ def dual_tree_reference(d):
         a, b = sides[chord]
         adj[a].append((b, chord))
         adj[b].append((a, chord))
-    distance = {root: 0}
     edge = {root: (0, n - 1)}
     queue = deque([root])
     while queue:
         cur = queue.popleft()
         for nxt, chord in adj[cur]:
-            if nxt not in distance:
-                distance[nxt] = distance[cur] + 1
+            if nxt not in edge:
                 edge[nxt] = chord
                 queue.append(nxt)
-    assert len(distance) == len(want)
-    return distance, edge
+    assert len(edge) == len(want)
+    return edge
 
 
-def test_base_edge_and_distance_match_dual_tree_search_exhaustively():
+def test_base_edge_matches_dual_tree_search_exhaustively():
     for n in range(3, 11):
         for d in enumerate_dissections(n):
-            distance, edge = dual_tree_reference(d)
-            cs = cells(d)
-            for k, cell in enumerate(cs):
+            edge = dual_tree_reference(d)
+            for k, cell in enumerate(cells(d)):
                 assert base_edge(cell) == edge[k]
-                assert base_distance(cs, cell) == distance[k]
 
 
 def test_move_cell_is_the_indexed_cell_exhaustively():
@@ -257,6 +257,30 @@ def test_unique_maximally_open_member_small():
                     assert canonicalize_maximally_open(d) == open_ones[0]
 
 
+def test_canonical_form_is_the_class_member_exhaustively():
+    # every 3-periodic dissection with N <= 11: the fixed point admits no
+    # opening move by the full move search, keeps the quiddity, and is
+    # the same for every member of the quiddity class
+    canon = {}
+    for d in three_periodic(11):
+        result = canonicalize_maximally_open(d)
+        assert is_maximally_open(result), d
+        q = quiddity(d)
+        assert quiddity(result) == q
+        assert canon.setdefault((d.n_vertices, q.entries), result) == result, d
+
+
+@pytest.mark.parametrize("n", [98, 202, 298])
+def test_hexagon_chain_canonicalizes_in_few_steps(n):
+    # cells order opens the chain in about N/8 steps; an order whose
+    # steps grow as N^2 fails this
+    d = hexagon_chain(n)
+    result, trace = canonicalize_trace(d)
+    assert len(trace) <= n // 8 + 1
+    assert is_maximally_open(result)
+    assert quiddity(result) == quiddity(d)
+
+
 def test_canonical_form_is_order_independent():
     rng = random.Random(5)
     for d in three_periodic(9):
@@ -324,7 +348,7 @@ def cells_calls(monkeypatch):
 def test_canonicalize_extracts_cells_once_per_state(cells_calls):
     # once from the input; once more from the result, to check the cells
     # carried from move to move
-    result, trace = canonicalize_trace(THIRTY_GON)
+    result, trace = canonicalize_trace(hexagon_chain(50))
     assert len(trace) >= 4
     assert len(cells_calls) <= 2
 
@@ -352,7 +376,7 @@ def test_carried_cells_match_the_cells_of_the_result_exhaustively():
 
 def test_local_rule_gives_the_opening_moves_exhaustively():
     for d in three_periodic(11):
-        assert _opening(d.n_vertices, list(cells(d))) == opening_moves(d), d
+        assert list(_opening(d.n_vertices, list(cells(d)))) == opening_moves(d), d
 
 
 def test_surgery_class_refuses_more_work_than_its_cap(monkeypatch):
