@@ -9,6 +9,15 @@ output, deterministic byte for byte.  ``table`` goes through a
 persistent cache unless ``--no-cache`` is given; ``count``,
 ``quiddities`` and ``formula`` accept the cache flags and ignore them.
 
+Arguments are parsed in two steps, with one grammar: the parser that
+``build_parser`` builds.  A plain argv, meaning the verb (and action),
+then its positionals, then exact ``--option value`` pairs and flags,
+with no other token starting with '-', is read off that parser's own
+tables by ``_parse_plain``.  Every other argv goes to argparse: usage
+errors, ``--help``, ``--version``, abbreviations, ``--opt=value``,
+negative numbers, ``--``, repeated options and positionals placed
+after options.  So usage errors and help still come from argparse.
+
 Exit codes: 0 success, 1 domain error or failed check, 2 usage error.
 A reader that closes stdout early cuts the output short, with nothing
 on stderr and the exit code the run would have had.
@@ -268,6 +277,85 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _convert(action: argparse.Action, text: str):
+    # what argparse makes of one token: the action's type, then its choices
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
+def _match(parser: argparse.ArgumentParser, argv: list[str]) -> Optional[argparse.Namespace]:
+    values, seen = {}, set()
+    for a in parser._actions:
+        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
+            values.setdefault(a.dest, a.default)
+    for dest, default in parser._defaults.items():
+        values.setdefault(dest, default)
+    dashed = tuple(parser.prefix_chars)
+    run = next((k for k, tok in enumerate(argv) if tok.startswith(dashed)), len(argv))
+    i = 0  # argv[i:run] are the positional tokens not yet taken
+    for a in parser._actions:
+        if a.option_strings:
+            continue
+        if type(a) is argparse._SubParsersAction and i < run:  # it takes the rest
+            sub = _match(a.choices[_convert(a, argv[i])], argv[i + 1:])
+            if sub is None:
+                return None
+            if a.dest is not argparse.SUPPRESS:
+                values[a.dest] = argv[i]
+            values.update(vars(sub))
+            i = run = len(argv)
+        elif type(a) is not argparse._StoreAction:
+            return None
+        elif a.nargs is None and i < run:
+            values[a.dest], i = _convert(a, argv[i]), i + 1
+        elif a.nargs == argparse.ZERO_OR_MORE:
+            value = [_convert(a, tok) for tok in argv[i:run]] or (
+                [] if a.default is None else a.default)
+            if i == run and a.choices is not None and value not in a.choices:
+                return None  # argparse checks an empty run's value as a whole
+            values[a.dest], i = value, run
+        else:
+            return None
+        seen.add(a)
+    while i < len(argv):
+        a = parser._option_string_actions.get(argv[i])
+        if a in seen:  # a repeated option
+            return None
+        if type(a) is argparse._StoreTrueAction:
+            values[a.dest], i = a.const, i + 1
+        elif (type(a) is argparse._StoreAction and a.nargs is None and i + 1 < len(argv)
+              and not argv[i + 1].startswith(dashed)):
+            values[a.dest], i = _convert(a, argv[i + 1]), i + 2
+        else:
+            return None
+        seen.add(a)
+    for a in parser._actions:  # argparse would convert a str default
+        if a not in seen and (a.required or (a.type is not None and isinstance(a.default, str))):
+            return None
+    for group in parser._mutually_exclusive_groups:
+        hits = sum(a in seen and (type(a) is argparse._StoreTrueAction
+                                  or values[a.dest] is not a.default)
+                   for a in group._group_actions)
+        if hits > 1 or (group.required and not hits):
+            return None
+    return argparse.Namespace(**values)
+
+
+def _parse_plain(parser: argparse.ArgumentParser,
+                 argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """``parser.parse_args(argv)`` for a plain argv (see the module
+    docstring), read off the parser's subparser maps, option strings,
+    types, choices, nargs, required flags, defaults and mutually
+    exclusive groups; None for any other argv, for one that argparse
+    would refuse, and for any action or nargs this does not model."""
+    try:
+        return _match(parser, list(argv))
+    except (TypeError, ValueError, argparse.ArgumentTypeError):  # what argparse catches
+        return None
+
+
 def _run_formula(args: argparse.Namespace, out) -> int:
     arity = {
         "catalan": 1, "kirkman-cayley": 2, "fuss": 2,
@@ -395,10 +483,16 @@ def _run_modular(args: argparse.Namespace, out) -> int:
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    # two steps: a plain argv is read off the parser's own tables, and
+    # argparse parses every other one (help, --version, abbreviations,
+    # --opt=value, negative numbers, '--', repeated options, positionals
+    # after options), so every usage error is still argparse's
+    args = _parse_plain(parser, sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
 
     code = 0
     try:

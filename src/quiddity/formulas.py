@@ -93,8 +93,9 @@ def _compositions(n: int, m: int, parts) -> int:
     (Knuth, TAOCP vol. 2, 4.7): as Q(0) = 1, r_0 = 1 and
     j r_j = sum of ((m+1) i - j) r_(j-i) over the shifts i = k - k0 with
     1 <= i <= j.  The division by j is exact and asserted.  When every
-    shift is a multiple of g, so is every exponent of Q, and the
-    recurrence runs on Q(x^(1/g)) up to J/g.  Only parts up to k0 + J
+    shift is a multiple of g, so is every exponent of Q: a J that g does
+    not divide gives 0 before any refusal, and otherwise the recurrence
+    runs on Q(x^(1/g)) up to J/g.  Only parts up to k0 + J
     matter, and their terms are counted in closed form, so a recurrence
     of over ``COMPOSITION_STEP_CAP`` terms, or of J/g iterations if more,
     is refused up front in time and memory that do not grow with n.
@@ -108,6 +109,8 @@ def _compositions(n: int, m: int, parts) -> int:
     above = parts[1:bisect_right(parts, low + top)]  # the parts low + i, 1 <= i <= J
     # a progression's shifts share the gcd of its first two
     g = gcd(*(k - low for k in (above[:2] if isinstance(above, range) else above))) or 1
+    if top % g:  # every exponent of Q^m is a multiple of g, and J is not
+        return 0
     # shift i is summed for j = i..J, and the loop runs J/g times however
     # few terms it sums
     steps = max(len(above) * (top + 1 + low) - _total(above), top // g)
@@ -116,8 +119,6 @@ def _compositions(n: int, m: int, parts) -> int:
             f"counting the {n + 2}-gon's dissections into {m} cells takes about "
             f"{steps} steps, over the cap of {COMPOSITION_STEP_CAP}"
         )
-    if top % g:
-        return 0
     top //= g
     shifts = [(k - low) // g for k in above]
     r = [1]

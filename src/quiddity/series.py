@@ -338,6 +338,11 @@ def compose_q(p: BivariateSeries) -> BivariateSeries:
     """
     if p_equation().apply(p) != p:
         raise DomainError("input series does not solve the auxiliary equation")
+    return _compose_q(p)
+
+
+def _compose_q(p: BivariateSeries) -> BivariateSeries:
+    # Q from a P already checked against the auxiliary equation
     one = BivariateSeries.one(p.order)
     pp = p * p
     return one + pp.shift(1, 1) * geometric_sum((pp * p).shift(3, 0))
@@ -391,7 +396,8 @@ def solve_named(name: str, max_z_order: int, ell: Optional[int] = None) -> Bivar
     """Solve one of the named equations; ``q`` composes the quiddity
     series from the auxiliary solution."""
     if name == "q":
-        return compose_q(solve_fixed_point(p_equation(), max_z_order))
+        # solve_fixed_point has checked P's residual, so it is not checked twice
+        return _compose_q(solve_fixed_point(p_equation(), max_z_order))
     if name not in NAMED_EQUATIONS:
         raise DomainError(f"unknown equation {name!r}")
     if name == "ell-periodic":

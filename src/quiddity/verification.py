@@ -247,7 +247,7 @@ def check_series(order: int = 14) -> CheckResult:
             for m in range(n + 1):
                 if sol.coefficient(n, m) != closed(n, m, f):
                     return CheckResult("series-solver", False, f"{label} at z^{n} w^{m}")
-    q = series.compose_q(series.solve_fixed_point(series.p_equation(), order))
+    q = series.solve_named("q", order)
     for n in range(order + 1):
         for m in range(n + 1):
             if q.coefficient(n, m) != closed(n, m, formulas.quiddity_count_3periodic):

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, cache transparency."""
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from quiddity import cache, cli, formulas, surgery, verification
 from quiddity.cache import source_key
-from quiddity.cli import SERIES_ORDER_CAP, _dumps, main
+from quiddity.cli import SERIES_ORDER_CAP, _dumps, _parse_plain, build_parser, main
 from quiddity.enumeration import CellFilter, enumerate_dissections
 from quiddity.formulas import ell_periodic_count, kirkman_cayley, tri_quad_count
 
@@ -363,13 +364,25 @@ def test_count_with_no_composition_prints_zero(capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("flags", [(), ("--ell", "2"), ("--sizes", "3,4,99999999")])
+@pytest.mark.parametrize("flags", [
+    ("--m", "3"), ("--m", "4", "--ell", "2"), ("--m", "3", "--sizes", "3,4,99999999"),
+])
 def test_count_of_a_huge_polygon_is_refused_before_any_work(capsys, flags):
     # listing every allowed cell size took 0.4 s and 128 MB at 10^6
     # vertices, and would take gigabytes at 10^8
     start = time.perf_counter()
-    assert run(["count", "--n", "100000000", "--m", "3", *flags, "--no-cache"]) == (1, "")
+    assert run(["count", "--n", "100000000", *flags, "--no-cache"]) == (1, "")
     assert "steps, over the cap of 2500000" in capsys.readouterr().err
+    assert time.perf_counter() - start < 0.1
+
+
+def test_count_ruled_out_by_the_common_divisor_prints_zero(capsys):
+    # three odd parts cannot sum to the even 99,999,998: 0 before the
+    # step estimate, which once refused the count
+    start = time.perf_counter()
+    argv = ["count", "--n", "100000000", "--m", "3", "--ell", "2", "--no-cache"]
+    assert run(argv) == (0, "0\n")
+    assert capsys.readouterr().err == ""
     assert time.perf_counter() - start < 0.1
 
 
@@ -665,3 +678,123 @@ def test_argv_fuzz_ends_with_a_documented_exit(tmp_path_factory, argv):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("error:")
+
+
+def argparse_result(argv):
+    """What ``parse_args`` gives for ``argv``, or None where it exits
+    (a usage error, ``--help`` or ``--version``)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+def test_plain_parse_equals_argparse_on_the_contract():
+    from test_cli_contract import contract_grid
+
+    deferred = []
+    for argv in contract_grid():
+        got = _parse_plain(build_parser(), argv)
+        if got is None:
+            deferred.append(argv)
+        else:
+            assert got == argparse_result(argv), argv
+    # the usage errors, --version, --sizes= and --remove=, and negative
+    # values; every other contract argv is plain
+    assert len(deferred) <= 16, deferred
+
+
+def test_plain_argv_does_not_call_argparse(cache_env, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert run(["count", "--n", "8", "--m", "3", "--ell", "3", "--no-cache"]) == (0, "36\n")
+    assert run(["surgery", "canon", "8:1-3,5-7"])[0] == 0
+
+
+def test_unusual_forms_still_reach_argparse(cache_env, capsys):
+    plain = run(["count", "--n", "8", "--m", "3", "--no-cache"])
+    assert run(["count", "--n", "8", "--m", "3", "--no-c"]) == plain == (0, "120\n")
+    assert run(["count", "--n", "6"]) == (2, "")
+    assert "the following arguments are required: --m" in capsys.readouterr().err
+    assert run(["formula", "catalan", "-3"]) == (1, "")
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n=8", "--m", "3"],
+    ["count", "--n", "8", "--m", "3", "--no-c"],
+    ["count", "--n", "9", "--m", "3", "--n", "8"],
+    ["count", "--n", "-3", "--m", "3"],
+    ["formula", "catalan", "--", "-3"],
+    ["of", "--json", "6:"],
+], ids=" ".join)
+def test_unusual_forms_are_left_to_argparse(argv):
+    # each one argparse accepts, and the plain parse hands on
+    assert argparse_result(argv) is not None
+    assert _parse_plain(build_parser(), argv) is None
+
+
+def _leaves(parser, path=()):
+    # (verb and action words, parser) for every parser that takes no sub-command
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(list(path), parser)]
+    return [leaf for name, sub in subs[0].choices.items() for leaf in _leaves(sub, path + (name,))]
+
+
+def _parsers_above(parser, above=()):
+    # (parser, the parsers above it) for every parser of the tree
+    found = [(parser, list(above))]
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            for sub in a.choices.values():
+                found += _parsers_above(sub, (*above, parser))
+    return found
+
+
+def test_no_option_abbreviates_two_options_of_a_parser_above():
+    # argparse reads a sub-command's tokens at every level above it too,
+    # and refuses one that abbreviates two options there; the plain parse
+    # reads each token at its own level only
+    for parser, above in _parsers_above(build_parser()):
+        for option in (o for a in parser._actions for o in a.option_strings):
+            for upper in above:
+                hits = [o for o in upper._option_string_actions if o.startswith(option)]
+                assert option in hits or len(hits) < 2, (option, hits)
+
+
+LEAVES = _leaves(build_parser())
+OPTIONS = sorted({o for _, p in LEAVES for a in p._actions for o in a.option_strings})
+WORDS = sorted({w for path, _ in LEAVES for w in path}
+               | {c for _, p in LEAVES for a in p._actions if a.choices for c in a.choices})
+VALUES = ["0", "5", "12", "x", "", " 7", "+3", "1,2", "3,4", "8:1-3,5-7", "1-3,5-7"]
+UNUSUAL = ["--n=5", "--order=3", "-3", "-1", "--", "-", "-h", "--help", "--version",
+           "--no-c", "--ord", "--requ", "--js"]
+
+
+@st.composite
+def token_runs(draw):
+    """A leaf's verb and action words, then tokens drawn from its own
+    options, values, every option, the CLI's words and unusual forms."""
+    path, parser = draw(st.sampled_from(LEAVES))
+    own = [o for a in parser._actions for o in a.option_strings]
+    token = st.one_of(st.sampled_from(own), st.sampled_from(VALUES),
+                      st.sampled_from(OPTIONS + WORDS + UNUSUAL))
+    argv = (path if draw(st.integers(0, 9)) else path[:1]) + draw(st.lists(token, max_size=8))
+    return argv if draw(st.integers(0, 19)) else draw(st.permutations(argv))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=token_runs())
+@example(argv=["formula", "catalan"])  # an empty nargs='*' run
+@example(argv=["cf", "eval", "--regular", "1", "--hj", "2"])  # an exclusive group
+@example(argv=["count", "--n", "8", "--m", "3", "--n", "9"])  # a repeated option
+@example(argv=["surgery", "moves", "--require-3p", "8:"])  # a positional after an option
+@example(argv=["count", "--n", "8", "--m", "3", "--sizes", "--json"])  # an option as a value
+def test_plain_parse_is_argparse_or_defers(argv):
+    # wherever argparse exits, the plain parse returns None
+    got = _parse_plain(build_parser(), argv)
+    assert got is None or got == argparse_result(argv)

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quiddity import DomainError, formulas
+from quiddity import DomainError, formulas, series
 from quiddity.enumeration import CellFilter, count_dissections
 from quiddity.series import (
     BivariateSeries,
@@ -287,6 +287,16 @@ def test_solve_named_quiddity_route():
     q = solve_named("q", 10)
     for (n, m), want in known_quiddity_table(10).items():
         assert q.coefficient(n, m) == want
+
+
+def test_solve_named_q_checks_the_p_residual_once(monkeypatch):
+    # solve_fixed_point checks the solved P against the auxiliary
+    # equation; composing Q from it does not build and check it again
+    built = []
+    monkeypatch.setattr(series, "p_equation", lambda: built.append(1) or p_equation())
+    q = solve_named("q", 8)
+    assert len(built) == 1
+    assert q == compose_q(solve_fixed_point(p_equation(), 8))
 
 
 small_series = st.builds(
