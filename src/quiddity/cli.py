@@ -48,10 +48,10 @@ from .enumeration import (
     ALL_CELLS,
     FAMILY_CAP,
     CellFilter,
+    _class_texts,
     _texts,
     count_dissections,
     count_quiddities,
-    quiddity_classes,
 )
 from .modular import classify_monodromy, elementary_product, verify_monodromy_correspondence
 from .surgery import (
@@ -68,8 +68,8 @@ from .verification import run_all
 # fewer than 5.83^n) and takes at most 0.07 s (quiddity-3p 4999 2251, the
 # slowest); the series solver grows about as order^4 (kirkman-cayley and
 # ell-periodic with ell = 1, the slowest, take 1.4-2.0 s at order 85) and
-# the table as max-n^2 (0.8 s at 1200, one ``comb`` per entry), on a
-# 2-core machine.
+# the table as max-n^2 (0.07 s at 1200, each diagonal's binomial stepped
+# from entry to entry), on a 2-core machine.
 FORMULA_ARG_CAP = 5000
 SERIES_ORDER_CAP = 85
 TABLE_MAX_N_CAP = 1200
@@ -385,9 +385,8 @@ def _run_table(args: argparse.Namespace, out) -> int:
 
     def compute() -> str:
         lines = ["n,m,value"]
-        diagonals = formulas.quiddity_table_diagonals(args.max_n).values()
-        for n, m in sorted(entry for diagonal in diagonals for entry in diagonal):
-            lines.append(f"{n},{m},{formulas.quiddity_count_3periodic(n, m)}")
+        for (n, m), value in sorted(formulas.quiddity_table(args.max_n).items()):
+            lines.append(f"{n},{m},{value}")
         return "\n".join(lines)
 
     if args.no_cache:
@@ -528,10 +527,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
         if args.verb == "classes":
             _refuse_negative(args.max_results, "--max-results")
-            classes = quiddity_classes(args.n, args.m, _parse_filter(args),
-                                       max_dissections=min(args.max_results, FAMILY_CAP))
-            payload = {str(q): sorted(str(d) for d in ds) for q, ds in classes.items()}
-            print(_dumps(payload), file=out)
+            print(_dumps(_class_texts(args.n, args.m, _parse_filter(args),
+                                      min(args.max_results, FAMILY_CAP))), file=out)
             return 0
 
         if args.verb == "formula":

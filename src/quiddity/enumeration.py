@@ -30,13 +30,14 @@ cell; a gap that must be exactly one cell is placed inline.  Each
 dissection is handed up once, from that one loop.  The loop also logs
 every cell it places, so the family functions read each member's
 quiddity off the log, cross-checked against 1 + chord degree, and the
-``enumerate`` verb writes each member's line straight from the walk's
-chords (``_texts``), with no ``Dissection`` built.
+``enumerate`` and ``classes`` verbs write each member's text straight
+from the walk's chords (``_texts``, ``_class_texts``), with no
+``Dissection`` built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import formulas
 from .core import (
@@ -51,12 +52,11 @@ from .core import (
 # and, by default, ``quiddity_classes`` enumerate, and so the
 # ``quiddities`` and ``classes`` verbs.  It admits every family of an
 # N-gon with N <= 11; the largest, 32,032 dissections of the 11-gon
-# into 7 cells, takes 0.2 s for ``quiddities`` and 0.7-0.9 s for
-# ``classes`` on a 2-core machine, about half of the latter in
-# formatting and sorting its output.
+# into 7 cells, takes 0.2 s for ``quiddities`` and 0.5-0.6 s for
+# ``classes`` on a 2-core machine.
 # Few-cell families of larger polygons cost more per member, since a
 # quiddity has N entries: ``classes --n 27 --m 3`` (34,776) takes
-# 0.9-1.1 s.
+# 0.9 s.
 FAMILY_CAP = 35_000
 
 # Largest polygon that ``enumerate_dissections`` accepts.  A shape's
@@ -368,22 +368,29 @@ def enumerate_dissections(
     return (Dissection._trusted(n_vertices, chords) for chords, _ in walk)
 
 
+def _chord_text(n_vertices: int) -> Callable[[Sequence[Chord]], str]:
+    """The canonical text of a dissection of the N-gon from its chords,
+    ``str(d)`` with no ``Dissection``: ``N:`` and the sorted chords, each
+    chord's text looked up in a table of N^2 names made on this call."""
+    names = [[f"{i}-{j}" for j in range(n_vertices)] for i in range(n_vertices)]
+    head = f"{n_vertices}:"
+    return lambda chords: head + ",".join([names[i][j] for i, j in sorted(chords)])
+
+
 def _texts(
     n_vertices: int, m: Optional[int] = None, cell_filter: CellFilter = ALL_CELLS
 ) -> Iterator[str]:
     """The canonical text, ``str(d)``, of every dissection
     ``enumerate_dissections`` yields, in its order, written from the
-    walk's chords with no ``Dissection``: ``N:`` and the sorted chords,
-    each chord's text looked up in a table made once per call, at the
-    first line, so that asking for none builds no N^2 table.  The
-    arguments are checked on the call."""
+    walk's chords by ``_chord_text``, whose table is made at the first
+    line, so that asking for none builds no N^2 table.  The arguments
+    are checked on the call."""
     walk = _walk(n_vertices, m, cell_filter)
 
     def lines() -> Iterator[str]:
-        names = [[f"{i}-{j}" for j in range(n_vertices)] for i in range(n_vertices)]
-        head = f"{n_vertices}:"
+        text = _chord_text(n_vertices)
         for chords, _ in walk:
-            yield head + ",".join([names[i][j] for i, j in sorted(chords)])
+            yield text(chords)
 
     return lines()
 
@@ -460,3 +467,19 @@ def quiddity_classes(
     for chords, entries in _carried_quiddities(n_vertices, m, cell_filter):
         grouped.setdefault(entries, []).append(Dissection._trusted(n_vertices, chords))
     return {Quiddity(entries): tuple(ds) for entries, ds in grouped.items()}
+
+
+def _class_texts(
+    n_vertices: int, m: int, cell_filter: CellFilter, max_dissections: int
+) -> dict[str, list[str]]:
+    """``quiddity_classes`` as text, for the ``classes`` verb: each
+    quiddity's text to its members' sorted texts, both written from the
+    walk (``_carried_quiddities``, ``_chord_text``), so no ``Dissection``
+    or ``Quiddity`` is made per member.  Refuses families larger than
+    ``max_dissections``."""
+    _refuse_large_family(n_vertices, m, cell_filter, max_dissections)
+    text = _chord_text(n_vertices)
+    grouped: dict[tuple[int, ...], list[str]] = {}
+    for chords, entries in _carried_quiddities(n_vertices, m, cell_filter):
+        grouped.setdefault(entries, []).append(text(chords))
+    return {",".join(map(str, entries)): sorted(texts) for entries, texts in grouped.items()}

@@ -231,21 +231,28 @@ def quiddity_count_3periodic(n: int, m: int) -> int:
 
         (n-m-3s+2)/(n-s+1) * C(m+s-2, s) * C(n+m-s-1, m-1)
 
-    for 0 <= s <= (n-m)/3.  Individual terms need not be integers, so
-    they are summed over the common denominator, the lcm of the n-s+1,
-    and the division of the total by it is asserted exact.  From s to
-    s+1 both binomials step by an exact small ratio, so the sum takes
-    one ``comb``.  Follows the 2-gon convention at (0, 0).
+    for 0 <= s <= (n-m)/3 (``_quiddity_sum``).  Follows the 2-gon
+    convention at (0, 0).
     """
     _check_nonneg(n=n, m=m)
     if n == 0:
         return 1 if m == 0 else 0
     if m == 0 or m > n or (n - m) % 3 != 0:
         return 0
+    return _quiddity_sum(n, m, comb(n + m - 1, m - 1))
+
+
+def _quiddity_sum(n: int, m: int, right: int) -> int:
+    """The sum of ``quiddity_count_3periodic`` for 1 <= m <= n with
+    n == m (mod 3), given its s = 0 binomial ``right`` = C(n+m-1, m-1).
+
+    Individual terms need not be integers, so they are summed over the
+    common denominator, the lcm of the n-s+1, and the division of the
+    total by it is asserted exact.  From s to s+1 both binomials step by
+    an exact small ratio, so the sum takes no ``comb``."""
     top = (n - m) // 3
     denominator = lcm(*range(n - top + 1, n + 2))
-    # C(m+s-2, s) and C(n+m-s-1, m-1) at s = 0; C(-1, 0) = 1 when m = 1
-    left, right = 1, comb(n + m - 1, m - 1)
+    left = 1  # C(m+s-2, s) at s = 0; C(-1, 0) = 1 when m = 1
     total = 0
     for s in range(top + 1):
         total += (n - m - 3 * s + 2) * (denominator // (n - s + 1)) * left * right
@@ -256,6 +263,23 @@ def quiddity_count_3periodic(n: int, m: int) -> int:
         raise AssertionError(
             f"quiddity count for ({n}, {m}) is not integral: {total}/{denominator}")
     return value
+
+
+def quiddity_table(max_n: int) -> dict[tuple[int, int], int]:
+    """``quiddity_count_3periodic`` at every entry of the table
+    (``quiddity_table_diagonals``), by (n, m).  Along a diagonal, from
+    (n, m) to (n+1, m+1), the s = 0 binomial C(n+m-1, m-1) steps exactly
+    by (n+m)(n+m+1) / (m(n+1)), so the table takes no ``comb``."""
+    table = {}
+    for entries in quiddity_table_diagonals(max_n).values():
+        right = 1  # C(n, 0) at a diagonal's first entry with m = 1
+        for n, m in entries:
+            if m == 0:  # the 2-gon
+                table[n, m] = quiddity_count_3periodic(n, m)
+                continue
+            table[n, m] = _quiddity_sum(n, m, right)
+            right = right * (n + m) * (n + m + 1) // (m * (n + 1))
+    return table
 
 
 def quiddity_table_diagonals(max_n: int) -> dict[int, list[tuple[int, int]]]:

@@ -42,17 +42,24 @@ from .core import (
     quiddity,
 )
 
-# Largest number of moves tried times N that ``surgery_class`` spends by
-# default.  Each move tried costs O(N) (a new chord tuple, and for a new
-# state a validated Dissection and its cells), so this bounds the
-# search's time and memory, however many moves a state has.  On a
-# 2-core machine the slowest searches found take about 2 s at the cap:
-# an N-gon with chords 0-2, 2-4, ..., N-3 - N-1 (a cell of (N+1)/2
-# vertices with a triangle on each chord edge) is refused after
-# 1.3-2.3 s for N from 41 to 199,997 (whose first state alone has over
-# 10^9 moves); a random 3-periodic 150-gon whose class has
+# Work that ``surgery_class`` charges each member, in moves tried: a
+# move tried costs O(N) (a new chord tuple), and a member costs about
+# eight of them (validating its Dissection, its chord degrees twice,
+# its cells and its move search), on triangle fans and chains alike.
+SURGERY_STATE_MOVES = 8
+
+# Largest work, in moves tried times N, that ``surgery_class`` spends by
+# default, each member charged ``SURGERY_STATE_MOVES`` moves.  This
+# bounds the search's time and memory, however many moves a state has
+# or however many chords it carries.  On a 2-core machine the slowest
+# searches found are refused after about 1.5 s: (N - 6)/2 triangles
+# fanned on each side of one hexagon (a new member every other move, of
+# N - 6 chords each) at N = 5000, and an N-gon with chords 0-2, 2-4,
+# ..., N-3 - N-1 (a cell of (N+1)/2 vertices with a triangle on each
+# chord edge) at N = 41; at N = 199,997 that shape's first state alone
+# has over 10^9 moves.  A random 3-periodic 150-gon whose class has
 # 84,624 states took 81 s and 399 MB without a cap.
-SURGERY_CLASS_CAP = 2_500_000
+SURGERY_CLASS_CAP = 8_000_000
 
 # Largest polygon that ``canonicalize_trace`` accepts, and with it the
 # 3-periodic ``class_export``.  Canonicalization costs O(steps x N), and
@@ -272,28 +279,35 @@ def surgery_class(
     breadth-first search.  Each state carries its cells from its parent;
     a state reached again is skipped before anything is built, and a new
     one is validated once and checked against its parent's chord
-    degrees.  Each move tried costs O(N), so the search refuses once the
-    moves tried times N pass ``max_work`` (default
-    ``SURGERY_CLASS_CAP``)."""
+    degrees.  Each move tried costs O(N) and each member about
+    ``SURGERY_STATE_MOVES`` moves, so the search refuses once that work
+    times N passes ``max_work`` (default ``SURGERY_CLASS_CAP``)."""
     n = d.n_vertices
     if max_work is None:
         max_work = SURGERY_CLASS_CAP
     work = 0
+
+    def spend(moves: int) -> None:
+        nonlocal work
+        work += moves * n
+        if work > max_work:
+            raise ResourceLimitError(
+                f"surgery class exceeds the cap of {max_work} on "
+                f"(moves tried + {SURGERY_STATE_MOVES} x members) x N")
+
+    spend(SURGERY_STATE_MOVES)  # the first member
     seen = {d.chords: d}
     queue = deque([(d, cells(d))])
     while queue:
         cur, cs = queue.popleft()
         degrees = cur.chord_degrees()
         for mv in _moves(n, cs, require_3periodic):
-            work += n
-            if work > max_work:
-                raise ResourceLimitError(
-                    f"surgery class exceeds the cap of {max_work} on moves tried x N"
-                )
+            spend(1)
             chords = tuple(sorted([c for c in cur.chords if c not in mv.removed]
                                   + list(mv.added)))
             if chords in seen:
                 continue
+            spend(SURGERY_STATE_MOVES)
             nxt = Dissection(n, chords)
             if nxt.chord_degrees() != degrees:
                 raise AssertionError("surgery changed the quiddity")

@@ -5,10 +5,14 @@ acceptance tests.
 """
 from __future__ import annotations
 
+import os
 import random
+import signal
+import threading
+import traceback
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from . import formulas, series
 from .core import Dissection, dihedral_orbit, quiddity
@@ -327,23 +331,139 @@ def check_continued_fractions(max_sum: int = 12) -> CheckResult:
     return CheckResult("continued-fractions", True, f"{checked} expansions, term sum <= {max_sum}")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in a worker process, set as
+    the cause of the exception when it is raised again in the caller."""
+
+
+def _take(fn: Callable[[Any], Any], tasks: Sequence, queue: int) -> dict[int, tuple]:
+    """Run ``fn`` on each task whose index this process takes from the
+    ``queue`` pipe, until the pipe is empty: index -> (True, value), or
+    (False, exception, traceback text) for a task that raised."""
+    done: dict[int, tuple] = {}
+    while record := os.read(queue, 1):
+        index = record[0]
+        try:
+            done[index] = (True, fn(tasks[index]))
+        except Exception as exc:
+            done[index] = (False, exc, traceback.format_exc())
+    return done
+
+
+def _fork_map(
+    fn: Callable[[Any], Any], tasks: Sequence, order: Optional[Sequence[int]] = None
+) -> list:
+    """``[fn(task) for task in tasks]``, run on up to one process per
+    usable CPU.
+
+    The task indices are queued on one pipe, one byte each, in ``order``
+    (task order by default), before any worker starts, so there may be
+    at most 256 tasks (a pipe takes at least 512 bytes in one write).
+    This process and ``w - 1`` forked children, ``w`` being the smaller
+    of the task count and the usable CPUs, each take the next index
+    until the pipe is empty.  A child sends its values back pickled, and
+    they come back in task order.  With one CPU, no ``os.fork``, or a second live thread (a fork
+    copies only the calling thread, so a lock another thread holds would
+    stay held in the child), the same loop runs in this process alone.
+
+    Every task runs.  Then the exception of the first task in task order
+    that raised, if any, is raised again here; one raised in a child
+    keeps its type, with the child's traceback as its cause.  Every
+    child is reaped before this returns or raises.  A child never
+    returns into the caller: it ends with ``os._exit`` whatever happens.
+    """
+    # imported here, so that a process that never runs the suite does
+    # not hold the module (about 0.25 MB)
+    import pickle
+
+    tasks = list(tasks)
+    workers = min(len(tasks), _usable_cpus())
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(tasks)) if order is None else order))
+    os.close(fill)
+    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:  # the child: take tasks, send their values, exit
+                status = 1
+                try:
+                    os.close(read_end)
+                    with open(write_end, "wb") as sink:
+                        pickle.dump(_take(fn, tasks, queue), sink)
+                    status = 0
+                except BaseException:  # not re-raised: that would unwind into the caller
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children[pid] = read_end
+        done = _take(fn, tasks, queue)
+        while children:
+            pid, read_end = children.popitem()
+            with open(read_end, "rb") as source:
+                sent = source.read()
+            _, status = os.waitpid(pid, 0)
+            if status:
+                raise ChildProcessError(f"worker process {pid} ended with status {status}")
+            done.update(pickle.loads(sent))
+    finally:
+        os.close(queue)
+        for pid, read_end in children.items():  # left only when raising
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for index in range(len(tasks)):
+        if not done[index][0]:
+            _, exc, text = done[index]
+            if exc.__traceback__ is None:  # it was raised in a child
+                exc.__cause__ = _ChildTraceback(text)
+            raise exc
+    return [done[index][1] for index in range(len(tasks))]
+
+
 def run_all(scope: str = "fast") -> list[CheckResult]:
-    """The oracle-equivalence suite at the configured polygon caps."""
+    """The oracle-equivalence suite at the configured polygon caps, one
+    result per check, in a fixed order.
+
+    The checks are independent, so they run through ``_fork_map`` on the
+    usable CPUs, the slowest (``surgery-classes``) queued first; the
+    results, and so the lines ``verify-all`` prints, are the same as
+    when they run one after another in this process, which they do on
+    one CPU or when the caller has a second live thread."""
     if scope not in ("fast", "full"):
         raise ValueError(f"scope must be 'fast' or 'full', got {scope!r}")
     fast = scope == "fast"
     max_n = 8 if fast else 10
     quiddity_max_n = 8 if fast else 11
-    return [
-        check_table(),
-        check_dissection_counts(max_n),
-        check_quiddity_counts(quiddity_max_n),
-        check_quiddity_sum(7 if fast else 9),
-        check_equal_size_injectivity(9 if fast else 12),
-        check_witnesses(9),
-        check_surgery_classes(8 if fast else 10, random_orders=5 if fast else 20),
-        check_monodromy(8 if fast else 10, converse_max_n=5 if fast else 6),
-        check_series(12 if fast else 14),
-        check_lagrange(10 if fast else 12),
-        check_continued_fractions(8 if fast else 12),
+    checks: list[tuple[Callable[..., CheckResult], tuple]] = [
+        (check_table, ()),
+        (check_dissection_counts, (max_n,)),
+        (check_quiddity_counts, (quiddity_max_n,)),
+        (check_quiddity_sum, (7 if fast else 9,)),
+        (check_equal_size_injectivity, (9 if fast else 12,)),
+        (check_witnesses, (9,)),
+        (check_surgery_classes, (8 if fast else 10, 5 if fast else 20)),
+        (check_monodromy, (8 if fast else 10, 5 if fast else 6)),
+        (check_series, (12 if fast else 14,)),
+        (check_lagrange, (10 if fast else 12,)),
+        (check_continued_fractions, (8 if fast else 12,)),
     ]
+    # a stable sort: surgery-classes first, the rest in order
+    order = sorted(range(len(checks)), key=lambda i: checks[i][0] is not check_surgery_classes)
+    return _fork_map(lambda check: check[0](*check[1]), checks, order)

@@ -200,7 +200,7 @@ def test_cache_transparency(cache_env, monkeypatch):
     fresh = run(["table", "--max-n", "9", "--no-cache"])
     cold = run(["table", "--max-n", "9"])
     with monkeypatch.context() as warm:
-        warm.setattr(formulas, "quiddity_count_3periodic", None)  # calling it fails
+        warm.setattr(formulas, "quiddity_table", None)  # calling it fails
         assert run(["table", "--max-n", "9"]) == fresh == cold
     side_file = cache_env / f"table-9-{source_key()}.csv"
     assert f"table,9,,,,{side_file},{source_key()}" in (cache_env / "table.csv").read_text()
@@ -247,9 +247,9 @@ def test_table_with_an_unusable_cache_directory_computes_nothing(tmp_path, monke
     # the directory is made before the table is computed, so the refusal
     # costs no count
     calls = []
-    count = formulas.quiddity_count_3periodic
-    monkeypatch.setattr(formulas, "quiddity_count_3periodic",
-                        lambda n, m: calls.append((n, m)) or count(n, m))
+    table = formulas.quiddity_table
+    monkeypatch.setattr(formulas, "quiddity_table",
+                        lambda max_n: calls.append(max_n) or table(max_n))
     regular = tmp_path / "regular"
     regular.write_text("")
     assert run(["table", "--max-n", "1200", "--cache-dir", str(regular / "sub")]) == (1, "")
@@ -274,7 +274,7 @@ def test_table_side_file_of_other_source_is_not_served(cache_env, monkeypatch):
     assert run(["table", "--max-n", "8"]) == fresh
     with monkeypatch.context() as other:
         other.setattr(cache, "source_key", lambda: "0" * 16)
-        other.setattr(formulas, "quiddity_count_3periodic", lambda n, m: 999)
+        other.setattr(formulas, "quiddity_table", lambda max_n: {(1, 1): 999})
         assert "999" in run(["table", "--max-n", "8"])[1]
     assert run(["table", "--max-n", "8"]) == fresh
 
@@ -521,14 +521,16 @@ def test_cli_module_runs_as_a_script():
 
 
 def test_surgery_class_over_its_cap_is_refused(capsys, monkeypatch):
-    # the default cap on moves tried x N, lowered below the 324 moves
-    # tried on the 56 states of this 30-gon's class
+    # the default cap on work x N, lowered below the 324 moves tried
+    # and 8 for each of the 56 members of this 30-gon's class
     text = "30:4-25,5-7,7-22,9-11,11-21,13-16,14-16,22-24,27-29"
-    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * 324 - 1)
+    work = 30 * (324 + 8 * 56)
+    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", work - 1)
     assert run(["surgery", "class", text, "--require-3p"]) == (1, "")
     assert capsys.readouterr().err == (
-        "error: surgery class exceeds the cap of 9719 on moves tried x N\n")
-    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", 30 * 324)
+        "error: surgery class exceeds the cap of 23159 on "
+        "(moves tried + 8 x members) x N\n")
+    monkeypatch.setattr(surgery, "SURGERY_CLASS_CAP", work)
     code, out = run(["surgery", "class", text, "--require-3p"])
     assert (code, len(json.loads(out)["members"])) == (0, 56)
 

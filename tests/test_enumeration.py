@@ -10,8 +10,10 @@ from quiddity import Dissection, DomainError, ResourceLimitError, dihedral_orbit
 from quiddity import enumeration, modular
 from quiddity.enumeration import (
     ENUMERATE_N_CAP,
+    FAMILY_CAP,
     CellFilter,
     _carried_quiddities,
+    _class_texts,
     _reach_masks,
     _texts,
     count_dissections,
@@ -138,6 +140,17 @@ def test_texts_match_the_dissections_exhaustively(filt):
     for n in range(3, 12):
         for m in (None, *range(1, n - 1)):
             assert list(_texts(n, m, filt)) == [str(d) for d in enumerate_dissections(n, m, filt)]
+
+
+@pytest.mark.parametrize("filt", SEVEN_FILTERS, ids=lambda f: f.describe())
+def test_class_texts_match_the_quiddity_classes_exhaustively(filt):
+    # the ``classes`` verb writes each key and member from the walk, with
+    # no ``Quiddity`` and no ``Dissection``
+    for n in range(3, 11):
+        for m in range(1, n - 1):
+            want = {str(q): sorted(str(d) for d in ds)
+                    for q, ds in quiddity_classes(n, m, filt).items()}
+            assert _class_texts(n, m, filt, FAMILY_CAP) == want
 
 
 @pytest.mark.parametrize("filt", SEVEN_FILTERS, ids=lambda f: f.describe())

@@ -89,6 +89,18 @@ def test_full_known_table():
         assert quiddity_count_3periodic(n, m) == want, (n, m)
 
 
+def test_table_steps_along_its_diagonals_to_the_closed_form():
+    # each diagonal's binomial is stepped from the previous entry, never
+    # recomputed, so every entry is checked against the closed form
+    table = formulas.quiddity_table(200)
+    entries = [e for diagonal in formulas.quiddity_table_diagonals(200).values()
+               for e in diagonal]
+    assert sorted(table) == sorted(entries)
+    for (n, m), value in table.items():
+        assert value == quiddity_count_3periodic(n, m), (n, m)
+    assert formulas.quiddity_table(14) == known_quiddity_table(14)
+
+
 def test_quiddities_never_outnumber_dissections():
     for n in range(1, 15):
         for m in range(1, n + 1):

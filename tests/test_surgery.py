@@ -381,8 +381,10 @@ def test_local_rule_gives_the_opening_moves_exhaustively():
 
 def test_surgery_class_refuses_more_work_than_its_cap(monkeypatch):
     members = surgery_class(THIRTY_GON, True)
-    # every member's moves are tried once, at a cost of N each
-    work = 30 * sum(len(find_surgeries(m, True)) for m in members)
+    # every member's moves are tried once, at a cost of N each, and each
+    # member costs SURGERY_STATE_MOVES moves
+    work = 30 * (sum(len(find_surgeries(m, True)) for m in members)
+                 + surgery.SURGERY_STATE_MOVES * len(members))
     assert surgery_class(THIRTY_GON, True, max_work=work) == members
     with pytest.raises(ResourceLimitError):
         surgery_class(THIRTY_GON, True, max_work=work - 1)
@@ -419,6 +421,8 @@ def test_surgery_class_refuses_before_listing_a_huge_state(monkeypatch):
     built = []
     move = surgery._move
     monkeypatch.setattr(surgery, "_move", lambda *a: built.append(a) or move(*a))
+    # room for the first member and ten moves, each making a new member
+    per_member = surgery.SURGERY_STATE_MOVES
     with pytest.raises(ResourceLimitError):
-        surgery_class(d, True, max_work=401 * 10)
+        surgery_class(d, True, max_work=401 * (per_member + 10 * (1 + per_member)))
     assert len(built) == 11

@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import itertools
+import os
+import select
+import threading
+import time
 
 import pytest
 
@@ -57,3 +61,115 @@ def test_tampered_closed_form_is_detected(monkeypatch, name):
 def test_check_lines_are_printable():
     result = verification.check_table()
     assert result.line().startswith("PASS quiddity-table")
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Two workers whatever the machine, so that a child is forked; a
+    test may raise the count."""
+    if threading.active_count() > 1:
+        pytest.skip("another thread is live, so every run stays in-process")
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("scope", ["fast", "full"])
+def test_forked_checks_print_the_single_process_lines(monkeypatch, forking, scope):
+    forked = [r.line() for r in verification.run_all(scope)]
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
+    assert [r.line() for r in verification.run_all(scope)] == forked
+    assert _no_child_left()
+
+
+def test_each_task_runs_once_and_comes_back_in_task_order(monkeypatch, forking):
+    # more workers than cores share one queue, taken in another order
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 4)
+    ran_r, ran_w = os.pipe()
+    tasks = list(range(256))
+
+    def fn(task):
+        os.write(ran_w, bytes([task]))  # one byte: atomic across processes
+        return task * task
+
+    try:
+        results = verification._fork_map(fn, tasks, tasks[::-1])
+        ran = os.read(ran_r, 1024)
+    finally:
+        os.close(ran_r)
+        os.close(ran_w)
+    assert results == [t * t for t in tasks]
+    assert sorted(ran) == tasks
+    assert _no_child_left()
+
+
+def test_an_exception_in_a_child_is_raised_in_the_caller(forking):
+    parent = os.getpid()
+    signal_r, signal_w = os.pipe()
+
+    def fn(task):
+        if os.getpid() == parent:
+            # hold this process's task until a child has taken the other
+            select.select([signal_r], [], [], 30)
+            return task
+        os.write(signal_w, b"x")
+        raise KeyError(task)
+
+    try:
+        with pytest.raises(KeyError) as info:
+            verification._fork_map(fn, [0, 1])
+        assert isinstance(info.value.__cause__, verification._ChildTraceback)
+        assert "raise KeyError(task)" in str(info.value.__cause__)
+    finally:
+        os.close(signal_r)
+        os.close(signal_w)
+    assert _no_child_left()
+
+
+def test_a_check_that_raises_is_raised_by_run_all(monkeypatch, forking):
+    def broken(*args):
+        raise ArithmeticError("broken check")
+
+    monkeypatch.setattr(verification, "check_series", broken)
+    with pytest.raises(ArithmeticError, match="broken check"):
+        verification.run_all("fast")
+    assert _no_child_left()
+
+
+def test_a_tamper_reaches_the_forked_checks(monkeypatch, forking):
+    # a fork copies the patched module, so each check sees the tamper
+    monkeypatch.setattr(formulas, "kirkman_cayley", _off_by_one_at(formulas.kirkman_cayley, 6, 6))
+    failed = [r.name for r in verification.run_all("fast") if not r.passed]
+    assert failed == ["dissection-counts", "series-solver", "lagrange-inversion"]
+    assert _no_child_left()
+
+
+def _slow_pid(task):
+    # slow enough that a forked child takes some of the tasks
+    time.sleep(0.05)
+    return os.getpid()
+
+
+def test_a_second_live_thread_keeps_the_run_in_process(forking):
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        pids = verification._fork_map(_slow_pid, range(8))
+    finally:
+        stop.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert pids == [os.getpid()] * 8
+
+
+def test_forks_one_child_per_extra_cpu(forking):
+    pids = set(verification._fork_map(_slow_pid, range(8)))
+    assert os.getpid() in pids and len(pids) == 2
+    assert _no_child_left()
