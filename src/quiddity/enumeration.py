@@ -29,14 +29,22 @@ entry is a choice point, a sub-polygon whose mask allows more than one
 cell; a gap that must be exactly one cell is placed inline.  Each
 dissection is handed up once, from that one loop.  The loop also logs
 every cell it places, so the family functions read each member's
-quiddity off the log, cross-checked against 1 + chord degree, and the
-``enumerate`` and ``classes`` verbs write each member's text straight
-from the walk's chords (``_texts``, ``_class_texts``), with no
-``Dissection`` built.
+quiddity off the log, cross-checked against 1 + chord degree.
+
+The ``enumerate`` and ``classes`` verbs write each member's text from
+the walk, with no ``Dissection`` built (``_texts``, ``_class_texts``).
+The walk places chords in pre-order, so the chords of one left end
+come together, longest first, and reversing each such run sorts them;
+with each member it hands up how many chords it kept from the member
+before.  One line writer (``_line_writer``) keeps the text of every
+prefix of the chords, and writes each line on from the kept prefix,
+with only the chords placed since: no sort, and no join of every
+chord's name.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log10
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import formulas
@@ -67,10 +75,12 @@ FAMILY_CAP = 35_000
 # (sizes {3, 4}, m = 99) or a pentagon (sizes {3, 5}, m = 66), and at
 # N = 198 with every cell a hexagon.  What still grows with N is the
 # mask arithmetic on N-bit masks (``reach`` and each plan's step masks)
-# and the table of N^2 chord names that ``_texts`` builds at the first
-# line: with the cap lifted, that line took 0.4-0.8 s and 93 MB at
-# N = 1000, and 1.5-2.6 s and 303 MB at N = 2000.  Raising the cap
-# would change which calls the CLI refuses, so it stays.
+# and what the line writer (``_line_writer``) of the ``enumerate`` and
+# ``classes`` verbs builds for the first line: a table of N^2 chord
+# names, and the sorted text of every prefix of its up to N - 3 chords.
+# With the cap lifted, that line took 0.2-0.3 s and 97 MB at N = 1000,
+# and about 1 s and 320 MB at N = 2000.  Raising the cap would change
+# which calls the CLI refuses, so it stays.
 ENUMERATE_N_CAP = 200
 
 
@@ -249,8 +259,8 @@ def _base_cells(
 
 def _walk(
     n_vertices: int, m: Optional[int], cell_filter: CellFilter
-) -> Iterator[tuple[list[Chord], list[tuple[int, Sequence[int]]]]]:
-    """The enumerator: an iterator over (chords, log) for every
+) -> Iterator[tuple[list[Chord], list[tuple[int, Sequence[int]]], int]]:
+    """The enumerator: an iterator over (chords, log, low) for every
     dissection of the N-gon with ``m`` cells (any count if None) under
     the filter, in the order of ``enumerate_dissections``.  The
     arguments are checked on the call, before any item is asked for.
@@ -258,14 +268,23 @@ def _walk(
     ``chords`` lists the dissection's chords in the order placed and
     ``log`` its cells, each as (shift, corners), the cell's vertices
     being shift plus each corner.  Both are the walk's working lists,
-    valid until the next item is asked for.
+    valid until the next item is asked for.  ``low`` is how many chords
+    it kept from the previous item: ``chords[:low]`` are the same
+    objects as then, and so are ``log[:low]``, since at a cut the log
+    holds the base cell and the cell inside each chord but the last.
+
+    The chords come in pre-order: a chord, then the chords inside it,
+    then those to its right.  So the chords with one left end are
+    placed together, longest first, and those runs by increasing left
+    end; each run reversed gives the sorted list (``_line_writer``).
 
     One loop over an explicit stack of choice points: sub-polygons whose
     wanted-count mask allows more than one cell.  An entry holds the
     sub-polygon's shape, with the base cells planned for it so far, the
     index of the next one, the sub-polygon's first vertex, the
-    continuation and the lengths of ``chords`` and ``log`` on entry, to
-    which it cuts both back before placing its next base cell.  The
+    continuation and the length of ``chords``, and so of ``log``, on
+    entry, to which it cuts both back before placing its next base
+    cell; ``low`` is the least such length since the last item.  The
     continuation is the gaps of enclosing base cells still to fill, a
     linked list of (next step, first vertex, chord count before the
     base cell's gaps, enclosing continuation) that entries share.  A
@@ -294,16 +313,16 @@ def _walk(
             shape = shapes[span, want] = ([], _base_cells(reach, allowed, span, want))
         return shape
 
-    def search() -> Iterator[tuple[list[Chord], list[tuple[int, Sequence[int]]]]]:
+    def search() -> Iterator[tuple[list[Chord], list[tuple[int, Sequence[int]]], int]]:
         chords: list[Chord] = []
         log: list[tuple[int, Sequence[int]]] = []
-        leaf = (chords, log)
+        low = 0  # the fewest chords kept since the last item
         want = 1 << m if m is not None else (1 << (n_vertices - 1)) - 2
         # the base cell is one of the cells, so its gaps want one fewer
-        stack = [[shape_of(n_vertices - 1, want >> 1), 0, 0, None, 0, 0]]
+        stack = [[shape_of(n_vertices - 1, want >> 1), 0, 0, None, 0]]
         while stack:
             point = stack[-1]
-            shape, idx, lo, cont, n_chords, n_log = point
+            shape, idx, lo, cont, n_chords = point
             planned, plans = shape
             if idx == len(planned):
                 plan = next(plans, None)
@@ -312,15 +331,18 @@ def _walk(
                     continue
                 planned.append(plan)
             point[1] = idx + 1
+            if n_chords < low:
+                low = n_chords
             del chords[n_chords:]
-            del log[n_log:]
+            del log[n_chords:]
             corners, step = planned[idx]
             log.append((lo, corners))
             mark = n_chords  # the gaps of this base cell hold len(chords) - mark cells
             while True:  # fill gaps left to right up to the next choice point
                 if step is None:
                     if cont is None:  # every gap is filled
-                        yield leaf
+                        yield chords, log, low
+                        low = n_vertices  # over every cut to come
                         break
                     step, lo, mark, cont = cont  # on to an enclosing base cell
                     continue
@@ -331,7 +353,7 @@ def _walk(
                     log.append((lo + p, run))
                     continue
                 stack.append([shape_of(q - p, sub_want >> 1), 0, lo + p,
-                              (step, lo, mark, cont), len(chords), len(log)])
+                              (step, lo, mark, cont), len(chords)])
                 break
 
     return search()
@@ -365,63 +387,98 @@ def enumerate_dissections(
     ``Dissection`` objects.
     """
     walk = _walk(n_vertices, m, cell_filter)
-    return (Dissection._trusted(n_vertices, chords) for chords, _ in walk)
+    return (Dissection._trusted(n_vertices, chords) for chords, _, _ in walk)
 
 
-def _chord_text(n_vertices: int) -> Callable[[Sequence[Chord]], str]:
-    """The canonical text of a dissection of the N-gon from its chords,
-    ``str(d)`` with no ``Dissection``: ``N:`` and the sorted chords, each
-    chord's text looked up in a table of N^2 names made on this call."""
+def _line_writer(n_vertices: int) -> Callable[[list[Chord], int], str]:
+    """The canonical text, ``str(d)``, of each item of one walk of the
+    N-gon, from its ``chords`` and ``low``, with no sort and no join.
+
+    The chords' pre-order is runs of one left end, so the sorted text
+    of a prefix of k chords is ``done[k]``, the text of its finished
+    runs (each followed by a comma), plus ``runs[k]``, that of its last
+    run, whose left end is ``lefts[k]``.  Each line starts from entry
+    ``low``, which the walk kept, and writes only the chords after it:
+    one with the last run's left end is shorter than the run's, so its
+    name goes in front; any other starts a run.  The chord names are
+    looked up in a table of N^2 names made on this call."""
     names = [[f"{i}-{j}" for j in range(n_vertices)] for i in range(n_vertices)]
-    head = f"{n_vertices}:"
-    return lambda chords: head + ",".join([names[i][j] for i, j in sorted(chords)])
+    # by prefix length k, up to the N - 3 chords of a triangulation
+    done = [f"{n_vertices}:"] * (n_vertices - 2)
+    runs = [""] * (n_vertices - 2)
+    lefts = [-1] * (n_vertices - 2)
+
+    def line(chords: list[Chord], low: int) -> str:
+        text, run, left = done[low], runs[low], lefts[low]
+        k = low
+        for i, j in chords[low:]:
+            k += 1
+            if i == left:
+                run = names[i][j] + "," + run
+            else:
+                if k > 1:  # close the run before it
+                    text += run + ","
+                run = names[i][j]
+                left = i
+            done[k] = text
+            runs[k] = run
+            lefts[k] = left
+        return text + run
+
+    return line
 
 
 def _texts(
     n_vertices: int, m: Optional[int] = None, cell_filter: CellFilter = ALL_CELLS
 ) -> Iterator[str]:
     """The canonical text, ``str(d)``, of every dissection
-    ``enumerate_dissections`` yields, in its order, written from the
-    walk's chords by ``_chord_text``, whose table is made at the first
-    line, so that asking for none builds no N^2 table.  The arguments
-    are checked on the call."""
+    ``enumerate_dissections`` yields, in its order, each written by
+    ``_line_writer`` from the chords it does not share with the line
+    before.  The writer is made at the first line, so that asking for
+    none builds no N^2 table.  The arguments are checked on the call."""
     walk = _walk(n_vertices, m, cell_filter)
 
     def lines() -> Iterator[str]:
-        text = _chord_text(n_vertices)
-        for chords, _ in walk:
-            yield text(chords)
+        line = _line_writer(n_vertices)
+        for chords, _, low in walk:
+            yield line(chords, low)
 
     return lines()
 
 
 def _carried_quiddities(
     n_vertices: int, m: Optional[int], cell_filter: CellFilter
-) -> Iterator[tuple[list[Chord], tuple[int, ...]]]:
-    """(chords, quiddity entries) of every dissection
+) -> Iterator[tuple[list[Chord], tuple[int, ...], int]]:
+    """(chords, quiddity entries, low) of every dissection
     ``enumerate_dissections`` yields, in its order, without ``quiddity()``.
+    The arguments are checked on the call.
 
     The entries count each vertex's cells in the walk's log, and are
     checked against 1 + chord degree on every member, so the quiddity is
     still computed two independent ways; a mismatch is a bug in the
-    walk's plans or log and raises at once.  ``chords`` is the walk's
-    working list, valid until the next item is asked for.
+    walk's plans or log and raises at once.  ``chords`` and ``low`` are
+    the walk's, ``chords`` valid until the next item is asked for.
     """
-    for chords, log in _walk(n_vertices, m, cell_filter):
-        by_membership = [0] * n_vertices
-        for lo, corners in log:
-            for v in corners:
-                by_membership[lo + v] += 1
-        by_degree = [1] * n_vertices
-        for i, j in chords:
-            by_degree[i] += 1
-            by_degree[j] += 1
-        if by_membership != by_degree:
-            raise AssertionError(
-                f"quiddity self-check failed for {Dissection._trusted(n_vertices, chords)}: "
-                f"{by_membership} vs {by_degree}"
-            )
-        yield chords, tuple(by_membership)
+    walk = _walk(n_vertices, m, cell_filter)
+
+    def members() -> Iterator[tuple[list[Chord], tuple[int, ...], int]]:
+        for chords, log, low in walk:
+            by_membership = [0] * n_vertices
+            for lo, corners in log:
+                for v in corners:
+                    by_membership[lo + v] += 1
+            by_degree = [1] * n_vertices
+            for i, j in chords:
+                by_degree[i] += 1
+                by_degree[j] += 1
+            if by_membership != by_degree:
+                raise AssertionError(
+                    f"quiddity self-check failed for "
+                    f"{Dissection._trusted(n_vertices, chords)}: {by_membership} vs {by_degree}"
+                )
+            yield chords, tuple(by_membership), low
+
+    return members()
 
 
 def count_dissections(
@@ -438,10 +495,15 @@ def _refuse_large_family(
     n_vertices: int, m: int, cell_filter: CellFilter, cap: int = FAMILY_CAP
 ) -> None:
     """Refuse, before enumerating, a family of more than ``cap``
-    dissections by its closed-form count."""
+    dissections by its closed-form count.  A count too long for Python
+    to print is stated as the power of ten it reaches."""
     expected = count_dissections(n_vertices, m, cell_filter)
     if expected > cap:
-        raise ResourceLimitError(f"{expected} dissections exceed the cap of {cap}")
+        try:
+            size = str(expected)
+        except ValueError:  # over Python's limit on printing an int
+            size = f"over 10^{int((expected.bit_length() - 1) * log10(2))}"
+        raise ResourceLimitError(f"{size} dissections exceed the cap of {cap}")
 
 
 def count_quiddities(
@@ -450,7 +512,7 @@ def count_quiddities(
     """Number of distinct quiddity vectors over the enumerated family.
     Refuses families larger than ``FAMILY_CAP``."""
     _refuse_large_family(n_vertices, m, cell_filter)
-    return len({entries for _, entries in _carried_quiddities(n_vertices, m, cell_filter)})
+    return len({entries for _, entries, _ in _carried_quiddities(n_vertices, m, cell_filter)})
 
 
 def quiddity_classes(
@@ -464,7 +526,7 @@ def quiddity_classes(
     """
     _refuse_large_family(n_vertices, m, cell_filter, max_dissections)
     grouped: dict[tuple[int, ...], list[Dissection]] = {}
-    for chords, entries in _carried_quiddities(n_vertices, m, cell_filter):
+    for chords, entries, _ in _carried_quiddities(n_vertices, m, cell_filter):
         grouped.setdefault(entries, []).append(Dissection._trusted(n_vertices, chords))
     return {Quiddity(entries): tuple(ds) for entries, ds in grouped.items()}
 
@@ -474,12 +536,16 @@ def _class_texts(
 ) -> dict[str, list[str]]:
     """``quiddity_classes`` as text, for the ``classes`` verb: each
     quiddity's text to its members' sorted texts, both written from the
-    walk (``_carried_quiddities``, ``_chord_text``), so no ``Dissection``
-    or ``Quiddity`` is made per member.  Refuses families larger than
-    ``max_dissections``."""
+    walk, the quiddity by ``_carried_quiddities`` and each member by
+    ``_line_writer`` from the chords it does not share with the member
+    before, so no ``Dissection`` or ``Quiddity`` is made per member.
+    Refuses families larger than ``max_dissections``, and then the
+    arguments the walk refuses, before the writer builds its N^2
+    table."""
     _refuse_large_family(n_vertices, m, cell_filter, max_dissections)
-    text = _chord_text(n_vertices)
+    members = _carried_quiddities(n_vertices, m, cell_filter)
+    line = _line_writer(n_vertices)
     grouped: dict[tuple[int, ...], list[str]] = {}
-    for chords, entries in _carried_quiddities(n_vertices, m, cell_filter):
-        grouped.setdefault(entries, []).append(text(chords))
+    for chords, entries, low in members:
+        grouped.setdefault(entries, []).append(line(chords, low))
     return {",".join(map(str, entries)): sorted(texts) for entries, texts in grouped.items()}

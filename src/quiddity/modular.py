@@ -117,7 +117,7 @@ def iterate_recurrence(cs: Sequence[int], v0: int, v1: int) -> tuple[int, int]:
 def three_periodic_quiddities(n_vertices: int) -> set[tuple[int, ...]]:
     """All distinct quiddities of 3-periodic dissections of the N-gon,
     over every cell count."""
-    return {entries for _, entries
+    return {entries for _, entries, _
             in _carried_quiddities(n_vertices, None, CellFilter.ell_periodic(3))}
 
 

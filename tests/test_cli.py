@@ -16,10 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quiddity import cache, cli, formulas, surgery, verification
+from quiddity import cache, cli, enumeration, formulas, surgery, verification
 from quiddity.cache import source_key
 from quiddity.cli import SERIES_ORDER_CAP, _dumps, _parse_plain, build_parser, main
-from quiddity.enumeration import CellFilter, enumerate_dissections
+from quiddity.enumeration import CellFilter, count_dissections, enumerate_dissections
 from quiddity.formulas import ell_periodic_count, kirkman_cayley, tri_quad_count
 
 
@@ -468,6 +468,32 @@ def test_classes_max_results_lowers_the_family_cap(capsys):
     assert capsys.readouterr().err == "error: 36 dissections exceed the cap of 35\n"
     code, out = run(["classes", "--n", "8", "--m", "3", "--ell", "3", "--max-results", "36"])
     assert code == 0 and len(json.loads(out)) == 34
+
+
+def test_classes_refuses_a_polygon_over_the_enumeration_cap_before_the_writer(
+        monkeypatch, capsys):
+    # no 4000-gon splits into two quadrilaterals, so the family count, 0,
+    # is under the family cap, and the walk's polygon cap must refuse it
+    # before the line writer builds its N^2 table of chord names
+    def no_writer(n_vertices):
+        raise AssertionError(f"a line writer was made for the {n_vertices}-gon")
+
+    monkeypatch.setattr(enumeration, "_line_writer", no_writer)
+    assert run(["classes", "--n", "4000", "--m", "2", "--sizes", "4"]) == (1, "")
+    assert capsys.readouterr().err == \
+        "error: a 4000-gon is over the enumeration cap of 200 vertices\n"
+
+
+@pytest.mark.parametrize("verb", ["quiddities", "classes"])
+def test_family_too_large_to_print_its_count_is_refused(capsys, verb):
+    # the count has over 4300 digits, more than Python prints, so the
+    # refusal states the power of ten it reaches
+    assert run([verb, "--n", "1000000", "--m", "1200", "--sizes", "5000,6,12"]) == (1, "")
+    found = re.fullmatch(r"error: over 10\^(\d+) dissections exceed the cap of 35000\n",
+                         capsys.readouterr().err)
+    assert found
+    count = count_dissections(1000000, 1200, CellFilter.size_set({5000, 6, 12}))
+    assert 10 ** int(found.group(1)) <= count < 10 ** (int(found.group(1)) + 2)
 
 
 @pytest.mark.parametrize("argv", [

@@ -120,6 +120,10 @@ def _refusal_grid() -> list[list[str]]:
         ["modular", "verify", "--n", "13", "--entry-bound", "2"],
         ["quiddities", "--n", "14", "--m", "6", "--no-cache"],
         ["classes", "--n", "14", "--m", "6"],
+        ["classes", "--n", "4000", "--m", "2", "--sizes", "4"],  # no member, N over the cap
+        # a family count too long to print
+        ["quiddities", "--n", "1000000", "--m", "1200", "--sizes", "5000,6,12"],
+        ["classes", "--n", "1000000", "--m", "1200", "--sizes", "5000,6,12"],
         ["classes", "--n", "8", "--m", "3", "--ell", "3", "--max-results", "35"],
         ["enumerate", "--n", "201", "--max-results", "1"],
         ["cf", "convert", "1,60000"],

@@ -1,13 +1,14 @@
 """Exhaustive generation, streaming counts, and quiddity classes."""
 from __future__ import annotations
 
+import io
 import itertools
 import time
 
 import pytest
 
 from quiddity import Dissection, DomainError, ResourceLimitError, dihedral_orbit, quiddity
-from quiddity import enumeration, modular
+from quiddity import cli, enumeration, modular
 from quiddity.enumeration import (
     ENUMERATE_N_CAP,
     FAMILY_CAP,
@@ -79,7 +80,7 @@ def test_carried_quiddities_match_quiddity_exhaustively(filt):
     for n in range(3, 12):
         members = itertools.zip_longest(
             enumerate_dissections(n, None, filt), _carried_quiddities(n, None, filt))
-        for d, (chords, entries) in members:
+        for d, (chords, entries, _) in members:
             assert d == Dissection(n, tuple(chords))
             assert entries == quiddity(d).entries, d
 
@@ -105,10 +106,10 @@ def _drop_a_logged_corner(monkeypatch):
     real = enumeration._walk
 
     def tampered(*args):
-        for chords, log in real(*args):
+        for chords, log, low in real(*args):
             shift, corners = log[-1]
             log[-1] = (shift, corners[:-1])
-            yield chords, log
+            yield chords, log, low
 
     monkeypatch.setattr(enumeration, "_walk", tampered)
 
@@ -134,19 +135,56 @@ def test_enumeration_checks_its_arguments_before_the_first_item():
 
 
 @pytest.mark.parametrize("filt", SEVEN_FILTERS, ids=lambda f: f.describe())
-def test_texts_match_the_dissections_exhaustively(filt):
-    # the ``enumerate`` verb writes these lines from the walk's chords,
-    # with no ``Dissection`` and no ``format_dissection``
+def test_walk_keeps_the_first_low_chords_of_the_previous_item_exhaustively(filt):
+    # ``low`` is exactly the prefix of working-list entries the walk did
+    # not replace; the previous lists are copied, so their entries stay
+    # alive and compare by identity
     for n in range(3, 12):
         for m in (None, *range(1, n - 1)):
-            assert list(_texts(n, m, filt)) == [str(d) for d in enumerate_dissections(n, m, filt)]
+            before: tuple[list, list] = ([], [])
+            for chords, log, low in enumeration._walk(n, m, filt):
+                for now, then in zip((chords, log), before):
+                    kept = next((k for k, (a, b) in enumerate(zip(now, then)) if a is not b),
+                                min(len(now), len(then)))
+                    assert kept == low, (n, m, chords)
+                before = (list(chords), list(log))
+
+
+def _flags(filt):
+    if filt.kind == "ell":
+        return ("--ell", str(filt.ell))
+    if filt.kind == "sizes":
+        return ("--sizes", ",".join(map(str, sorted(filt.sizes))))
+    return ()
+
+
+def _enumerate_verb(*argv):
+    out = io.StringIO()
+    assert cli.main(["enumerate", *argv], out=out) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("filt", SEVEN_FILTERS, ids=lambda f: f.describe())
+def test_texts_match_the_dissections_exhaustively(filt):
+    # the ``enumerate`` verb writes these lines from the walk's chords,
+    # with no ``Dissection`` and no ``format_dissection``, each from the
+    # line before; the verb also cuts the stream short and writes JSON
+    for n in range(3, 12):
+        for m in (None, *range(1, n - 1)):
+            want = [str(d) for d in enumerate_dissections(n, m, filt)]
+            assert list(_texts(n, m, filt)) == want
+            argv = ("--n", str(n), *(() if m is None else ("--m", str(m))), *_flags(filt))
+            half = len(want) // 2
+            assert _enumerate_verb(*argv, "--max-results", str(half)) == \
+                "".join(text + "\n" for text in want[:half])
+            assert _enumerate_verb(*argv, "--json") == cli._dumps(want) + "\n"
 
 
 @pytest.mark.parametrize("filt", SEVEN_FILTERS, ids=lambda f: f.describe())
 def test_class_texts_match_the_quiddity_classes_exhaustively(filt):
     # the ``classes`` verb writes each key and member from the walk, with
     # no ``Quiddity`` and no ``Dissection``
-    for n in range(3, 11):
+    for n in range(3, 12):
         for m in range(1, n - 1):
             want = {str(q): sorted(str(d) for d in ds)
                     for q, ds in quiddity_classes(n, m, filt).items()}
