@@ -43,7 +43,7 @@ from .contfrac import (
     regular_to_hj,
     strip_triangulation,
 )
-from .core import DomainError, ResourceLimitError, parse_dissection, quiddity
+from .core import DomainError, ResourceLimitError, _parse_chord, parse_dissection, quiddity
 from .enumeration import (
     ALL_CELLS,
     FAMILY_CAP,
@@ -65,11 +65,12 @@ from .verification import run_all
 # Largest arguments the closed-form verbs accept, each refused up front.
 # A formula argument of 5000 keeps every value under Python's 4300-digit
 # int-to-str limit (all six count at most the (n+2)-gon's dissections,
-# fewer than 5.83^n) and takes at most 0.07 s (quiddity-3p 4999 2251, the
-# slowest); the series solver grows about as order^4 (kirkman-cayley and
-# ell-periodic with ell = 1, the slowest, take 1.4-2.0 s at order 85) and
-# the table as max-n^2 (0.07 s at 1200, each diagonal's binomial stepped
-# from entry to entry), on a 2-core machine.
+# fewer than 5.83^n) and takes at most 0.07 s (the 3-periodic quiddity
+# count at 4999, 2251, the slowest); the series solver grows about as
+# order^4 (the general and the 1-periodic equation, the slowest, take
+# 0.9 s as a command at order 85) and the table as max-n^2 (0.07 s at
+# 1200, each diagonal's binomial stepped from entry to entry), on a
+# 2-core machine.
 FORMULA_ARG_CAP = 5000
 SERIES_ORDER_CAP = 85
 TABLE_MAX_N_CAP = 1200
@@ -79,6 +80,17 @@ TABLE_MAX_N_CAP = 1200
 # Fibonacci numbers: ``cf convert`` takes 1.7 s at the cap, ``cf strip``
 # 0.6 s, on a 2-core machine.
 CF_TERM_SUM_CAP = 60_000
+
+# Each closed form ``formula`` names: the name of its function in
+# ``formulas``, looked up on every call, and its arity.
+_FORMULAS = {
+    "catalan": ("catalan", 1),
+    "kirkman-cayley": ("kirkman_cayley", 2),
+    "fuss": ("fuss", 2),
+    "ell-periodic": ("ell_periodic_count", 3),
+    "tri-quad": ("tri_quad_count", 2),
+    "quiddity-3p": ("quiddity_count_3periodic", 2),
+}
 
 
 def _refuse_over(value: int, cap: int, what: str) -> None:
@@ -139,11 +151,7 @@ def _parse_filter(args: argparse.Namespace) -> CellFilter:
     if args.ell is not None:
         return CellFilter.ell_periodic(args.ell)
     if args.sizes is not None:
-        try:
-            sizes = {int(tok) for tok in args.sizes.split(",")}
-        except ValueError:
-            raise DomainError(f"bad size list {args.sizes!r}") from None
-        return CellFilter.size_set(sizes)
+        return CellFilter.size_set(_parse_int_list(args.sizes, "size list"))
     return ALL_CELLS
 
 
@@ -217,17 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-results", type=int, default=FAMILY_CAP)
 
     p = verbs.add_parser("formula", help="closed-form counts")
-    p.add_argument("name", choices=[
-        "catalan", "kirkman-cayley", "fuss", "ell-periodic", "tri-quad", "quiddity-3p",
-    ])
+    p.add_argument("name", choices=list(_FORMULAS))
     p.add_argument("args", type=int, nargs="*")
     _add_cache_flags(p, ignored=True)
     p.add_argument("--json", action="store_true")
 
     p = verbs.add_parser("series", help="solve a generating-function equation")
-    p.add_argument("equation", choices=[
-        "catalan", "kirkman-cayley", "ell-periodic", "tri-quad", "p", "q",
-    ])
+    p.add_argument("equation", choices=[*series.NAMED_EQUATIONS, "q"])
     p.add_argument("--order", type=int, default=12)
     p.add_argument("--ell", type=int)
 
@@ -357,24 +361,12 @@ def _parse_plain(parser: argparse.ArgumentParser,
 
 
 def _run_formula(args: argparse.Namespace, out) -> int:
-    arity = {
-        "catalan": 1, "kirkman-cayley": 2, "fuss": 2,
-        "ell-periodic": 3, "tri-quad": 2, "quiddity-3p": 2,
-    }[args.name]
+    function, arity = _FORMULAS[args.name]
     if len(args.args) != arity:
         raise DomainError(f"formula {args.name} takes {arity} integer argument(s)")
     for value in args.args:
         _refuse_over(value, FORMULA_ARG_CAP, "formula argument")
-
-    fn = {
-        "catalan": formulas.catalan,
-        "kirkman-cayley": formulas.kirkman_cayley,
-        "fuss": formulas.fuss,
-        "ell-periodic": formulas.ell_periodic_count,
-        "tri-quad": formulas.tri_quad_count,
-        "quiddity-3p": formulas.quiddity_count_3periodic,
-    }[args.name]
-    value = str(fn(*args.args))
+    value = str(getattr(formulas, function)(*args.args))
     print(_dumps({"value": value}) if args.json else value, file=out)
     return 0
 
@@ -414,13 +406,7 @@ def _run_surgery(args: argparse.Namespace, out) -> int:
             }), file=out)
         return 0
     if args.action == "apply":
-        removed = []
-        for token in args.remove.split(","):
-            try:
-                i, j = sorted(int(part) for part in token.split("-"))
-            except ValueError:  # a non-integer end, or not exactly two ends
-                raise DomainError(f"bad chord token {token!r}") from None
-            removed.append((i, j))
+        removed = [tuple(sorted(_parse_chord(token))) for token in args.remove.split(",")]
         if len(removed) != 2:
             raise DomainError("surgery removes exactly two chords")
         legal = find_surgeries(d, False)

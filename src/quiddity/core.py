@@ -110,6 +110,15 @@ class Quiddity:
         return len(self.entries)
 
 
+def _parse_chord(token: str) -> Chord:
+    """The ends of an ``i-j`` chord token, in the order written."""
+    try:
+        i, j = token.split("-")
+        return int(i), int(j)
+    except ValueError:  # not exactly two ends, or a non-integer end
+        raise ParseError(f"bad chord token {token!r}") from None
+
+
 def parse_dissection(text: str) -> Dissection:
     """Parse ``N:i-j,k-l,...`` into a canonical :class:`Dissection`.
 
@@ -126,19 +135,9 @@ def parse_dissection(text: str) -> Dissection:
         raise ParseError(f"bad vertex count {head!r}") from None
     if n > PARSE_N_CAP:
         raise ResourceLimitError(f"vertex count {n} is over the cap of {PARSE_N_CAP}")
-    chords = []
-    if rest:
-        for token in rest.split(","):
-            parts = token.split("-")
-            if len(parts) != 2:
-                raise ParseError(f"bad chord token {token!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad chord token {token!r}") from None
-            chords.append((i, j))
+    chords = tuple(map(_parse_chord, rest.split(","))) if rest else ()
     try:
-        return Dissection(n, tuple(chords))
+        return Dissection(n, chords)
     except ParseError:
         raise
     except DomainError as exc:

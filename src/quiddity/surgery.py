@@ -154,6 +154,24 @@ def _cells_after(cs: Sequence[tuple[int, ...]], move: SurgeryMove) -> list[tuple
     return out
 
 
+def _swapped(chords: tuple[Chord, ...], move: SurgeryMove) -> tuple[Chord, ...]:
+    """The sorted chords after a move: its removed two replaced by its
+    added two."""
+    return tuple(sorted([c for c in chords if c not in move.removed] + list(move.added)))
+
+
+def _kept_quiddity(n: int, chords: tuple[Chord, ...], degrees: list[int]) -> Dissection:
+    """The dissection of the N-gon on ``chords``, validated once and
+    checked to give every vertex its chord degree in ``degrees``, hence
+    its quiddity entry: a cheap guarantee that the moves really were
+    surgeries (the degrees sum to twice the chord count, so that is kept
+    too)."""
+    result = Dissection(n, chords)
+    if result.chord_degrees() != degrees:
+        raise AssertionError("surgery changed the quiddity")
+    return result
+
+
 def apply_surgery(
     d: Dissection, move: SurgeryMove, legal: Optional[list[SurgeryMove]] = None
 ) -> Dissection:
@@ -161,21 +179,12 @@ def apply_surgery(
 
     Validates the move against ``legal``, the moves the caller already
     found on ``d`` (all of them, or any subset), or else against
-    :func:`find_surgeries`.  Re-checks that every vertex keeps its
-    chord degree, hence its quiddity entry (a cheap guarantee that the
-    move really was a surgery)."""
+    :func:`find_surgeries`, and the result with ``_kept_quiddity``."""
     if legal is None:
         legal = find_surgeries(d, require_3periodic=False)
     if move not in legal:
         raise DomainError(f"move {move} is not legal for {d}")
-    new_chords = [c for c in d.chords if c not in move.removed]
-    new_chords.extend(move.added)
-    result = Dissection(d.n_vertices, tuple(new_chords))
-    if len(result.chords) != len(d.chords):
-        raise AssertionError("surgery changed the chord count")
-    if result.chord_degrees() != d.chord_degrees():
-        raise AssertionError("surgery changed the quiddity")
-    return result
+    return _kept_quiddity(d.n_vertices, _swapped(d.chords, move), d.chord_degrees())
 
 
 def is_opening(move: SurgeryMove) -> bool:
@@ -251,11 +260,8 @@ def canonicalize_trace(
         raise AssertionError("opening surgeries did not terminate")
     if not applied:
         return d, ()
-    result = Dissection(n, tuple(base_edge(c) for c in cs if c[-1] - c[0] != n - 1))
-    if len(result.chords) != len(d.chords):
-        raise AssertionError("surgery changed the chord count")
-    if result.chord_degrees() != d.chord_degrees():
-        raise AssertionError("surgery changed the quiddity")
+    result = _kept_quiddity(
+        n, tuple(base_edge(c) for c in cs if c[-1] - c[0] != n - 1), d.chord_degrees())
     if list(cells(result)) != cs:
         raise AssertionError(f"carried cells disagree with the cells of {result}")
     return result, tuple(applied)
@@ -303,15 +309,11 @@ def surgery_class(
         degrees = cur.chord_degrees()
         for mv in _moves(n, cs, require_3periodic):
             spend(1)
-            chords = tuple(sorted([c for c in cur.chords if c not in mv.removed]
-                                  + list(mv.added)))
+            chords = _swapped(cur.chords, mv)
             if chords in seen:
                 continue
             spend(SURGERY_STATE_MOVES)
-            nxt = Dissection(n, chords)
-            if nxt.chord_degrees() != degrees:
-                raise AssertionError("surgery changed the quiddity")
-            seen[chords] = nxt
+            nxt = seen[chords] = _kept_quiddity(n, chords, degrees)
             queue.append((nxt, _cells_after(cs, mv)))
     return frozenset(seen.values())
 

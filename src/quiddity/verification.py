@@ -45,7 +45,8 @@ class CheckResult:
 
 
 def check_dissection_counts(max_n: int) -> CheckResult:
-    """Brute-force enumeration counts against all four closed forms."""
+    """Brute-force enumeration counts against all four closed forms,
+    counting each comparison made."""
     def by_cells(n_vertices: int, m: Optional[int], cell_filter: CellFilter) -> Counter:
         return Counter(len(d.chords) + 1
                        for d in enumerate_dissections(n_vertices, m, cell_filter))
@@ -53,23 +54,24 @@ def check_dissection_counts(max_n: int) -> CheckResult:
     checked = 0
     for n_vertices in range(3, max_n + 1):
         n = n_vertices - 2
-        general = by_cells(n_vertices, None, CellFilter.all_cells())
-        periodic = {ell: by_cells(n_vertices, None, CellFilter.ell_periodic(ell))
-                    for ell in (1, 2, 3)}
-        tri_quad = by_cells(n_vertices, None, CellFilter.size_set({3, 4}))
+        # (label, cells by count, closed form) for each family
+        families = [("general count", by_cells(n_vertices, None, CellFilter.all_cells()),
+                     formulas.kirkman_cayley)]
+        families += [(f"period {ell}", by_cells(n_vertices, None, CellFilter.ell_periodic(ell)),
+                      lambda n, m, ell=ell: formulas.ell_periodic_count(n, m, ell))
+                     for ell in (1, 2, 3)]
+        families.append(("triangle/quad", by_cells(n_vertices, None, CellFilter.size_set({3, 4})),
+                         formulas.tri_quad_count))
         for m in range(1, n_vertices - 1):
-            if general[m] != formulas.kirkman_cayley(n, m):
-                return CheckResult("dissection-counts", False, f"general count at N={n_vertices}, m={m}")
-            for ell in (1, 2, 3):
-                if periodic[ell][m] != formulas.ell_periodic_count(n, m, ell):
-                    return CheckResult("dissection-counts", False, f"period {ell} at N={n_vertices}, m={m}")
-            if tri_quad[m] != formulas.tri_quad_count(n, m):
-                return CheckResult("dissection-counts", False, f"triangle/quad at N={n_vertices}, m={m}")
+            comparisons = [(label, count[m], closed(n, m)) for label, count, closed in families]
             if n % m == 0:
-                if by_cells(n_vertices, m, CellFilter.equal_size(n // m + 2))[m] != \
-                        formulas.fuss(n, m):
-                    return CheckResult("dissection-counts", False, f"equal-size at N={n_vertices}, m={m}")
-            checked += 4
+                equal = by_cells(n_vertices, m, CellFilter.equal_size(n // m + 2))
+                comparisons.append(("equal-size", equal[m], formulas.fuss(n, m)))
+            for label, got, want in comparisons:
+                if got != want:
+                    return CheckResult("dissection-counts", False,
+                                       f"{label} at N={n_vertices}, m={m}")
+                checked += 1
     return CheckResult("dissection-counts", True, f"{checked} closed-form comparisons, N <= {max_n}")
 
 
@@ -229,33 +231,27 @@ def check_monodromy(max_n: int, converse_max_n: int = 6) -> CheckResult:
 def check_series(order: int = 14) -> CheckResult:
     """Fixed-point solutions against the closed forms, coefficient by
     coefficient, plus the quiddity series composition."""
-    sol = series.solve_fixed_point(series.catalan_equation(), order)
-    for n in range(order + 1):
-        if sol.coefficient(n, 0) != formulas.catalan(n):
-            return CheckResult("series-solver", False, f"catalan at z^{n}")
-
-    def closed(n: int, m: int, f: Callable[[int, int], int]) -> int:
-        if m == 0:
-            return 1 if n == 0 else 0
-        return f(n, m)
+    def with_cells(f: Callable[[int, int], int]) -> Callable[[int, int], int]:
+        # with no cell, only the 2-gon's empty dissection is counted
+        return lambda n, m: f(n, m) if m else int(n == 0)
 
     cases = [
-        ("general", series.kirkman_cayley_equation(), formulas.kirkman_cayley),
-        ("period-2", series.ell_periodic_equation(2), lambda n, m: formulas.ell_periodic_count(n, m, 2)),
-        ("period-3", series.ell_periodic_equation(3), lambda n, m: formulas.ell_periodic_count(n, m, 3)),
-        ("tri-quad", series.tri_quad_equation(), formulas.tri_quad_count),
+        ("catalan", series.solve_named("catalan", order),
+         lambda n, m: 0 if m else formulas.catalan(n)),
+        ("general", series.solve_named("kirkman-cayley", order),
+         with_cells(formulas.kirkman_cayley)),
+        *[(f"period-{ell}", series.solve_named("ell-periodic", order, ell),
+           with_cells(lambda n, m, ell=ell: formulas.ell_periodic_count(n, m, ell)))
+          for ell in (2, 3)],
+        ("tri-quad", series.solve_named("tri-quad", order), with_cells(formulas.tri_quad_count)),
+        ("quiddity series", series.solve_named("q", order),
+         with_cells(formulas.quiddity_count_3periodic)),
     ]
-    for label, eq, f in cases:
-        sol = series.solve_fixed_point(eq, order)
+    for label, sol, closed in cases:
         for n in range(order + 1):
             for m in range(n + 1):
-                if sol.coefficient(n, m) != closed(n, m, f):
+                if sol.coefficient(n, m) != closed(n, m):
                     return CheckResult("series-solver", False, f"{label} at z^{n} w^{m}")
-    q = series.solve_named("q", order)
-    for n in range(order + 1):
-        for m in range(n + 1):
-            if q.coefficient(n, m) != closed(n, m, formulas.quiddity_count_3periodic):
-                return CheckResult("series-solver", False, f"quiddity series at z^{n} w^{m}")
     return CheckResult("series-solver", True, f"five equations to order {order}")
 
 

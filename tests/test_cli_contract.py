@@ -148,6 +148,9 @@ def _refusal_grid() -> list[list[str]]:
         ["surgery", "apply", "8:1-3,5-7", "--remove=1-x,5-7"],
         ["surgery", "apply", "8:1-3,5-7", "--remove", "1-3"],
         ["surgery", "apply", "8:1-7,3-5", "--remove", "1-3,5-7"],
+        ["surgery", "apply", "8:1-3,5-7", "--remove", "3-1,7-5"],  # reversed ends
+        ["surgery", "apply", "8:1-3,5-7", "--remove", "1-2-3,5-7"],
+        ["count", "--n", "8", "--m", "3", "--sizes", "3,x", "--no-cache"],
         ["surgery", "moves", "5:0-2", "--require-3p"],
         ["surgery", "canon", "5:0-2"],
         # dissection text over the parser's vertex cap, exit 1
@@ -160,6 +163,7 @@ def _refusal_grid() -> list[list[str]]:
         ["count", "--n", "6"],
         ["formula", "no-such-formula", "3"],
         ["series", "catalan", "--order", "x"],
+        ["series", "hexagonal", "--order", "5"],  # lists the choices
         ["surgery", "moves"],
         ["cf", "eval", "--regular", "1,2", "--hj", "2,2"],
     ]

@@ -60,6 +60,8 @@ def test_format_parse_round_trip():
     ("6:0-2,0-2", "duplicate"),
     ("6:0-2,a-3", "'a-3'"),
     ("6:0", "'0'"),
+    ("6:0-2-4", "'0-2-4'"),
+    ("6:0-2,", "''"),
 ])
 def test_parse_errors_name_the_offender(bad, fragment):
     with pytest.raises(ParseError) as err:

@@ -92,6 +92,21 @@ def test_surgery_is_reversible():
     assert apply_surgery(result, back[0]) == OCTAGON
 
 
+def test_a_surgery_that_moves_a_chord_end_is_caught(monkeypatch):
+    # apply, canonicalization and the class search each check their
+    # results' chord degrees, hence quiddities, against the input's
+    forged = surgery.SurgeryMove(0, (1, 3, 5, 7), ((1, 3), (5, 7)), ((1, 5), (1, 7)))
+    with pytest.raises(AssertionError, match="surgery changed the quiddity"):
+        apply_surgery(OCTAGON, forged, [forged])
+    fan = parse_dissection("8:0-2,0-3,0-4,0-5,0-6")
+    monkeypatch.setattr(surgery, "_cells_after", lambda cs, move: list(cells(fan)))
+    with pytest.raises(AssertionError, match="surgery changed the quiddity"):
+        canonicalize_trace(OCTAGON_TWIN)
+    monkeypatch.setattr(surgery, "_swapped", lambda chords, move: chords[1:])
+    with pytest.raises(AssertionError, match="surgery changed the quiddity"):
+        surgery_class(OCTAGON, False)
+
+
 def test_apply_rejects_illegal_moves():
     moves = find_surgeries(OCTAGON, True)
     with pytest.raises(DomainError):

@@ -58,6 +58,30 @@ def test_tampered_closed_form_is_detected(monkeypatch, name):
     assert not verification.check_dissection_counts(8).passed
 
 
+def test_dissection_counts_states_each_closed_form_comparison(monkeypatch):
+    calls = []
+    for name in ("kirkman_cayley", "ell_periodic_count", "tri_quad_count", "fuss"):
+        def counted(*args, real=getattr(formulas, name)):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(formulas, name, counted)
+    result = verification.check_dissection_counts(8)
+    # 5 per (N, m), and fuss where m divides N - 2
+    assert (result.passed, len(calls)) == (True, 119)
+    assert result.detail == "119 closed-form comparisons, N <= 8"
+
+
+@pytest.mark.parametrize("name", [
+    "catalan", "kirkman_cayley", "ell_periodic_count", "tri_quad_count",
+    "quiddity_count_3periodic",
+])
+def test_tampered_series_closed_form_is_detected(monkeypatch, name):
+    real = getattr(formulas, name)
+    monkeypatch.setattr(formulas, name, lambda n, *rest: real(n, *rest) + (n == 6))
+    assert not verification.check_series(8).passed
+
+
 def test_check_lines_are_printable():
     result = verification.check_table()
     assert result.line().startswith("PASS quiddity-table")
