@@ -76,6 +76,7 @@ def _query_grid() -> list[list[str]]:
         ["quiddities", "--n", "22", "--m", "3", "--no-cache"],
         ["classes", "--n", "8", "--m", "3", "--ell", "3", "--max-results", "36"],
         ["verify-all", "--scope", "fast"],
+        ["verify-all", "--scope", "full"],
     ]
     for n in (24, 32, 40):
         for m in (2, 13, 20):
