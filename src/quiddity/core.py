@@ -10,11 +10,14 @@ The quiddity of a dissection is the length-N vector whose i-th entry
 counts the cells touching vertex i.
 
 Non-crossing chords are nested intervals of 0..N-1, so validation and
-cell extraction are each one stack sweep in vertex order.
+cell extraction are each one stack sweep in vertex order.  A
+dissection's cells are swept once, by the first call that needs them,
+and kept on the object (see :func:`cells`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -183,22 +186,35 @@ def _sweep(d: Dissection) -> list[tuple[int, ...]]:
 def cells(d: Dissection) -> tuple[tuple[int, ...], ...]:
     """All cells of a dissection, each its vertices in increasing
     (counterclockwise) order, sorted by smallest vertex, then size,
-    then vertices, from one stack sweep (``_sweep``)."""
-    raw = _sweep(d)
-    raw.sort(key=lambda c: (c[0], len(c), c))
-    return tuple(raw)
+    then vertices, from one stack sweep (``_sweep``).
+
+    The sweep runs once per object: its cells are kept on ``d`` as
+    ``_cells``, outside the dataclass fields, so equality, hashing and
+    ``repr`` see only the chords."""
+    cs = getattr(d, "_cells", None)
+    if cs is None:
+        raw = _sweep(d)
+        # cells with one first vertex close in the order of their last
+        # vertex, which is also their vertex order (each one's second
+        # vertex is the last of the one before), so two stable sorts
+        # with no key tuples give that order
+        raw.sort(key=len)
+        raw.sort(key=itemgetter(0))
+        cs = tuple(raw)
+        object.__setattr__(d, "_cells", cs)
+    return cs
 
 
 def quiddity(d: Dissection) -> Quiddity:
     """Cell-contact count of every vertex.
 
-    Computed two independent ways (membership in the swept cells and
-    chord degree) and cross-checked on every call; a mismatch means a
-    bug in the cell extraction and raises immediately.
+    Computed two independent ways (membership in the cells and chord
+    degree) and cross-checked on every call; a mismatch means a bug in
+    the cell extraction and raises immediately.
     """
     n = d.n_vertices
     by_membership = [0] * n
-    for cell in _sweep(d):
+    for cell in cells(d):
         for v in cell:
             by_membership[v] += 1
     by_degree = [1 + deg for deg in d.chord_degrees()]
@@ -211,7 +227,7 @@ def quiddity(d: Dissection) -> Quiddity:
 
 def cell_size_profile(d: Dissection) -> tuple[int, ...]:
     """Multiset of cell sizes, as a sorted tuple."""
-    return tuple(sorted(map(len, _sweep(d))))
+    return tuple(sorted(map(len, cells(d))))
 
 
 def is_ell_periodic(d: Dissection, ell: int) -> bool:

@@ -15,15 +15,18 @@ acting cell's base edge, and a 3-periodic dissection admitting no
 3-periodic opening surgery is maximally open: the canonical
 representative of its quiddity class.
 
-Canonicalization and the class search extract the input's cells once
-and carry each state's cells from move to move (``_cells_after``): the
-acting cell splits into two arcs and the two cells beyond the removed
-chords merge.  Canonicalization applies the first opening move in cells
-order, read off the cells by a rule local to each cell (``_opening``),
-until none remains; any order ends at the class's one maximally open
-member.  ``opening_moves`` and ``is_maximally_open`` keep to the full
-move search, as an independent check of that rule.  Each class member
-is validated once.
+A dissection's cells are swept once and kept on it (``core.cells``), so
+the move search, canonicalization, the class search and the
+maximally-open test share one sweep of their input.  Canonicalization
+and the class search carry each state's cells from move to move
+(``_cells_after``), never storing them on a member: the acting cell
+splits into two arcs and the two cells beyond the removed chords merge.
+Canonicalization applies the first opening move in cells order, read
+off the cells by a rule local to each cell (``_opening``), until none
+remains; any order ends at the class's one maximally open member.
+``opening_moves`` and ``is_maximally_open`` keep to the full move
+search, as an independent check of that rule.  Each class member is
+validated once.
 """
 from __future__ import annotations
 

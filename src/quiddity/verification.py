@@ -196,9 +196,7 @@ def check_surgery_classes(max_n: int, random_orders: int = 20, seed: int = 20260
                     return CheckResult("surgery-classes", False,
                                        f"canonicalization missed the open member from {d}")
                 for _ in range(random_orders):
-                    shuffled = canonicalize_maximally_open(
-                        d, random.Random(rng.randrange(2 ** 32)))
-                    if shuffled != target:
+                    if canonicalize_maximally_open(d, rng) != target:
                         return CheckResult("surgery-classes", False,
                                            f"order-dependent canonical form from {d}")
                 instances += 1
@@ -438,7 +436,7 @@ def run_all(scope: str = "fast") -> list[CheckResult]:
     result per check, in a fixed order.
 
     The checks are independent, so they run through ``_fork_map`` on the
-    usable CPUs, the slowest (``surgery-classes``) queued first; the
+    usable CPUs, queued longest first by their measured times; the
     results, and so the lines ``verify-all`` prints, are the same as
     when they run one after another in this process, which they do on
     one CPU or when the caller has a second live thread."""
@@ -447,19 +445,23 @@ def run_all(scope: str = "fast") -> list[CheckResult]:
     fast = scope == "fast"
     max_n = 8 if fast else 10
     quiddity_max_n = 8 if fast else 11
-    checks: list[tuple[Callable[..., CheckResult], tuple]] = [
-        (check_table, ()),
-        (check_dissection_counts, (max_n,)),
-        (check_quiddity_counts, (quiddity_max_n,)),
-        (check_quiddity_sum, (7 if fast else 9,)),
-        (check_equal_size_injectivity, (9 if fast else 12,)),
-        (check_witnesses, (9,)),
-        (check_surgery_classes, (8 if fast else 10, 5 if fast else 20)),
-        (check_monodromy, (8 if fast else 10, 5 if fast else 6)),
-        (check_series, (12 if fast else 14,)),
-        (check_lagrange, (10 if fast else 12,)),
-        (check_continued_fractions, (8 if fast else 12,)),
+    # (check, arguments, its time in ms run alone in one process on a
+    # 2-core machine, Python 3.11): queued longest first, so that no long
+    # check starts last.  All of them took 40 ms at fast scope and 740 ms
+    # at full scope one after another, and 23 ms and 0.38 s on both cores
+    # in this order
+    checks: list[tuple[Callable[..., CheckResult], tuple, float]] = [
+        (check_table, (), 0.1),
+        (check_dissection_counts, (max_n,), 7.7 if fast else 125),
+        (check_quiddity_counts, (quiddity_max_n,), 2.1 if fast else 102),
+        (check_quiddity_sum, (7 if fast else 9,), 2.0 if fast else 44),
+        (check_equal_size_injectivity, (9 if fast else 12,), 3.0 if fast else 136),
+        (check_witnesses, (9,), 8.1),
+        (check_surgery_classes, (8 if fast else 10, 5 if fast else 20), 5.7 if fast else 202),
+        (check_monodromy, (8 if fast else 10, 5 if fast else 6), 4.0 if fast else 31),
+        (check_series, (12 if fast else 14,), 2.6 if fast else 3.4),
+        (check_lagrange, (10 if fast else 12,), 0.6 if fast else 1.2),
+        (check_continued_fractions, (8 if fast else 12,), 4.1 if fast else 93),
     ]
-    # a stable sort: surgery-classes first, the rest in order
-    order = sorted(range(len(checks)), key=lambda i: checks[i][0] is not check_surgery_classes)
+    order = sorted(range(len(checks)), key=lambda i: -checks[i][2])
     return _fork_map(lambda check: check[0](*check[1]), checks, order)

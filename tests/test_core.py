@@ -168,6 +168,15 @@ def test_quiddity_examples():
     assert quiddity(parse_dissection("8:1-3,5-7")).entries == (1, 2, 1, 2, 1, 2, 1, 2)
 
 
+def test_swept_cells_stay_out_of_equality_hash_and_repr():
+    d = parse_dissection("8:1-3,5-7")
+    fresh = Dissection(8, ((5, 7), (1, 3)))
+    assert cells(d) is cells(d)
+    assert d == fresh and fresh == d and hash(d) == hash(fresh)
+    assert repr(d) == repr(fresh) == "Dissection(n_vertices=8, chords=((1, 3), (5, 7)))"
+    assert {d, fresh} == {fresh}
+
+
 def test_quiddity_cross_check_catches_a_wrong_sweep(monkeypatch):
     # cells() and quiddity() share one sweep; the chord degrees must
     # still catch a sweep that loses a vertex
@@ -177,6 +186,14 @@ def test_quiddity_cross_check_catches_a_wrong_sweep(monkeypatch):
     sweep = core._sweep
     monkeypatch.setattr(core, "_sweep", lambda d: [c[:-1] if k == 0 else c
                                                   for k, c in enumerate(sweep(d))])
+    with pytest.raises(AssertionError, match="self-check failed"):
+        quiddity(d)
+
+
+def test_quiddity_cross_checks_kept_cells_on_every_call():
+    d = parse_dissection("8:1-3,5-7")
+    quiddity(d)
+    object.__setattr__(d, "_cells", cells(d)[1:])  # as if a cell were lost
     with pytest.raises(AssertionError, match="self-check failed"):
         quiddity(d)
 

@@ -11,6 +11,8 @@ from quiddity import (
     ResourceLimitError,
     cell_size_profile,
     cells,
+    is_ell_periodic,
+    is_size_restricted,
     parse_dissection,
     quiddity,
 )
@@ -372,6 +374,35 @@ def test_surgery_class_extracts_cells_once_per_state(cells_calls):
     members = surgery_class(THIRTY_GON, True)
     assert len(members) >= 50
     assert len(cells_calls) <= 1
+
+
+def test_each_dissection_is_swept_once(monkeypatch):
+    # one sweep for the input, whatever asks for its cells, and one for
+    # each canonical result built, to check the cells carried to it
+    swept = []
+    sweep = core._sweep
+    monkeypatch.setattr(core, "_sweep", lambda d: swept.append(d) or sweep(d))
+    d = parse_dissection(str(THIRTY_GON))
+    cs = cells(d)
+    assert sum(quiddity(d).entries) == 30 + 2 * len(d.chords)
+    assert cell_size_profile(d) == tuple(sorted(map(len, cs)))
+    assert is_ell_periodic(d, 3) and is_size_restricted(d, {3, 6, 9})
+    assert find_surgeries(d, True) and find_surgeries(d, False)
+    assert not is_maximally_open(d)
+    result, _ = canonicalize_trace(d)
+    payload = class_export(d)
+    assert payload["maximally_open"] == str(result)
+    assert cells(d) is cs
+    assert swept[0] is d and swept == [d, result, result]
+
+
+def test_carried_cells_out_of_order_are_caught(monkeypatch):
+    # the right cells in the wrong order keep every chord and chord
+    # degree, so only the re-sweep of the result can catch them
+    after = surgery._cells_after
+    monkeypatch.setattr(surgery, "_cells_after", lambda cs, move: after(cs, move)[::-1])
+    with pytest.raises(AssertionError, match="carried cells disagree"):
+        canonicalize_trace(parse_dissection(str(OCTAGON_TWIN)))
 
 
 def test_carried_cells_match_the_cells_of_the_result_exhaustively():

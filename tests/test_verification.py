@@ -82,6 +82,34 @@ def test_tampered_series_closed_form_is_detected(monkeypatch, name):
     assert not verification.check_series(8).passed
 
 
+def _dropping_a_member(monkeypatch):
+    real = verification.surgery_class
+    monkeypatch.setattr(verification, "surgery_class",
+                        lambda *args, **kwargs: frozenset(list(real(*args, **kwargs))[1:]))
+
+
+def _every_member_open(monkeypatch):
+    monkeypatch.setattr(verification, "is_maximally_open", lambda d: True)
+
+
+def _random_orders_stay_put(monkeypatch):
+    real = verification.canonicalize_maximally_open
+    monkeypatch.setattr(verification, "canonicalize_maximally_open",
+                        lambda d, rng=None: d if rng is not None else real(d))
+
+
+@pytest.mark.parametrize("tamper, detail", [
+    (_dropping_a_member, "class mismatch at N="),
+    (_every_member_open, "2 maximally open members at N="),
+    (_random_orders_stay_put, "order-dependent canonical form from "),
+])
+def test_tampered_surgery_check_is_detected(monkeypatch, tamper, detail):
+    assert verification.check_surgery_classes(8, 2).passed
+    tamper(monkeypatch)
+    line = verification.check_surgery_classes(8, 2).line()
+    assert line.startswith(f"FAIL surgery-classes — {detail}"), line
+
+
 def test_check_lines_are_printable():
     result = verification.check_table()
     assert result.line().startswith("PASS quiddity-table")
@@ -169,8 +197,11 @@ def test_a_check_that_raises_is_raised_by_run_all(monkeypatch, forking):
 def test_a_tamper_reaches_the_forked_checks(monkeypatch, forking):
     # a fork copies the patched module, so each check sees the tamper
     monkeypatch.setattr(formulas, "kirkman_cayley", _off_by_one_at(formulas.kirkman_cayley, 6, 6))
-    failed = [r.name for r in verification.run_all("fast") if not r.passed]
-    assert failed == ["dissection-counts", "series-solver", "lagrange-inversion"]
+    _every_member_open(monkeypatch)
+    failed = [r for r in verification.run_all("fast") if not r.passed]
+    assert [r.name for r in failed] == [
+        "dissection-counts", "surgery-classes", "series-solver", "lagrange-inversion"]
+    assert "maximally open members" in failed[1].detail
     assert _no_child_left()
 
 
