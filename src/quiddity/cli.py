@@ -9,14 +9,16 @@ output, deterministic byte for byte.  ``table`` goes through a
 persistent cache unless ``--no-cache`` is given; ``count``,
 ``quiddities`` and ``formula`` accept the cache flags and ignore them.
 
-Arguments are parsed in two steps, with one grammar: the parser that
-``build_parser`` builds.  A plain argv, meaning the verb (and action),
-then its positionals, then exact ``--option value`` pairs and flags,
-with no other token starting with '-', is read off that parser's own
-tables by ``_parse_plain``.  Every other argv goes to argparse: usage
-errors, ``--help``, ``--version``, abbreviations, ``--opt=value``,
-negative numbers, ``--``, repeated options and positionals placed
-after options.  So usage errors and help still come from argparse.
+The grammar is declared once, as data (``_VERB_HELP``, ``_LEAVES``
+and ``_EXCLUSIVE``), and arguments are parsed in two steps with it.  A
+plain argv, meaning the verb (and action), then its positionals, then
+exact ``--option value`` pairs and flags, with no other token starting
+with '-', is read off that data by ``_parse_plain``, and no argparse
+parser is built.  Every other argv goes to the parser that
+``build_parser`` builds from the same data: usage errors, ``--help``,
+``--version``, abbreviations, ``--opt=value``, negative numbers,
+``--``, repeated options and positionals placed after options.  So
+usage errors and help still come from argparse.
 
 Exit codes: 0 success, 1 domain error or failed check, 2 usage error.
 A reader that closes stdout early cuts the output short, with nothing
@@ -169,194 +171,169 @@ def _print_fraction(value: Fraction, as_json: bool, out) -> None:
         print(f"{value.numerator}/{value.denominator}", file=out)
 
 
-def _add_filter_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--ell", type=int, help="keep cells of size 3 mod ell")
-    sub.add_argument("--sizes", help="comma-separated allowed cell sizes")
+# The grammar, declared once.  Each verb's help line, in the order
+# ``--help`` lists the verbs; each leaf ("verb", or "verb action" for a
+# verb with actions) with its arguments in the order they are added,
+# each a name ("--option", or a positional's dest) and the keywords of
+# ``add_argument``; and the one required mutually exclusive group.
+# ``_parse_plain`` models the keywords used here: action 'store_true',
+# type, choices, nargs '*', required and default.
+_VERB_HELP = {
+    "of": "quiddity of a dissection",
+    "enumerate": "stream all dissections, one per line",
+    "count": "number of dissections",
+    "quiddities": "number of distinct quiddities",
+    "classes": "map from quiddity to dissections",
+    "formula": "closed-form counts",
+    "series": "solve a generating-function equation",
+    "surgery": "surgery moves and canonical forms",
+    "cf": "continued fractions and strips",
+    "modular": "elementary matrix products",
+    "table": "known quiddity counts as CSV",
+    "verify-all": "run the oracle-equivalence suite",
+}
+_FLAG = {"action": "store_true"}
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+_FILTER = {"--ell": {"type": int, "help": "keep cells of size 3 mod ell"},
+           "--sizes": {"help": "comma-separated allowed cell sizes"}}
 
 
-def _add_cache_flags(sub: argparse.ArgumentParser, ignored: bool = False) -> None:
-    # count, quiddities and formula answer faster than a cache lookup, so
-    # they take the flags and ignore them
-    note = " (accepted and ignored: only table caches)" if ignored else ""
-    sub.add_argument("--no-cache", action="store_true",
-                     help="neither read nor write the result cache" + note)
-    sub.add_argument("--cache-dir", help="result cache directory" + note)
+def _cache_flags(note: str = "") -> dict:
+    return {"--no-cache": {"action": "store_true",
+                           "help": "neither read nor write the result cache" + note},
+            "--cache-dir": {"help": "result cache directory" + note}}
+
+
+# count, quiddities and formula answer faster than a cache lookup, so
+# they take the flags and ignore them
+_IGNORED_CACHE = _cache_flags(" (accepted and ignored: only table caches)")
+_COUNTER = {"--n": _REQUIRED_INT, "--m": _REQUIRED_INT, **_FILTER, **_IGNORED_CACHE,
+            "--json": _FLAG}
+_TERMS = {"terms": {"help": "plus-sign terms, e.g. 1,2,1,1"}}
+_LEAVES = {
+    "of": {"dissection": {}, "--json": _FLAG},
+    "enumerate": {"--n": _REQUIRED_INT, "--m": _INT, **_FILTER, "--max-results": _INT,
+                  "--json": _FLAG},
+    "count": _COUNTER,
+    "quiddities": _COUNTER,
+    "classes": {"--n": _REQUIRED_INT, "--m": _REQUIRED_INT, **_FILTER,
+                "--max-results": {"type": int, "default": FAMILY_CAP}},
+    "formula": {"name": {"choices": list(_FORMULAS)}, "args": {"type": int, "nargs": "*"},
+                **_IGNORED_CACHE, "--json": _FLAG},
+    "series": {"equation": {"choices": [*series.NAMED_EQUATIONS, "q"]},
+               "--order": {"type": int, "default": 12}, "--ell": _INT},
+    "surgery moves": {"dissection": {}, "--require-3p": _FLAG},
+    "surgery apply": {"dissection": {}, "--remove": {
+        "required": True, "help": "the two chords to remove, e.g. 1-3,5-7"}},
+    "surgery canon": {"dissection": {}},
+    "surgery class": {"dissection": {}, "--require-3p": _FLAG},
+    "cf eval": {"--regular": {"help": "plus-sign terms, e.g. 1,2,1,1"},
+                "--hj": {"help": "minus-sign terms, e.g. 2,2,3"}, "--json": _FLAG},
+    "cf convert": _TERMS,
+    "cf strip": _TERMS,
+    "modular product": {"coefficients": {"help": "e.g. 3,1,2,2,1"}},
+    "modular classify": {"coefficients": {}},
+    "modular verify": {"--n": _REQUIRED_INT, "--entry-bound": _INT},
+    "table": {"--max-n": {"type": int, "default": 14}, **_cache_flags()},
+    "verify-all": {"--scope": {"choices": ["fast", "full"], "default": "fast"}},
+}
+_EXCLUSIVE = {"cf eval": ("--regular", "--hj")}
+_DEST = {name: name.lstrip("-").replace("-", "_")
+         for arguments in _LEAVES.values() for name in arguments}
 
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
+    """The argparse parser of the grammar, built on first use and shared
+    by later calls; only an argv that ``_parse_plain`` declines needs it."""
     parser = argparse.ArgumentParser(
         prog="quiddity",
         description="Enumerate polygon dissections and their quiddities.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    verbs = parser.add_subparsers(dest="verb", required=True)
-
-    p = verbs.add_parser("of", help="quiddity of a dissection")
-    p.add_argument("dissection")
-    p.add_argument("--json", action="store_true")
-
-    p = verbs.add_parser("enumerate", help="stream all dissections, one per line")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
-    _add_filter_flags(p)
-    p.add_argument("--max-results", type=int)
-    p.add_argument("--json", action="store_true")
-
-    p = verbs.add_parser("count", help="number of dissections")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_filter_flags(p)
-    _add_cache_flags(p, ignored=True)
-    p.add_argument("--json", action="store_true")
-
-    p = verbs.add_parser("quiddities", help="number of distinct quiddities")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_filter_flags(p)
-    _add_cache_flags(p, ignored=True)
-    p.add_argument("--json", action="store_true")
-
-    p = verbs.add_parser("classes", help="map from quiddity to dissections")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    _add_filter_flags(p)
-    p.add_argument("--max-results", type=int, default=FAMILY_CAP)
-
-    p = verbs.add_parser("formula", help="closed-form counts")
-    p.add_argument("name", choices=list(_FORMULAS))
-    p.add_argument("args", type=int, nargs="*")
-    _add_cache_flags(p, ignored=True)
-    p.add_argument("--json", action="store_true")
-
-    p = verbs.add_parser("series", help="solve a generating-function equation")
-    p.add_argument("equation", choices=[*series.NAMED_EQUATIONS, "q"])
-    p.add_argument("--order", type=int, default=12)
-    p.add_argument("--ell", type=int)
-
-    p = verbs.add_parser("surgery", help="surgery moves and canonical forms")
-    actions = p.add_subparsers(dest="action", required=True)
-    a = actions.add_parser("moves")
-    a.add_argument("dissection")
-    a.add_argument("--require-3p", action="store_true")
-    a = actions.add_parser("apply")
-    a.add_argument("dissection")
-    a.add_argument("--remove", required=True, help="the two chords to remove, e.g. 1-3,5-7")
-    a = actions.add_parser("canon")
-    a.add_argument("dissection")
-    a = actions.add_parser("class")
-    a.add_argument("dissection")
-    a.add_argument("--require-3p", action="store_true")
-
-    p = verbs.add_parser("cf", help="continued fractions and strips")
-    actions = p.add_subparsers(dest="action", required=True)
-    a = actions.add_parser("eval")
-    group = a.add_mutually_exclusive_group(required=True)
-    group.add_argument("--regular", help="plus-sign terms, e.g. 1,2,1,1")
-    group.add_argument("--hj", help="minus-sign terms, e.g. 2,2,3")
-    a.add_argument("--json", action="store_true")
-    a = actions.add_parser("convert")
-    a.add_argument("terms", help="plus-sign terms, e.g. 1,2,1,1")
-    a = actions.add_parser("strip")
-    a.add_argument("terms", help="plus-sign terms, e.g. 1,2,1,1")
-
-    p = verbs.add_parser("modular", help="elementary matrix products")
-    actions = p.add_subparsers(dest="action", required=True)
-    a = actions.add_parser("product")
-    a.add_argument("coefficients", help="e.g. 3,1,2,2,1")
-    a = actions.add_parser("classify")
-    a.add_argument("coefficients")
-    a = actions.add_parser("verify")
-    a.add_argument("--n", type=int, required=True)
-    a.add_argument("--entry-bound", type=int)
-
-    p = verbs.add_parser("table", help="known quiddity counts as CSV")
-    p.add_argument("--max-n", type=int, default=14)
-    _add_cache_flags(p)
-
-    p = verbs.add_parser("verify-all", help="run the oracle-equivalence suite")
-    p.add_argument("--scope", choices=["fast", "full"], default="fast")
-
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
+    actions = {}  # verb -> the sub-parsers of its actions
+    for leaf, arguments in _LEAVES.items():
+        verb, _, action = leaf.partition(" ")
+        if not action:
+            p = verbs.add_parser(verb, help=_VERB_HELP[verb])
+        else:
+            if verb not in actions:
+                actions[verb] = verbs.add_parser(verb, help=_VERB_HELP[verb]).add_subparsers(
+                    dest="action", required=True)
+            p = actions[verb].add_parser(action)
+        group = None
+        for name, keywords in arguments.items():
+            if name not in _EXCLUSIVE.get(leaf, ()):
+                p.add_argument(name, **keywords)
+                continue
+            if group is None:
+                group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument(name, **keywords)
     return parser
 
 
-def _convert(action: argparse.Action, text: str):
-    # what argparse makes of one token: the action's type, then its choices
-    value = text if action.type is None else action.type(text)
-    if action.choices is not None and value not in action.choices:
+def _value(keywords: dict, token: str):
+    # what argparse makes of one token: the type, then the choices
+    value = keywords["type"](token) if "type" in keywords else token
+    if "choices" in keywords and value not in keywords["choices"]:
         raise ValueError(f"{value!r} is not a choice")
     return value
 
 
-def _match(parser: argparse.ArgumentParser, argv: list[str]) -> Optional[argparse.Namespace]:
-    values, seen = {}, set()
-    for a in parser._actions:
-        if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS:
-            values.setdefault(a.dest, a.default)
-    for dest, default in parser._defaults.items():
-        values.setdefault(dest, default)
-    dashed = tuple(parser.prefix_chars)
-    run = next((k for k, tok in enumerate(argv) if tok.startswith(dashed)), len(argv))
+def _match(arguments: dict, group: tuple, argv: list[str],
+           values: dict) -> Optional[argparse.Namespace]:
+    run = next((k for k, tok in enumerate(argv) if tok.startswith("-")), len(argv))
     i = 0  # argv[i:run] are the positional tokens not yet taken
-    for a in parser._actions:
-        if a.option_strings:
+    for name, keywords in arguments.items():
+        dest = _DEST[name]
+        values[dest] = keywords.get("default", False if "action" in keywords else None)
+        if name.startswith("-"):
             continue
-        if type(a) is argparse._SubParsersAction and i < run:  # it takes the rest
-            sub = _match(a.choices[_convert(a, argv[i])], argv[i + 1:])
-            if sub is None:
-                return None
-            if a.dest is not argparse.SUPPRESS:
-                values[a.dest] = argv[i]
-            values.update(vars(sub))
-            i = run = len(argv)
-        elif type(a) is not argparse._StoreAction:
-            return None
-        elif a.nargs is None and i < run:
-            values[a.dest], i = _convert(a, argv[i]), i + 1
-        elif a.nargs == argparse.ZERO_OR_MORE:
-            value = [_convert(a, tok) for tok in argv[i:run]] or (
-                [] if a.default is None else a.default)
-            if i == run and a.choices is not None and value not in a.choices:
-                return None  # argparse checks an empty run's value as a whole
-            values[a.dest], i = value, run
+        if "nargs" in keywords:  # '*': the rest of the run
+            values[dest], i = [_value(keywords, tok) for tok in argv[i:run]], run
+        elif i < run:
+            values[dest], i = _value(keywords, argv[i]), i + 1
         else:
             return None
-        seen.add(a)
+    seen = set()
     while i < len(argv):
-        a = parser._option_string_actions.get(argv[i])
-        if a in seen:  # a repeated option
+        name = argv[i]
+        keywords = arguments.get(name) if name.startswith("-") else None
+        if keywords is None or name in seen:  # a stray positional, or a repeated option
             return None
-        if type(a) is argparse._StoreTrueAction:
-            values[a.dest], i = a.const, i + 1
-        elif (type(a) is argparse._StoreAction and a.nargs is None and i + 1 < len(argv)
-              and not argv[i + 1].startswith(dashed)):
-            values[a.dest], i = _convert(a, argv[i + 1]), i + 2
+        seen.add(name)
+        if "action" in keywords:
+            values[_DEST[name]], i = True, i + 1
+        elif i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+            values[_DEST[name]], i = _value(keywords, argv[i + 1]), i + 2
         else:
             return None
-        seen.add(a)
-    for a in parser._actions:  # argparse would convert a str default
-        if a not in seen and (a.required or (a.type is not None and isinstance(a.default, str))):
-            return None
-    for group in parser._mutually_exclusive_groups:
-        hits = sum(a in seen and (type(a) is argparse._StoreTrueAction
-                                  or values[a.dest] is not a.default)
-                   for a in group._group_actions)
-        if hits > 1 or (group.required and not hits):
-            return None
+    if any(keywords.get("required") and name not in seen
+           for name, keywords in arguments.items()):
+        return None
+    if group and len(seen.intersection(group)) != 1:
+        return None
     return argparse.Namespace(**values)
 
 
-def _parse_plain(parser: argparse.ArgumentParser,
-                 argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """``parser.parse_args(argv)`` for a plain argv (see the module
-    docstring), read off the parser's subparser maps, option strings,
-    types, choices, nargs, required flags, defaults and mutually
-    exclusive groups; None for any other argv, for one that argparse
-    would refuse, and for any action or nargs this does not model."""
+def _parse_plain(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """``build_parser().parse_args(argv)`` for a plain argv (see the
+    module docstring), read off the grammar with dict lookups; None for
+    any other argv and for one that argparse would refuse."""
+    argv = list(argv)
+    verb = argv[0] if argv else None
+    if verb not in _VERB_HELP:
+        return None
+    leaf, values, i = verb, {"verb": verb}, 1
+    if verb not in _LEAVES and len(argv) > 1:  # a verb with actions
+        leaf, values["action"], i = f"{verb} {argv[1]}", argv[1], 2
+    if leaf not in _LEAVES:
+        return None
     try:
-        return _match(parser, list(argv))
-    except (TypeError, ValueError, argparse.ArgumentTypeError):  # what argparse catches
+        return _match(_LEAVES[leaf], _EXCLUSIVE.get(leaf, ()), argv[i:], values)
+    except ValueError:  # a type or a choice argparse refuses
         return None
 
 
@@ -467,15 +444,14 @@ def _run_modular(args: argparse.Namespace, out) -> int:
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    # two steps: a plain argv is read off the parser's own tables, and
-    # argparse parses every other one (help, --version, abbreviations,
-    # --opt=value, negative numbers, '--', repeated options, positionals
-    # after options), so every usage error is still argparse's
-    args = _parse_plain(parser, sys.argv[1:] if argv is None else argv)
+    # two steps: a plain argv is read off the grammar, and argparse
+    # parses every other one (help, --version, abbreviations, --opt=value,
+    # negative numbers, '--', repeated options, positionals after
+    # options), so every usage error is still argparse's
+    args = _parse_plain(sys.argv[1:] if argv is None else argv)
     if args is None:
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
 

@@ -847,13 +847,17 @@ def argparse_result(argv):
 def test_plain_parse_equals_argparse_on_the_contract():
     from test_cli_contract import contract_grid
 
+    deferred = 0
     for argv in contract_grid():
-        got = _parse_plain(build_parser(), argv)
+        got = _parse_plain(argv)
         if got is not None:
             assert got == argparse_result(argv), argv
         else:  # only the usage errors, --version, --sizes=, --remove= and negative values
+            deferred += 1
             assert argparse_result(argv) is None or any(
                 re.fullmatch(r"--[a-z-]+=.*|-\d+", tok) for tok in argv), argv
+    # a plain argv that newly defers pays for building the whole parser
+    assert deferred <= 17
 
 
 def test_plain_argv_does_not_call_argparse(cache_env, monkeypatch):
@@ -863,6 +867,43 @@ def test_plain_argv_does_not_call_argparse(cache_env, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
     assert run(["count", "--n", "8", "--m", "3", "--ell", "3", "--no-cache"]) == (0, "36\n")
     assert run(["surgery", "canon", "8:1-3,5-7"])[0] == 0
+
+
+# a plain argv of every leaf, each answered with exit code 0
+PLAIN = {
+    "of": ["of", "8:1-3,5-7", "--json"],
+    "enumerate": ["enumerate", "--n", "6", "--m", "2", "--ell", "3", "--max-results", "5",
+                  "--json"],
+    "count": ["count", "--n", "8", "--m", "3", "--sizes", "3,4", "--no-cache", "--json"],
+    "quiddities": ["quiddities", "--n", "8", "--m", "3", "--ell", "3", "--cache-dir", "x"],
+    "classes": ["classes", "--n", "7", "--m", "2", "--max-results", "100"],
+    "formula": ["formula", "kirkman-cayley", "9", "4", "--json", "--no-cache"],
+    "series": ["series", "ell-periodic", "--order", "6", "--ell", "2"],
+    "surgery moves": ["surgery", "moves", "8:1-3,5-7", "--require-3p"],
+    "surgery apply": ["surgery", "apply", "8:1-3,5-7", "--remove", "1-3,5-7"],
+    "surgery canon": ["surgery", "canon", "8:1-3,5-7"],
+    "surgery class": ["surgery", "class", "8:1-3,5-7", "--require-3p"],
+    "cf eval": ["cf", "eval", "--hj", "2,2,3", "--json"],
+    "cf convert": ["cf", "convert", "1,2,1,1"],
+    "cf strip": ["cf", "strip", "1,2,1,1"],
+    "modular product": ["modular", "product", "3,1,2,2,1"],
+    "modular classify": ["modular", "classify", "1,2,1,2,1,2,1,2"],
+    "modular verify": ["modular", "verify", "--n", "5", "--entry-bound", "3"],
+    "table": ["table", "--max-n", "6"],
+    "verify-all": ["verify-all", "--scope", "fast"],
+}
+
+
+def test_a_plain_argv_of_every_leaf_builds_no_parser(cache_env, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain argv built an argument parser")
+
+    assert sorted(PLAIN) == sorted(" ".join(path) for path, _ in LEAVES)
+    want = {leaf: run(argv) for leaf, argv in PLAIN.items()}
+    assert all(code == 0 for code, _ in want.values())
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert {leaf: run(argv) for leaf, argv in PLAIN.items()} == want
 
 
 def test_unusual_forms_still_reach_argparse(cache_env, capsys):
@@ -885,7 +926,7 @@ def test_unusual_forms_still_reach_argparse(cache_env, capsys):
 def test_unusual_forms_are_left_to_argparse(argv):
     # each one argparse accepts, and the plain parse hands on
     assert argparse_result(argv) is not None
-    assert _parse_plain(build_parser(), argv) is None
+    assert _parse_plain(argv) is None
 
 
 def _leaves(parser, path=()):
@@ -947,5 +988,5 @@ def token_runs(draw):
 @example(argv=["count", "--n", "8", "--m", "3", "--sizes", "--json"])  # an option as a value
 def test_plain_parse_is_argparse_or_defers(argv):
     # wherever argparse exits, the plain parse returns None
-    got = _parse_plain(build_parser(), argv)
+    got = _parse_plain(argv)
     assert got is None or got == argparse_result(argv)
