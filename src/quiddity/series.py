@@ -19,9 +19,9 @@ equation has a factor z, so that row reads only rows of S below n;
 the rows are read in increasing order, and each product in F(S) is
 built once and extended a row at a time.  A solve to order K thus
 makes O(K^4) coefficient products per product in F, not the O(K^6) of
-re-evaluating F at every order.  Rational sub-expressions 1/(1 - x)
-are fixed points too, U = 1 + x U, so no division of series is ever
-needed.
+re-evaluating F at every order.  An equation S = A + B/(1 - C) is
+solved cleared of its denominator, S = A + B + C (S - A): one product,
+where the geometric sum U = 1 + C U would need both C U and B U.
 """
 from __future__ import annotations
 
@@ -155,7 +155,7 @@ class BivariateSeries:
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         self._require_same_order(other)
-        terms1, terms2 = self._terms_of, other._terms_of
+        terms1, terms2 = self._terms, other._terms
         low1, low2 = self._low, other._low
 
         def row(n: int) -> Row:
@@ -165,10 +165,10 @@ class BivariateSeries:
             # from being read while it is computed
             out = [0] * (n + 1)
             for k in range(low1, n - low2 + 1):
-                row1 = terms1(k)
+                row1 = terms1[k] if k < len(terms1) else self._terms_of(k)
                 if not row1:
                     continue
-                row2 = terms2(n - k)
+                row2 = terms2[n - k] if n - k < len(terms2) else other._terms_of(n - k)
                 for m1, c1 in row1:
                     for m2, c2 in row2:
                         out[m1 + m2] += c1 * c2
@@ -261,35 +261,43 @@ def cell_filter_equation(cell_filter: CellFilter) -> EquationSpec:
     cells whose sizes pass the filter.
 
     For all cells, and for the sizes 3 mod ell, t - 3 runs over the
-    multiples of ell, so the sum is the geometric sum of (zS)^ell; it
-    is taken as z^ell S^ell, which reads no row of S^ell when ell
-    exceeds the order.  A finite size set sums its powers of zS, each
-    the last times a power for the gap."""
+    multiples of ell, so the sum is 1/(1 - z^ell S^ell); cleared of it
+    the equation is S = 1 + w z S^2 + z^ell S^ell (S - 1), whose last
+    term starts at z^(ell+1) and is not built when ell reaches the
+    order.  A finite size set sums w z^(t-2) S^(t-1), each power the
+    last times powers of S^2 and S for the gap."""
     def f(s: BivariateSeries) -> BivariateSeries:
-        one = BivariateSeries.one(s.order)
+        one, ss = BivariateSeries.one(s.order), s * s
         if cell_filter.kind == "sizes":
-            zs = s.shift(1, 0)
-            total = BivariateSeries.zero(s.order)
-            power, j = one, 0
+            image, power, j = one, ss, 2
             for t in cell_filter.allowed_sizes_upto(s.order + 2):
-                if t - 3 > j:
-                    power, j = power * zs ** (t - 3 - j), t - 3
-                total = total + power
-        else:
-            ell = cell_filter.ell or 1
-            total = geometric_sum((s ** ell).shift(ell, 0))
-        return one + (s * s).shift(1, 1) * total
+                if t - 1 - j > 1:
+                    power = power * ss ** ((t - 1 - j) // 2)
+                if (t - 1 - j) % 2:
+                    power = power * s
+                image, j = image + power.shift(t - 2, 1), t - 1
+            return image
+        image = one + ss.shift(1, 1)
+        ell = cell_filter.ell or 1
+        if ell < s.order:
+            # S^ell (S - 1): (S^2)^(ell // 2) times S - 1, or times S^2 - S for odd ell
+            tail = s - one if ell % 2 == 0 else ss - s
+            if ell > 1:
+                tail = ss ** (ell // 2) * tail
+            image = image + tail.shift(ell, 0)
+        return image
 
     return EquationSpec(f"cells({cell_filter.describe()})", f)
 
 
 def kirkman_cayley_equation() -> EquationSpec:
-    # S = 1 + w z S^2 / (1 - z S)
+    # S = 1 + w z S^2 / (1 - z S), solved as S = 1 + w z S^2 + z S (S - 1)
     return EquationSpec("kirkman-cayley", cell_filter_equation(CellFilter.all_cells()).apply)
 
 
 def ell_periodic_equation(ell: int) -> EquationSpec:
-    # S = 1 + w z S^2 / (1 - z^ell S^ell)
+    # S = 1 + w z S^2 / (1 - z^ell S^ell), solved as
+    # S = 1 + w z S^2 + z^ell S^ell (S - 1)
     return EquationSpec(f"ell-periodic({ell})", cell_filter_equation(CellFilter.ell_periodic(ell)).apply)
 
 
@@ -299,11 +307,11 @@ def tri_quad_equation() -> EquationSpec:
 
 
 def p_equation() -> EquationSpec:
-    # S = 1 + w z S^2 / (1 - z^3 S^2)
+    # S = 1 + w z S^2 / (1 - z^3 S^2), solved as
+    # S = 1 + w z S^2 + z^3 S^2 (S - 1)
     def f(s: BivariateSeries) -> BivariateSeries:
-        one = BivariateSeries.one(s.order)
-        ss = s * s
-        return one + ss.shift(1, 1) * geometric_sum(ss.shift(3, 0))
+        one, ss = BivariateSeries.one(s.order), s * s
+        return one + ss.shift(1, 1) + (ss * (s - one)).shift(3, 0)
 
     return EquationSpec("p", f)
 
@@ -329,7 +337,7 @@ def solve_fixed_point(spec: EquationSpec, max_z_order: int) -> BivariateSeries:
 
 def compose_q(p: BivariateSeries) -> BivariateSeries:
     """Quiddity-counting series from the auxiliary fixed point P:
-    Q = 1 + w z P^2 / (1 - z^3 P^3), expanded geometrically.
+    Q = 1 + w z P^2 / (1 - z^3 P^3), solved in cleared form.
 
     ``p`` must solve the auxiliary equation at its own truncation
     order; anything else is rejected.
@@ -340,10 +348,11 @@ def compose_q(p: BivariateSeries) -> BivariateSeries:
 
 
 def _compose_q(p: BivariateSeries) -> BivariateSeries:
-    # Q from a P already checked against the auxiliary equation
-    one = BivariateSeries.one(p.order)
-    pp = p * p
-    return one + pp.shift(1, 1) * geometric_sum((pp * p).shift(3, 0))
+    # Q from a P already checked against the auxiliary equation, as the
+    # fixed point Q = 1 + w z P^2 + z^3 P^3 (Q - 1)
+    one, pp = BivariateSeries.one(p.order), p * p
+    ppp = pp * p
+    return _recursive(p.order, lambda q: one + pp.shift(1, 1) + (ppp * (q - one)).shift(3, 0))
 
 
 def lagrange_invert(phi: BivariateSeries, n: int) -> tuple[int, ...]:

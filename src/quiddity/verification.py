@@ -459,7 +459,7 @@ def run_all(scope: str = "fast") -> list[CheckResult]:
         (check_witnesses, (9,), 8.1),
         (check_surgery_classes, (8 if fast else 10, 5 if fast else 20), 5.7 if fast else 202),
         (check_monodromy, (8 if fast else 10, 5 if fast else 6), 4.0 if fast else 31),
-        (check_series, (12 if fast else 14,), 2.6 if fast else 3.4),
+        (check_series, (12 if fast else 14,), 1.6 if fast else 2.1),
         (check_lagrange, (10 if fast else 12,), 0.6 if fast else 1.2),
         (check_continued_fractions, (8 if fast else 12,), 4.1 if fast else 93),
     ]

@@ -159,13 +159,65 @@ def power_sum_filter_equation(cell_filter):
 
 @pytest.mark.parametrize("cell_filter", [
     # a period past every order allows triangles only
-    CellFilter.all_cells(), *(CellFilter.ell_periodic(ell) for ell in (1, 2, 3, 4, 10 ** 30)),
-    *(CellFilter.size_set(sizes) for sizes in ({3}, {3, 4}, {5, 7}))],
+    CellFilter.all_cells(), *(CellFilter.ell_periodic(ell) for ell in (1, 2, 3, 4, 5, 8, 10 ** 30)),
+    *(CellFilter.size_set(sizes) for sizes in ({3}, {4}, {3, 4}, {5, 7}))],
     ids=lambda f: f.describe())
 def test_filter_equation_matches_its_power_sum_form(cell_filter):
     spec, definition = cell_filter_equation(cell_filter), power_sum_filter_equation(cell_filter)
     for order in range(21):
         assert solve_fixed_point(spec, order) == solve_fixed_point(definition, order), order
+
+
+def geometric_p_equation():
+    """P = 1 + w z P^2 / (1 - z^3 P^2) as the paper writes it, the
+    fraction expanded as a geometric sum."""
+    def f(p):
+        pp = p * p
+        return BivariateSeries.one(p.order) + pp.shift(1, 1) * geometric_sum(pp.shift(3, 0))
+
+    return EquationSpec("geometric-p", f)
+
+
+def geometric_q(p):
+    """Q = 1 + w z P^2 / (1 - z^3 P^3) as the paper writes it."""
+    pp = p * p
+    return BivariateSeries.one(p.order) + pp.shift(1, 1) * geometric_sum((pp * p).shift(3, 0))
+
+
+def test_p_and_q_match_their_geometric_definitions():
+    for order in range(21):
+        p = solve_fixed_point(geometric_p_equation(), order)
+        assert solve_named("p", order) == p, order
+        assert solve_named("q", order) == geometric_q(p), order
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The number of series products built since the fixture was set up."""
+    built = []
+    multiply = BivariateSeries.__mul__
+    monkeypatch.setattr(BivariateSeries, "__mul__", lambda a, b: built.append(1) or multiply(a, b))
+    return built
+
+
+@pytest.mark.parametrize("spec, most", [
+    (catalan_equation(), 1), (kirkman_cayley_equation(), 1), (ell_periodic_equation(2), 2),
+    (ell_periodic_equation(3), 3), (ell_periodic_equation(4), 3), (p_equation(), 2),
+    # a period past the order leaves S^2 alone
+    (ell_periodic_equation(10), 1), (ell_periodic_equation(10 ** 30), 1)],
+    ids=lambda v: getattr(v, "name", None))
+def test_each_equation_builds_few_products(products, spec, most):
+    # each rational equation is solved cleared of its denominator: a
+    # geometric sum would cost a product for itself and one for its use
+    spec.apply(BivariateSeries.one(9))
+    assert len(products) <= most
+
+
+def test_quiddity_series_builds_three_products(products):
+    p = solve_fixed_point(p_equation(), 9)
+    products.clear()
+    series._compose_q(p)
+    assert len(products) == 3
 
 
 def test_equation_without_a_factor_z_is_refused_cleanly():
