@@ -83,6 +83,11 @@ TABLE_MAX_N_CAP = 1200
 # 0.6 s, on a 2-core machine.
 CF_TERM_SUM_CAP = 60_000
 
+# Lines ``enumerate`` joins into one write, rather than one write per
+# line.  A chunk of the N-gon's first lines is about 150 KB at N = 12
+# and 6 MB at the enumeration cap, N = 200.
+_CHUNK_LINES = 4096
+
 # Each closed form ``formula`` names: the name of its function in
 # ``formulas``, looked up on every call, and its arity.
 _FORMULAS = {
@@ -243,6 +248,22 @@ _DEST = {name: name.lstrip("-").replace("-", "_")
          for arguments in _LEAVES.values() for name in arguments}
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help layout, with the help column past the longest
+    verb name.  argparse measures a sub-command's name without the
+    indent it prints it at, so with the column sized from ``-h, --help``
+    every verb name over 8 characters would have its help wrapped onto
+    the next line."""
+
+    def add_argument(self, action: argparse.Action) -> None:
+        super().add_argument(action)
+        # the indent is the verb's while the iteration is on it
+        for verb in self._iter_indented_subactions(action):
+            self._action_max_length = max(
+                self._action_max_length,
+                self._current_indent + len(self._format_action_invocation(verb)))
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of the grammar, built on first use and shared
@@ -250,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quiddity",
         description="Enumerate polygon dissections and their quiddities.",
+        formatter_class=_HelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
@@ -471,12 +493,14 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                 # a text holds only digits, ':', '-' and ',', so quoting
                 # it is json.dumps
                 out.write("[")
-                for count, text in enumerate(stream):
-                    out.write(("," if count else "") + '"' + text + '"')
+                sep = '"'
+                while chunk := list(itertools.islice(stream, _CHUNK_LINES)):
+                    out.write(sep + '","'.join(chunk) + '"')
+                    sep = ',"'
                 out.write("]\n")
             else:
-                for text in stream:
-                    out.write(text + "\n")
+                while chunk := list(itertools.islice(stream, _CHUNK_LINES)):
+                    out.write("\n".join(chunk) + "\n")
             return 0
 
         if args.verb in ("count", "quiddities"):

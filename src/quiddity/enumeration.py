@@ -287,8 +287,12 @@ def _walk(
     cell; ``low`` is the least such length since the last item.  The
     continuation is the gaps of enclosing base cells still to fill, a
     linked list of (next step, first vertex, chord count before the
-    base cell's gaps, enclosing continuation) that entries share.  A
-    gap whose mask allows exactly one cell is that cell, placed inline.
+    base cell's gaps, enclosing continuation) that entries share.  It
+    holds only base cells with a gap still to fill: a choice point on a
+    base cell's last gap continues with the enclosing continuation, so
+    finishing a sub-polygon never walks up through filled base cells.
+    A gap whose mask allows exactly one cell is that cell, placed
+    inline.
     """
     _check_range(n_vertices, m)
     if n_vertices > ENUMERATE_N_CAP:
@@ -352,8 +356,10 @@ def _walk(
                 if sub_want == 2:  # exactly one cell: the gap itself
                     log.append((lo + p, run))
                     continue
+                # a base cell with no gap left to fill adds no node
                 stack.append([shape_of(q - p, sub_want >> 1), 0, lo + p,
-                              (step, lo, mark, cont), len(chords)])
+                              cont if step is None else (step, lo, mark, cont),
+                              len(chords)])
                 break
 
     return search()

@@ -245,7 +245,7 @@ def canonicalize_trace(
     """
     n = d.n_vertices
     _refuse_long_canon(n)
-    cs = list(cells(d))
+    cs = cells(d)  # each move's ``_cells_after`` makes a new list
     if any(len(c) % 3 for c in cs):
         raise DomainError("3-periodic surgery needs a 3-periodic dissection")
     applied = []

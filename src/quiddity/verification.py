@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from . import formulas, series
-from .core import Dissection, dihedral_orbit, quiddity
-from .enumeration import CellFilter, enumerate_dissections, quiddity_classes
+from .core import Chord, Dissection, Quiddity, dihedral_orbit, quiddity
+from .enumeration import ALL_CELLS, CellFilter, _carried_quiddities, _walk, enumerate_dissections
 from .modular import (
     MINUS_IDENTITY,
     NEITHER,
@@ -46,10 +46,10 @@ class CheckResult:
 
 def check_dissection_counts(max_n: int) -> CheckResult:
     """Brute-force enumeration counts against all four closed forms,
-    counting each comparison made."""
+    counting each comparison made.  The members are counted off the
+    enumerator's walk, with no ``Dissection`` made for each."""
     def by_cells(n_vertices: int, m: Optional[int], cell_filter: CellFilter) -> Counter:
-        return Counter(len(d.chords) + 1
-                       for d in enumerate_dissections(n_vertices, m, cell_filter))
+        return Counter(len(chords) + 1 for chords, _, _ in _walk(n_vertices, m, cell_filter))
 
     checked = 0
     for n_vertices in range(3, max_n + 1):
@@ -111,19 +111,35 @@ def check_quiddity_sum(max_n: int) -> CheckResult:
 
 
 def check_equal_size_injectivity(max_n: int) -> CheckResult:
-    """Equal-cell-size dissections are determined by their quiddities."""
+    """Equal-cell-size dissections are determined by their quiddities:
+    no quiddity the enumerator carries comes twice in a family."""
     for n_vertices in range(3, max_n + 1):
         n = n_vertices - 2
         for m in range(1, n + 1):
             if n % m:
                 continue
-            classes = quiddity_classes(n_vertices, m, CellFilter.equal_size(n // m + 2))
-            bad = [q for q, ds in classes.items() if len(ds) > 1]
+            members = _carried_quiddities(n_vertices, m, CellFilter.equal_size(n // m + 2))
+            counts = Counter(entries for _, entries, _ in members)
+            bad = [entries for entries, count in counts.items() if count > 1]
             if bad:
                 return CheckResult(
                     "equal-size-injectivity", False,
-                    f"N={n_vertices}, m={m}, quiddity {bad[0]}")
+                    f"N={n_vertices}, m={m}, quiddity {Quiddity(bad[0])}")
     return CheckResult("equal-size-injectivity", True, f"all equal-size families, N <= {max_n}")
+
+
+def _shared_quiddities(
+    n_vertices: int, m: int, cell_filter: CellFilter = ALL_CELLS
+) -> list[list[Dissection]]:
+    """The quiddity classes of a family with two or more members, by
+    increasing quiddity, each in enumeration order: the classes of
+    ``quiddity_classes``, grouped from the quiddities the enumerator
+    carries, with a ``Dissection`` made only for a shared quiddity."""
+    grouped: dict[tuple[int, ...], list[tuple[Chord, ...]]] = {}
+    for chords, entries, _ in _carried_quiddities(n_vertices, m, cell_filter):
+        grouped.setdefault(entries, []).append(tuple(chords))
+    return [[Dissection._trusted(n_vertices, chords) for chords in grouped[entries]]
+            for entries in sorted(grouped) if len(grouped[entries]) > 1]
 
 
 def find_non_dihedral_pair(max_n: int) -> Optional[tuple[Dissection, Dissection]]:
@@ -131,15 +147,11 @@ def find_non_dihedral_pair(max_n: int) -> Optional[tuple[Dissection, Dissection]
     relabeling, searching all dissections by polygon size."""
     for n_vertices in range(3, max_n + 1):
         for m in range(1, n_vertices - 1):
-            classes = quiddity_classes(n_vertices, m)
-            for q in sorted(classes, key=lambda q: q.entries):
-                ds = classes[q]
-                if len(ds) < 2:
-                    continue
-                orbit = dihedral_orbit(ds[0])
-                for other in ds[1:]:
+            for first, *others in _shared_quiddities(n_vertices, m):
+                orbit = dihedral_orbit(first)
+                for other in others:
                     if other not in orbit:
-                        return ds[0], other
+                        return first, other
     return None
 
 
@@ -147,10 +159,8 @@ def find_equal_quiddity_without_surgery(n_vertices: int = 8) -> Optional[tuple[D
     """Equal-quiddity pair among triangle/quadrilateral dissections
     (which admit no surgery at all)."""
     for m in range(1, n_vertices - 1):
-        classes = quiddity_classes(n_vertices, m, CellFilter.size_set({3, 4}))
-        for q in sorted(classes, key=lambda q: q.entries):
-            ds = classes[q]
-            if len(ds) >= 2 and all(not find_surgeries(d, False) for d in ds[:2]):
+        for ds in _shared_quiddities(n_vertices, m, CellFilter.size_set({3, 4})):
+            if all(not find_surgeries(d, False) for d in ds[:2]):
                 return ds[0], ds[1]
     return None
 
@@ -447,21 +457,21 @@ def run_all(scope: str = "fast") -> list[CheckResult]:
     quiddity_max_n = 8 if fast else 11
     # (check, arguments, its time in ms run alone in one process on a
     # 2-core machine, Python 3.11): queued longest first, so that no long
-    # check starts last.  All of them took 40 ms at fast scope and 740 ms
-    # at full scope one after another, and 23 ms and 0.38 s on both cores
+    # check starts last.  All of them took 32 ms at fast scope and 600 ms
+    # at full scope one after another, and 18 ms and 0.30 s on both cores
     # in this order
     checks: list[tuple[Callable[..., CheckResult], tuple, float]] = [
         (check_table, (), 0.1),
-        (check_dissection_counts, (max_n,), 7.7 if fast else 125),
-        (check_quiddity_counts, (quiddity_max_n,), 2.1 if fast else 102),
-        (check_quiddity_sum, (7 if fast else 9,), 2.0 if fast else 44),
-        (check_equal_size_injectivity, (9 if fast else 12,), 3.0 if fast else 136),
-        (check_witnesses, (9,), 8.1),
-        (check_surgery_classes, (8 if fast else 10, 5 if fast else 20), 5.7 if fast else 202),
-        (check_monodromy, (8 if fast else 10, 5 if fast else 6), 4.0 if fast else 31),
+        (check_dissection_counts, (max_n,), 4.7 if fast else 60),
+        (check_quiddity_counts, (quiddity_max_n,), 2.0 if fast else 99),
+        (check_quiddity_sum, (7 if fast else 9,), 2.0 if fast else 41),
+        (check_equal_size_injectivity, (9 if fast else 12,), 1.8 if fast else 69),
+        (check_witnesses, (9,), 5.3),
+        (check_surgery_classes, (8 if fast else 10, 5 if fast else 20), 5.5 if fast else 195),
+        (check_monodromy, (8 if fast else 10, 5 if fast else 6), 3.9 if fast else 30),
         (check_series, (12 if fast else 14,), 1.6 if fast else 2.1),
-        (check_lagrange, (10 if fast else 12,), 0.6 if fast else 1.2),
-        (check_continued_fractions, (8 if fast else 12,), 4.1 if fast else 93),
+        (check_lagrange, (10 if fast else 12,), 0.6 if fast else 1.1),
+        (check_continued_fractions, (8 if fast else 12,), 4.1 if fast else 90),
     ]
     order = sorted(range(len(checks)), key=lambda i: -checks[i][2])
     return _fork_map(lambda check: check[0](*check[1]), checks, order)

@@ -5,6 +5,7 @@ import argparse
 import contextlib
 import inspect
 import io
+import itertools
 import json
 import os
 import re
@@ -104,6 +105,11 @@ def test_enumerate_with_no_results_asks_for_no_dissection(cache_env, monkeypatch
     assert asked == []
     assert run(["enumerate", "--n", "8", "--max-results", "3"])[0] == 0
     assert len(asked) == 3
+    # the verb writes in chunks, yet asks for no line past the limit
+    for limit in (cli._CHUNK_LINES, cli._CHUNK_LINES + 1):
+        asked.clear()
+        assert run(["enumerate", "--n", "12", "--m", "10", "--max-results", str(limit)])[0] == 0
+        assert len(asked) == limit
     # a bad polygon is still refused when no dissection is asked for
     monkeypatch.undo()
     assert run(["enumerate", "--n", "2", "--max-results", "0"]) == (1, "")
@@ -123,6 +129,18 @@ def test_enumerate_json_streams_the_bytes_of_one_dump(cache_env, flags):
             limited = run(["enumerate", "--n", str(n), *by_m, *flags, "--json",
                            "--max-results", "2"])
             assert limited == (0, _dumps(json.loads(want)[:2]) + "\n"), (n, m)
+
+
+@pytest.mark.parametrize("limit", [cli._CHUNK_LINES - 1, cli._CHUNK_LINES,
+                                   cli._CHUNK_LINES + 1, None])
+def test_enumerate_across_a_chunk_boundary(cache_env, limit):
+    # 16,796 triangulations of the 12-gon: four whole chunks and a part
+    want = [str(d) for d in itertools.islice(enumerate_dissections(12, 10), limit)]
+    argv = ["enumerate", "--n", "12", "--m", "10"]
+    if limit is not None:
+        argv += ["--max-results", str(limit)]
+    assert run(argv) == (0, "".join(text + "\n" for text in want))
+    assert run(argv + ["--json"]) == (0, _dumps(want) + "\n")
 
 
 def test_table_csv(cache_env):
@@ -858,6 +876,39 @@ def test_plain_parse_equals_argparse_on_the_contract():
                 re.fullmatch(r"--[a-z-]+=.*|-\d+", tok) for tok in argv), argv
     # a plain argv that newly defers pays for building the whole parser
     assert deferred <= 17
+
+
+TOP_LEVEL_HELP = """\
+usage: quiddity [-h] [--version] verb ...
+
+Enumerate polygon dissections and their quiddities.
+
+positional arguments:
+  verb
+    of          quiddity of a dissection
+    enumerate   stream all dissections, one per line
+    count       number of dissections
+    quiddities  number of distinct quiddities
+    classes     map from quiddity to dissections
+    formula     closed-form counts
+    series      solve a generating-function equation
+    surgery     surgery moves and canonical forms
+    cf          continued fractions and strips
+    modular     elementary matrix products
+    table       known quiddity counts as CSV
+    verify-all  run the oracle-equivalence suite
+
+options:
+  -h, --help    show this help message and exit
+  --version     show program's version number and exit
+"""
+
+
+def test_top_level_help_keeps_each_verb_on_its_line(monkeypatch, capsys):
+    # argparse wraps to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["--help"]) == (0, "")
+    assert capsys.readouterr().out == TOP_LEVEL_HELP
 
 
 def test_plain_argv_does_not_call_argparse(cache_env, monkeypatch):

@@ -32,15 +32,51 @@ def test_tampered_formula_is_detected(monkeypatch):
 
 
 def test_tampered_enumeration_is_detected(monkeypatch):
-    # drops the first dissection of every N=8 family
-    real = verification.enumerate_dissections
+    # drops the first dissection of every N=8 family from the walk the
+    # counts are read off
+    real = verification._walk
 
-    def skewed(n, m=None, cell_filter=verification.CellFilter.all_cells()):
+    def skewed(n, m, cell_filter):
         stream = real(n, m, cell_filter)
         return itertools.islice(stream, 1, None) if n == 8 else stream
 
-    monkeypatch.setattr(verification, "enumerate_dissections", skewed)
+    monkeypatch.setattr(verification, "_walk", skewed)
+    assert verification.check_dissection_counts(7).passed
     assert not verification.check_dissection_counts(8).passed
+
+
+def _tamper_carried_quiddities(monkeypatch, edit):
+    # ``edit(n, members)`` rewrites the members the checks group by quiddity
+    real = verification._carried_quiddities
+    monkeypatch.setattr(verification, "_carried_quiddities",
+                        lambda n, m, cell_filter: edit(n, real(n, m, cell_filter)))
+
+
+def test_a_repeated_equal_size_member_is_detected(monkeypatch):
+    def repeat_the_first_at_9(n, members):
+        first = next(members)
+        yield from (first, first) if n == 9 else (first,)
+        yield from members
+
+    _tamper_carried_quiddities(monkeypatch, repeat_the_first_at_9)
+    assert verification.check_equal_size_injectivity(8).passed
+    result = verification.check_equal_size_injectivity(9)
+    assert (result.passed, result.detail) == (False, "N=9, m=1, quiddity 1,1,1,1,1,1,1,1,1")
+
+
+def test_a_lost_non_dihedral_witness_is_detected(monkeypatch):
+    # at N=9 only the dihedral images of each quiddity's first member are
+    # kept: equal-quiddity pairs remain there, but none a witness
+    def dihedral_only_at_9(n, members):
+        orbits = {}
+        for chords, entries, low in members:
+            d = verification.Dissection._trusted(n, chords)
+            if n != 9 or d in orbits.setdefault(entries, verification.dihedral_orbit(d)):
+                yield chords, entries, low
+
+    _tamper_carried_quiddities(monkeypatch, dihedral_only_at_9)
+    result = verification.check_witnesses(9)
+    assert (result.passed, result.detail) == (False, "no non-dihedral pair up to N=9")
 
 
 def _off_by_one_at(fn, n0, m0):
