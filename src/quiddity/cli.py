@@ -70,7 +70,7 @@ from .verification import run_all
 # fewer than 5.83^n) and takes at most 0.07 s (the 3-periodic quiddity
 # count at 4999, 2251, the slowest); the series solver grows about as
 # order^4 (the general and the 1-periodic equation, the slowest, take
-# 0.34 s as a command at order 85) and the table as max-n^2 (0.07 s at
+# 0.20 s as a command at order 85) and the table as max-n^2 (0.07 s at
 # 1200, each diagonal's binomial stepped from entry to entry), on a
 # 2-core machine.
 FORMULA_ARG_CAP = 5000
@@ -523,7 +523,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         if args.verb == "series":
             _refuse_over(args.order, SERIES_ORDER_CAP, "--order")
             sol = series.solve_named(args.equation, args.order, args.ell)
-            print(_dumps(series.series_terms_json(sol)), file=out)
+            # the bytes of _dumps(series_terms_json(sol)): a coefficient
+            # is a digit string, so quoting it is json.dumps
+            out.write("[" + ",".join(f'{{"coeff":"{c}","m":{m},"n":{n}}}'
+                                     for n, m, c in sol.nonzero_terms()) + "]\n")
             return 0
 
         if args.verb == "surgery":

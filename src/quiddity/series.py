@@ -12,7 +12,8 @@ arithmetic returns a node whose z^n row is computed from its operands'
 rows when first read, then cached.  Row n of a product is the sum of
 a_k b_(n-k) over each factor's nonzero (m, c) terms, so a product of
 order K costs O(K^4) coefficient products in all, fewer when rows are
-sparse; a shift by a monomial only moves rows.
+sparse, and a square a * a about half that, as it takes each pair of
+rows (k, n-k) once; a shift by a monomial only moves rows.
 
 A fixed point S = F(S) is a node whose row n is row n of F(S).  Every
 equation has a factor z, so that row reads only rows of S below n;
@@ -154,9 +155,12 @@ class BivariateSeries:
             lambda n: tuple(map(operator.sub, self._row(n), other._row(n))))
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
+        """A square ``a * a`` takes each pair of rows k < n - k once,
+        doubled, then the middle row's square: half the products."""
         self._require_same_order(other)
         terms1, terms2 = self._terms, other._terms
         low1, low2 = self._low, other._low
+        square = other is self
 
         def row(n: int) -> Row:
             # pairs with a factor's row below its known zero rows are
@@ -164,7 +168,7 @@ class BivariateSeries:
             # first's is zero: a factor z keeps row n of a fixed point
             # from being read while it is computed
             out = [0] * (n + 1)
-            for k in range(low1, n - low2 + 1):
+            for k in range(low1, (n + 1) // 2 if square else n - low2 + 1):
                 row1 = terms1[k] if k < len(terms1) else self._terms_of(k)
                 if not row1:
                     continue
@@ -172,6 +176,12 @@ class BivariateSeries:
                 for m1, c1 in row1:
                     for m2, c2 in row2:
                         out[m1 + m2] += c1 * c2
+            if square:
+                out = [c + c for c in out]
+                if n % 2 == 0 and n // 2 >= low1:
+                    for m1, c1 in (mid := self._terms_of(n // 2)):
+                        for m2, c2 in mid:
+                            out[m1 + m2] += c1 * c2
             return tuple(out)
 
         return BivariateSeries._lazy(self.order, low1 + low2, row)
@@ -182,7 +192,7 @@ class BivariateSeries:
 
     def __pow__(self, exponent: int) -> "BivariateSeries":
         """By repeated squaring, so a power is O(log exponent) product
-        nodes deep."""
+        nodes deep, and each square takes each pair of rows once."""
         if exponent < 0:
             raise DomainError("negative series powers are not defined here")
         result, square = None, self

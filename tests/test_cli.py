@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quiddity import cache, cli, core, enumeration, formulas, modular, surgery, verification
+from quiddity import cache, cli, core, enumeration, formulas, modular, series, surgery, verification
 from quiddity.cache import source_key
 from quiddity.cli import SERIES_ORDER_CAP, _dumps, _parse_plain, build_parser, main
 from quiddity.enumeration import CellFilter, count_dissections, enumerate_dissections
@@ -158,6 +158,17 @@ def test_series_output(cache_env):
         {"n": 2, "m": 0, "coeff": "2"},
         {"n": 3, "m": 0, "coeff": "5"},
     ]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 12])
+@pytest.mark.parametrize("equation, ell", [
+    ("catalan", None), ("kirkman-cayley", None), ("tri-quad", None), ("p", None), ("q", None),
+    ("ell-periodic", 1), ("ell-periodic", 2), ("ell-periodic", 3), ("ell-periodic", 40)])
+def test_series_writes_the_bytes_of_the_json_module(cache_env, equation, ell, order):
+    # the verb writes its terms as JSON text by hand
+    argv = ["series", equation, "--order", str(order), *(["--ell", str(ell)] if ell else [])]
+    want = _dumps(series.series_terms_json(series.solve_named(equation, order, ell))) + "\n"
+    assert run(argv) == (0, want)
 
 
 def test_series_ell_requires_period(cache_env):
@@ -472,7 +483,7 @@ def test_few_cell_family_of_a_large_polygon_is_quick(cache_env):
 
 
 def test_series_at_its_order_cap_is_quick(cache_env):
-    # about 1 s; re-evaluating the equation at every order took 90 s
+    # about 0.15 s in-process; re-evaluating the equation at every order took 90 s
     start = time.perf_counter()
     code, out = run(["series", "kirkman-cayley", "--order", str(SERIES_ORDER_CAP)])
     assert code == 0

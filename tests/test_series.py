@@ -1,6 +1,7 @@
 """Truncated series arithmetic, fixed-point solutions, Lagrange inversion."""
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -246,6 +247,52 @@ def test_solution_may_stand_on_either_side_of_a_product():
     for order in range(13):
         assert solve_fixed_point(EquationSpec("left", f), order) == \
             solve_fixed_point(catalan_equation(), order), order
+
+
+def signed_series(order, seed):
+    """A series with negative coefficients, zero rows among its others,
+    and two leading zero rows through a shift, as a lazy node."""
+    rng = random.Random(seed)
+    rows = [tuple(rng.choice((0, 0, -3, -1, 1, 2, 7)) if rng.random() < 0.7 else 0
+                  for _ in range(n + 1)) for n in range(order + 1)]
+    return BivariateSeries(order, tuple(rows)).shift(2, 1)
+
+
+def copy_of(s):
+    """A distinct series with the same rows, so products with it take
+    the general path and not the square's."""
+    return BivariateSeries(s.order, s.coeffs)
+
+
+@pytest.mark.parametrize("order", range(21))
+def test_square_matches_the_general_product(order):
+    for seed in range(3):
+        s = signed_series(order, seed)
+        square = s * s
+        t = copy_of(s)
+        assert square == s * t == dense_product(t, t)
+        # a square of rows that start at row 0
+        u = BivariateSeries.one(order) - t
+        assert u * u == u * copy_of(u)
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 12])
+def test_powers_match_repeated_general_products(order):
+    shifted = signed_series(order, order)
+    for s in (shifted, shifted + BivariateSeries.monomial(order, 0, 0, -2)):
+        t, want = copy_of(s), BivariateSeries.one(order)
+        for k in range(10):
+            assert s ** k == want, k
+            want = want * t
+
+
+def test_square_without_a_factor_z_reads_its_middle_row_while_computed():
+    # at n = 0 the square's only pair is its middle row, row 0 of u
+    for order in (0, 1, 5):
+        one = BivariateSeries.one(order)
+        u = series._recursive(order, lambda u: one + u * u)
+        with pytest.raises(AssertionError, match="read while it was being computed"):
+            u.coeffs
 
 
 def test_high_powers_and_inversion_do_not_recurse_deeply():
