@@ -55,7 +55,7 @@ SURGERY_STATE_MOVES = 8
 # default, each member charged ``SURGERY_STATE_MOVES`` moves.  This
 # bounds the search's time and memory, however many moves a state has
 # or however many chords it carries.  On a 2-core machine the slowest
-# searches found are refused after about 1.5 s: (N - 6)/2 triangles
+# searches found are refused after 0.5-0.6 s: (N - 6)/2 triangles
 # fanned on each side of one hexagon (a new member every other move, of
 # N - 6 chords each) at N = 5000, and an N-gon with chords 0-2, 2-4,
 # ..., N-3 - N-1 (a cell of (N+1)/2 vertices with a triangle on each
@@ -69,8 +69,8 @@ SURGERY_CLASS_CAP = 8_000_000
 # no 3-periodic dissection found takes over (N - 6)/2 steps (none with
 # N <= 16 does).  The slowest shape found takes that many: (N - 6)/2
 # triangles fanned on each side of one hexagon, whose 5000-gon takes
-# 2.0-2.2 s through ``surgery canon`` on a 2-core machine; a chain of
-# nested hexagons (chords 2 - N-3, 4 - N-5, ...) takes 0.3-0.4 s.
+# 0.9 s through ``surgery canon`` on a 2-core machine; a chain of
+# nested hexagons (chords 2 - N-3, 4 - N-5, ...) takes 0.1 s.
 SURGERY_CANON_CAP = 5000
 
 
@@ -96,9 +96,10 @@ def _move(idx: int, cell: tuple[int, ...], i: int, j: int) -> SurgeryMove:
     """The move re-pairing edges i < j of the cell, where edge k joins
     cell[k] and cell[(k + 1) % t]."""
     p, q, r, s = cell[i], cell[i + 1], cell[j], cell[(j + 1) % len(cell)]
-    removed = tuple(sorted(((p, q), (min(r, s), max(r, s)))))
-    added = tuple(sorted(((min(p, s), max(p, s)), (q, r))))
-    return SurgeryMove(idx, cell, removed, added)
+    a, b = (p, q), (r, s) if r < s else (s, r)
+    # min(p, s) <= p < q, so the added pairs come sorted
+    added = ((p, s) if p < s else (s, p), (q, r))
+    return SurgeryMove(idx, cell, (a, b) if a < b else (b, a), added)
 
 
 def _moves(
@@ -159,8 +160,13 @@ def _cells_after(cs: Sequence[tuple[int, ...]], move: SurgeryMove) -> list[tuple
 
 def _swapped(chords: tuple[Chord, ...], move: SurgeryMove) -> tuple[Chord, ...]:
     """The sorted chords after a move: its removed two replaced by its
-    added two."""
-    return tuple(sorted([c for c in chords if c not in move.removed] + list(move.added)))
+    added two, each inserted in order."""
+    out = list(chords)
+    for c in move.removed:
+        out.remove(c)
+    for c in move.added:
+        insort(out, c)
+    return tuple(out)
 
 
 def _kept_quiddity(n: int, chords: tuple[Chord, ...], degrees: list[int]) -> Dissection:

@@ -7,14 +7,17 @@ of the generation recursion, the enumeration order is fixed by an
 earlier generator that prunes by cell-count intervals instead of exact
 masks, and fixed points of the series equations come from iterating
 at the full truncation order with every shift done as a product.
+Frozen copies of earlier validation and cell sweeps pin the messages
+and the cell order of the chord-driven passes that replaced them.
 """
 from __future__ import annotations
 
 import contextlib
 import itertools
+import random
 from typing import Iterator, Optional
 
-from quiddity.core import Chord, Dissection
+from quiddity.core import Chord, Dissection, DomainError
 from quiddity.enumeration import CellFilter
 from quiddity.series import BivariateSeries, EquationSpec
 
@@ -43,6 +46,99 @@ def cells_by_splitting(d: Dissection) -> list[tuple[int, ...]]:
         k = cycle.index(min(cycle))
         out.append(tuple(cycle[k:] + cycle[:k]))
     return sorted(out, key=lambda c: (c[0], len(c), c))
+
+
+def chords_by_left_end_sweep(n: int, chords) -> tuple[Chord, ...]:
+    """The canonical chords of a dissection, or the ``DomainError`` the
+    package must raise for them, by the validation it used before its
+    two stable sorts: each chord normalized, range- and edge-checked in
+    input order, then one stack sweep in (left end, longest first)
+    order, from a key tuple per chord."""
+    if n < 3:
+        raise DomainError(f"polygon needs at least 3 vertices, got {n}")
+    normalized = []
+    for i, j in chords:
+        if i > j:
+            i, j = j, i
+        if not (0 <= i < j <= n - 1):
+            raise DomainError(f"chord {i}-{j} out of range for an {n}-gon")
+        if j - i < 2 or (i, j) == (0, n - 1):
+            raise DomainError(f"chord {i}-{j} is a polygon edge, not a diagonal")
+        normalized.append((i, j))
+    open_chords: list[Chord] = []
+    for i, j in sorted(normalized, key=lambda c: (c[0], -c[1])):
+        while open_chords and open_chords[-1][1] <= i:
+            open_chords.pop()
+        if open_chords and open_chords[-1] == (i, j):
+            raise DomainError(f"duplicate chord {i}-{j}")
+        if open_chords and open_chords[-1][1] < j:
+            p, q = open_chords[-1]
+            raise DomainError(f"chords {p}-{q} and {i}-{j} cross")
+        open_chords.append((i, j))
+    return tuple(sorted(normalized))
+
+
+def crosses(a: Chord, b: Chord) -> bool:
+    """Whether two chords with sorted ends cross: four distinct ends,
+    exactly one end of b strictly inside the span of a."""
+    (p, q), (r, s) = a, b
+    if len({p, q, r, s}) < 4:
+        return False
+    return (p < r < q) != (p < s < q)
+
+
+def valid_by_definition(n: int, chords) -> bool:
+    """Whether the chords (ends in either order) dissect the N-gon, by
+    checking every chord and every pair of chords: ends in range and
+    not adjacent on the polygon, and no two chords equal or crossing."""
+    pairs = [(min(c), max(c)) for c in chords]
+    if n < 3 or len(set(pairs)) < len(pairs):
+        return False
+    for i, j in pairs:
+        if i < 0 or j >= n or j - i in (0, 1, n - 1):
+            return False
+    return not any(crosses(a, b) for a, b in itertools.combinations(pairs, 2))
+
+
+def sweep_by_vertices(d: Dissection) -> list[tuple[int, ...]]:
+    """The cells in the order they close, by the package's earlier
+    sweep: one Python step per vertex, with the chords bucketed by right
+    end and each vertex's stack position kept in a list."""
+    n = d.n_vertices
+    ending: list[list[int]] = [[] for _ in range(n)]
+    for i, j in d.chords:
+        ending[j].append(i)
+    stack: list[int] = []
+    pos = [0] * n
+    raw: list[tuple[int, ...]] = []
+    for v in range(n):
+        for i in reversed(ending[v]):
+            p = pos[i]
+            raw.append(tuple(stack[p:]) + (v,))
+            del stack[p + 1:]
+        pos[v] = len(stack)
+        stack.append(v)
+    raw.append(tuple(stack))
+    return raw
+
+
+def random_dissection(n: int, rng: random.Random, sizes=None) -> Dissection:
+    """A random dissection of the N-gon: each sub-polygon lo..hi still
+    to fill takes a base cell of a random size from ``sizes`` (every
+    size if None) on random corners, and each gap of two or more edges
+    between consecutive corners becomes a chord and a sub-polygon."""
+    chords = []
+    spans = [(0, n - 1)]
+    while spans:
+        lo, hi = spans.pop()
+        t = rng.choice([t for t in sizes or range(3, hi - lo + 2) if t <= hi - lo + 1])
+        corners = [lo, *sorted(rng.sample(range(lo + 1, hi), t - 2)), hi]
+        for p, q in zip(corners, corners[1:]):
+            if q - p >= 2:
+                chords.append((p, q))
+                spans.append((p, q))
+    rng.shuffle(chords)
+    return Dissection(n, tuple(chords))
 
 
 def chord_sides(cycles: list[tuple[int, ...]]) -> dict[tuple[int, int], list[int]]:

@@ -1,6 +1,7 @@
 """Dissection representation, cell extraction, quiddities, dihedral action."""
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -20,11 +21,20 @@ from quiddity import (
     parse_dissection,
     quiddity,
 )
+from quiddity import core
 from quiddity.core import PARSE_N_CAP
 from quiddity.enumeration import enumerate_dissections
 from quiddity.surgery import base_edge
 
-from oracles import cells_by_splitting, chord_sides
+from oracles import (
+    cells_by_splitting,
+    chord_sides,
+    chords_by_left_end_sweep,
+    crosses,
+    random_dissection,
+    sweep_by_vertices,
+    valid_by_definition,
+)
 
 
 def test_parse_pentagon():
@@ -130,15 +140,6 @@ def test_cells_match_splitting_oracle_exhaustively():
                 assert sorted(beyond + within) == sides[chord]
 
 
-def _pairwise_cross(a, b):
-    # the quadratic rule: chords with four distinct ends cross iff
-    # exactly one end of b lies strictly inside the span of a
-    (p, q), (r, s) = a, b
-    if len({p, q, r, s}) < 4:
-        return False
-    return (p < r < q) != (p < s < q)
-
-
 @st.composite
 def chord_sets(draw):
     n = draw(st.integers(4, 14))
@@ -147,10 +148,96 @@ def chord_sets(draw):
     return n, chosen
 
 
+def _random_chord_list(rng):
+    """The chords of a random dissection, ends in random order, with
+    some of: a duplicate, a random pair of ends (out of range, equal,
+    adjacent, crossing or fine) and a polygon edge."""
+    n = rng.randint(1, 40)
+    chords = list(random_dissection(n, rng).chords) if n >= 3 else []
+    chords = [(j, i) if rng.random() < 0.3 else (i, j) for i, j in chords]
+    if chords and rng.random() < 0.2:
+        chords.append(rng.choice(chords)[::rng.choice((1, -1))])
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        chords.append((rng.randint(-2, n + 1), rng.randint(-2, n + 1)))
+    if rng.random() < 0.1:
+        k = rng.randrange(max(n, 1))
+        chords.append(rng.choice(((k, (k + 1) % max(n, 1)), (0, n - 1), (n - 1, 0))))
+    rng.shuffle(chords)
+    return n, chords
+
+
+KINDS = ("at least 3 vertices", "out of range", "polygon edge", "duplicate", "cross")
+
+
+def test_validation_matches_the_left_end_sweep_on_random_chord_lists():
+    # the same error line as the earlier key-tuple sweep, or the same
+    # canonical chords, stored as tuples when given as lists; validity
+    # by the pairwise definition; and a crossing pair that was named
+    # really crosses
+    rng = random.Random(28)
+    kinds = set()
+    for _ in range(4000):
+        n, chords = _random_chord_list(rng)
+        given = [list(c) for c in chords] if rng.random() < 0.5 else chords
+        try:
+            want = chords_by_left_end_sweep(n, chords)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as err:
+                Dissection(n, given)
+            assert str(err.value) == str(exc), (n, chords)
+            assert not valid_by_definition(n, chords), (n, chords)
+            named = re.fullmatch(r"chords (\d+)-(\d+) and (\d+)-(\d+) cross", str(exc))
+            if named:
+                a, b = (int(named[1]), int(named[2])), (int(named[3]), int(named[4]))
+                assert crosses(a, b), (n, chords)
+            kinds.add(next(k for k in KINDS if k in str(exc)))
+        else:
+            got = Dissection(n, given).chords
+            assert got == want and all(type(c) is tuple for c in got), (n, chords)
+            assert valid_by_definition(n, chords), (n, chords)
+            kinds.add("valid")
+    assert kinds == {"valid", *KINDS}
+
+
+def test_cells_match_splitting_oracle_on_random_dissections():
+    rng = random.Random(67)
+    for n in [*range(3, 60), *range(60, 301, 12)]:
+        d = random_dissection(n, rng, rng.choice((None, range(3, n + 1, 3), (3, 4))))
+        assert list(cells(d)) == cells_by_splitting(d), d
+
+
+def test_sweep_order_matches_the_vertex_sweep():
+    # the raw cells, in the order they close, on every dissection with
+    # N <= 9, random ones, and the canonicalization cap's two shapes:
+    # the 5000-gon fan of triangles on each side of a hexagon and the
+    # 4998-gon chain of nested hexagons
+    n = 5000
+    fan = Dissection(n, tuple([(i, n - 1) for i in range(1, n // 2 - 2)]
+                              + [(n // 2 - 1, j) for j in range(n // 2 + 1, n - 2)]))
+    chain = Dissection(4998, tuple((k, 4997 - k) for k in range(2, 2498, 2)))
+    rng = random.Random(5)
+    pool = [d for n in range(3, 10) for d in enumerate_dissections(n)]
+    pool += [random_dissection(n, rng) for n in range(10, 400, 7)]
+    for d in pool + [fan, chain]:
+        assert core._sweep(d) == sweep_by_vertices(d), d
+
+
+def test_quiddity_sweeps_once_and_leaves_the_sorting_to_cells(monkeypatch):
+    swept = []
+    sweep = core._sweep
+    monkeypatch.setattr(core, "_sweep", lambda d: swept.append(d) or sweep(d))
+    d = parse_dissection("12:0-5,1-3,5-11,6-10,7-9")
+    assert quiddity(d).entries == (2, 2, 1, 2, 1, 3, 2, 2, 1, 2, 2, 2)
+    cs = cells(d)
+    assert list(cs) == cells_by_splitting(d) and cells(d) is cs
+    assert quiddity(d).entries == (2, 2, 1, 2, 1, 3, 2, 2, 1, 2, 2, 2)
+    assert swept == [d]
+
+
 @given(chord_sets())
 def test_linear_validation_agrees_with_pairwise_rule(case):
     n, chosen = case
-    crossing = any(_pairwise_cross(a, b) for a in chosen for b in chosen)
+    crossing = any(crosses(a, b) for a in chosen for b in chosen)
     if not crossing:
         assert Dissection(n, tuple(chosen)).chords == tuple(sorted(chosen))
         return
@@ -159,7 +246,7 @@ def test_linear_validation_agrees_with_pairwise_rule(case):
     named = re.fullmatch(r"chords (\d+)-(\d+) and (\d+)-(\d+) cross", str(err.value))
     assert named
     a, b = (int(named[1]), int(named[2])), (int(named[3]), int(named[4]))
-    assert a in chosen and b in chosen and _pairwise_cross(a, b)
+    assert a in chosen and b in chosen and crosses(a, b)
 
 
 def test_quiddity_examples():

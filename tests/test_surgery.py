@@ -20,7 +20,9 @@ from quiddity import core, surgery
 from quiddity.enumeration import CellFilter, enumerate_dissections
 from quiddity.surgery import (
     _cells_after,
+    _move,
     _opening,
+    _swapped,
     apply_surgery,
     base_edge,
     canonicalize_maximally_open,
@@ -33,7 +35,12 @@ from quiddity.surgery import (
     surgery_class,
 )
 
-from oracles import cells_by_splitting, chord_sides, surgery_moves_by_definition
+from oracles import (
+    cells_by_splitting,
+    chord_sides,
+    random_dissection,
+    surgery_moves_by_definition,
+)
 
 ELL3 = CellFilter.ell_periodic(3)
 OCTAGON = parse_dissection("8:1-3,5-7")
@@ -153,6 +160,28 @@ def test_surgery_cell_bookkeeping_random_instances():
                 before.remove(len(want[c]))
             result = sorted(before + [size1, size2, merged])
             assert sorted(cell_size_profile(apply_surgery(d, mv))) == result
+
+
+def test_moves_and_swaps_match_their_sorted_definitions():
+    # every pair of edges of every cell, legal or not, and every legal
+    # move, of random 3-periodic dissections
+    rng = random.Random(3)
+    moves = 0
+    for n in range(6, 90, 3):
+        d = random_dissection(n, rng, range(3, n + 1, 3))
+        for idx, cell in enumerate(cells(d)):
+            t = len(cell)
+            for i in range(t):
+                for j in range(i + 1, t):
+                    p, q, r, s = cell[i], cell[i + 1], cell[j], cell[(j + 1) % t]
+                    mv = _move(idx, cell, i, j)
+                    assert mv.removed == tuple(sorted(((p, q), (min(r, s), max(r, s)))))
+                    assert mv.added == tuple(sorted(((min(p, s), max(p, s)), (q, r))))
+        for mv in find_surgeries(d, False):
+            want = tuple(sorted([c for c in d.chords if c not in mv.removed] + list(mv.added)))
+            assert _swapped(d.chords, mv) == want, (d, mv)
+            moves += 1
+    assert moves > 200
 
 
 def test_base_cell_data_octagon():
