@@ -13,12 +13,13 @@ The grammar is declared once, as data (``_VERB_HELP``, ``_LEAVES``
 and ``_EXCLUSIVE``), and arguments are parsed in two steps with it.  A
 plain argv, meaning the verb (and action), then its positionals, then
 exact ``--option value`` pairs and flags, with no other token starting
-with '-', is read off that data by ``_parse_plain``, and no argparse
-parser is built.  Every other argv goes to the parser that
-``build_parser`` builds from the same data: usage errors, ``--help``,
-``--version``, abbreviations, ``--opt=value``, negative numbers,
-``--``, repeated options and positionals placed after options.  So
-usage errors and help still come from argparse.
+with '-', is read in one pass off its leaf's table, compiled from that
+data on first use, and no argparse parser is built.  Every other argv
+(usage errors, ``--help``, ``--version``, abbreviations,
+``--opt=value``, negative numbers, ``--``, repeated options and
+positionals placed after options) goes to a parser that
+``build_parser`` builds from the same data only as far as the argv
+reaches.  So usage errors and help still come from argparse.
 
 Exit codes: 0 success, 1 domain error or failed check, 2 usage error.
 A reader that closes stdout early cuts the output short, with nothing
@@ -147,8 +148,12 @@ def _refuse_unprintable_continuant(terms: tuple[int, ...]) -> None:
             _refuse_unprintable(product, fib)
 
 
+# the encoder json.dumps would build on every call with these keywords
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _parse_filter(args: argparse.Namespace) -> CellFilter:
@@ -244,8 +249,6 @@ _LEAVES = {
     "verify-all": {"--scope": {"choices": ["fast", "full"], "default": "fast"}},
 }
 _EXCLUSIVE = {"cf eval": ("--regular", "--hj")}
-_DEST = {name: name.lstrip("-").replace("-", "_")
-         for arguments in _LEAVES.values() for name in arguments}
 
 
 class _HelpFormatter(argparse.HelpFormatter):
@@ -264,10 +267,27 @@ class _HelpFormatter(argparse.HelpFormatter):
                 self._current_indent + len(self._format_action_invocation(verb)))
 
 
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The argparse parser of the grammar as far as ``argv`` reaches,
+    shared by later calls that reach as far: the verb it names, with
+    arguments for the actions it names (an action's parser reads only
+    the tokens after its name); the verb names alone, which argparse
+    refuses a bare first word by; the whole tree for an argv that is
+    None, empty or starts with an option."""
+    first = argv[0] if argv else "-"
+    if first in _VERB_HELP:
+        return _tree(first, frozenset(
+            _LEAVES.keys() & {first, *(f"{first} {word}" for word in argv[1:])}))
+    if not first.startswith("-"):
+        return _tree(None, frozenset())
+    return _tree(None, frozenset(_LEAVES))
+
+
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of the grammar, built on first use and shared
-    by later calls; only an argv that ``_parse_plain`` declines needs it."""
+def _tree(only: Optional[str], leaves: frozenset) -> argparse.ArgumentParser:
+    """The parser of the verb ``only`` (of every verb when None) and its
+    actions, the leaves in ``leaves`` with their arguments; with neither,
+    only each verb's name and help."""
     parser = argparse.ArgumentParser(
         prog="quiddity",
         description="Enumerate polygon dissections and their quiddities.",
@@ -275,9 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
+    if only is None and not leaves:
+        # argparse refuses the first word before any verb's parser runs
+        for verb, text in _VERB_HELP.items():
+            verbs.add_parser(verb, help=text, add_help=False)
+        return parser
     actions = {}  # verb -> the sub-parsers of its actions
     for leaf, arguments in _LEAVES.items():
         verb, _, action = leaf.partition(" ")
+        if only not in (None, verb):
+            continue
         if not action:
             p = verbs.add_parser(verb, help=_VERB_HELP[verb])
         else:
@@ -285,6 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                 actions[verb] = verbs.add_parser(verb, help=_VERB_HELP[verb]).add_subparsers(
                     dest="action", required=True)
             p = actions[verb].add_parser(action)
+        if leaf not in leaves:
+            continue
         group = None
         for name, keywords in arguments.items():
             if name not in _EXCLUSIVE.get(leaf, ()):
@@ -296,55 +325,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _value(keywords: dict, token: str):
-    # what argparse makes of one token: the type, then the choices
-    value = keywords["type"](token) if "type" in keywords else token
-    if "choices" in keywords and value not in keywords["choices"]:
-        raise ValueError(f"{value!r} is not a choice")
-    return value
+# build_parser.cache_clear() drops every parser built so far
+build_parser.cache_clear = _tree.cache_clear
 
 
-def _match(arguments: dict, group: tuple, argv: list[str],
-           values: dict) -> Optional[argparse.Namespace]:
-    run = next((k for k, tok in enumerate(argv) if tok.startswith("-")), len(argv))
-    i = 0  # argv[i:run] are the positional tokens not yet taken
-    for name, keywords in arguments.items():
-        dest = _DEST[name]
-        values[dest] = keywords.get("default", False if "action" in keywords else None)
-        if name.startswith("-"):
+@functools.lru_cache(maxsize=None)
+def _table(leaf: str) -> tuple:
+    """The leaf's grammar for ``_parse_plain``: its positional slots and
+    options, each (dest, many, type, choices), ``many`` meaning nargs '*'
+    for a slot and store_true for an option; its required options, the
+    options' defaults and its exclusive group."""
+    slots, options, required, defaults = [], {}, [], {}
+    for name, keywords in _LEAVES[leaf].items():
+        dest = name.lstrip("-").replace("-", "_")
+        spec = (dest, "nargs" in keywords or "action" in keywords, keywords.get("type"),
+                keywords.get("choices"))
+        if not name.startswith("-"):
+            slots.append(spec)
             continue
-        if "nargs" in keywords:  # '*': the rest of the run
-            values[dest], i = [_value(keywords, tok) for tok in argv[i:run]], run
-        elif i < run:
-            values[dest], i = _value(keywords, argv[i]), i + 1
-        else:
-            return None
-    seen = set()
-    while i < len(argv):
-        name = argv[i]
-        keywords = arguments.get(name) if name.startswith("-") else None
-        if keywords is None or name in seen:  # a stray positional, or a repeated option
-            return None
-        seen.add(name)
-        if "action" in keywords:
-            values[_DEST[name]], i = True, i + 1
-        elif i + 1 < len(argv) and not argv[i + 1].startswith("-"):
-            values[_DEST[name]], i = _value(keywords, argv[i + 1]), i + 2
-        else:
-            return None
-    if any(keywords.get("required") and name not in seen
-           for name, keywords in arguments.items()):
-        return None
-    if group and len(seen.intersection(group)) != 1:
-        return None
-    return argparse.Namespace(**values)
+        options[name] = spec
+        defaults[dest] = keywords.get("default", False if "action" in keywords else None)
+        if keywords.get("required"):
+            required.append(name)
+    return slots, options, required, defaults, _EXCLUSIVE.get(leaf, ())
 
 
 def _parse_plain(argv: Sequence[str]) -> Optional[argparse.Namespace]:
     """``build_parser().parse_args(argv)`` for a plain argv (see the
-    module docstring), read off the grammar with dict lookups; None for
+    module docstring), read off the leaf's table in one pass; None for
     any other argv and for one that argparse would refuse."""
-    argv = list(argv)
     verb = argv[0] if argv else None
     if verb not in _VERB_HELP:
         return None
@@ -353,10 +362,51 @@ def _parse_plain(argv: Sequence[str]) -> Optional[argparse.Namespace]:
         leaf, values["action"], i = f"{verb} {argv[1]}", argv[1], 2
     if leaf not in _LEAVES:
         return None
-    try:
-        return _match(_LEAVES[leaf], _EXCLUSIVE.get(leaf, ()), argv[i:], values)
-    except ValueError:  # a type or a choice argparse refuses
+    slots, options, required, defaults, group = _table(leaf)
+    values.update(defaults)
+    filled, seen, pending = 0, set(), None
+    for token in itertools.islice(argv, i, None):
+        if token.startswith("-"):
+            spec = options.get(token)
+            # an option with no value, an unknown or repeated one
+            if pending is not None or spec is None or token in seen:
+                return None
+            seen.add(token)
+            if spec[1]:  # a flag
+                values[spec[0]] = True
+            else:
+                pending = spec
+            continue
+        if pending is not None:  # the pending option's value
+            (dest, many, convert, choices), pending = pending, None
+        elif seen or filled == len(slots):  # a positional after an option, or one too many
+            return None
+        else:
+            dest, many, convert, choices = slots[filled]
+            if not many:  # nargs '*' takes every positional from here on
+                filled += 1
+        try:  # argparse's type, then its choices
+            value = convert(token) if convert else token
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        if many:
+            values.setdefault(dest, []).append(value)
+        else:
+            values[dest] = value
+    if pending is not None or not seen.issuperset(required):
         return None
+    if group and len(seen.intersection(group)) != 1:
+        return None
+    if filled < len(slots):  # a positional missing, or an empty nargs '*' run
+        dest, many, _, _ = slots[filled]
+        if not many:
+            return None
+        values.setdefault(dest, [])
+    args = argparse.Namespace()
+    vars(args).update(values)
+    return args
 
 
 def _run_formula(args: argparse.Namespace, out) -> int:
@@ -466,14 +516,13 @@ def _run_modular(args: argparse.Namespace, out) -> int:
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    # two steps: a plain argv is read off the grammar, and argparse
-    # parses every other one (help, --version, abbreviations, --opt=value,
-    # negative numbers, '--', repeated options, positionals after
-    # options), so every usage error is still argparse's
-    args = _parse_plain(sys.argv[1:] if argv is None else argv)
+    # two steps (see the module docstring), so every usage error is
+    # still argparse's
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_plain(argv)
     if args is None:
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(argv).parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
 

@@ -332,18 +332,25 @@ def test_verify_all_fast_scope_passes(cache_env):
 
 
 def test_shared_parser_matches_fresh_interpreters(capsys):
-    # One process reuses one parser; a usage error, a domain error and
-    # two valid calls must print what a fresh interpreter prints.
+    # One process reuses its parsers; usage errors, a domain error and
+    # two valid calls must print what a fresh interpreter prints.  Each
+    # usage error meets another kind of partial parser: one verb, the
+    # verb names alone, a verb's actions with no arguments, and one
+    # action's arguments.
     calls = [
         ["count", "--n", "6"],
         ["of", "6:0-2,1-3"],
         ["surgery", "canon", "14:0-7,2-4,4-6,7-13,9-11"],
         ["count", "--n", "9", "--m", "3", "--ell", "3", "--no-cache"],
+        ["frobnicate", "--n", "12"],
+        ["surgery", "nope", "8:"],
+        ["series", "hexagonal", "--order", "9"],
+        ["cf", "eval", "--regular", "1", "--hj", "2"],
     ]
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     script = "import sys; from quiddity.cli import main; sys.exit(main(sys.argv[1:]))"
-    for argv, want_code in zip(calls, (2, 1, 0, 0)):
+    for argv, want_code in zip(calls, (2, 1, 0, 0, 2, 2, 2, 2), strict=True):
         code, out = run(argv)
         err = capsys.readouterr().err
         fresh = subprocess.run([sys.executable, "-c", script, *argv], env=env,
@@ -968,6 +975,28 @@ def test_a_plain_argv_of_every_leaf_builds_no_parser(cache_env, monkeypatch):
     assert {leaf: run(argv) for leaf, argv in PLAIN.items()} == want
 
 
+def test_a_usage_error_builds_only_the_sub_parsers_it_reaches(monkeypatch, capsys):
+    # argparse adds -h to every parser it makes; every other argument
+    # added names the parser it went to
+    added = []
+    real = argparse.ArgumentParser.add_argument
+
+    def counted(self, *names, **keywords):
+        if names[0] != "-h":
+            added.append(self.prog)
+        return real(self, *names, **keywords)
+
+    build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert run(["count", "--n", "6"]) == (2, "")
+    assert "the following arguments are required: --m" in capsys.readouterr().err
+    assert set(added) == {"quiddity", "quiddity count"}
+    added.clear()
+    assert run(["frobnicate", "--n", "12"]) == (2, "")
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+    assert set(added) == {"quiddity"}
+
+
 def test_unusual_forms_still_reach_argparse(cache_env, capsys):
     plain = run(["count", "--n", "8", "--m", "3", "--no-cache"])
     assert run(["count", "--n", "8", "--m", "3", "--no-c"]) == plain == (0, "120\n")
@@ -1052,3 +1081,35 @@ def test_plain_parse_is_argparse_or_defers(argv):
     # wherever argparse exits, the plain parse returns None
     got = _parse_plain(argv)
     assert got is None or got == argparse_result(argv)
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv, out=out)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=token_runs())
+@example(argv=[])  # the whole tree
+@example(argv=["frobnicate", "--n", "12"])  # the verb names alone
+@example(argv=["surgery", "nope", "8:"])  # a verb's actions, with no arguments
+@example(argv=["surgery", "-x", "canon", "8:"])  # an action named after argv[1]
+@example(argv=["cf", "eval", "--regular", "1", "--hj", "2"])  # one action's arguments
+def test_partial_parser_prints_what_the_whole_parser_prints(argv):
+    # what the plain parse passes on meets a parser built only as far as
+    # the argv reaches; where the whole parser exits, main must print the
+    # same with either, and where it accepts, the namespaces must be
+    # equal, so main runs the same command
+    if _parse_plain(argv) is not None:
+        return
+    want = argparse_result(argv)
+    if want is not None:
+        assert build_parser(argv).parse_args(argv) == want
+        return
+    whole = build_parser()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "build_parser", lambda argv=None: whole)
+        reference = _outcome(argv)
+    assert _outcome(argv) == reference
