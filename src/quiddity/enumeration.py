@@ -15,13 +15,24 @@ the masks say some dissection completes them, so no branch is dead and
 the time is proportional to the number of dissections yielded.
 
 A sub-polygon's feasible base cells, and its gaps' masks, depend only
-on its shape: its span and its wanted counts, not its position.  So
-each call keeps a plan table, keyed by shape, that lists them relative
-to the sub-polygon's first vertex, one at a time, each when the search
-first asks for it; every later sub-polygon of the shape replays the
-plan shifted to its position.  The table holds plans, never
-dissections, so generation still streams, and the first dissection
-plans one base cell per sub-polygon it places.
+on its shape: its span and its wanted counts, not its position.  So a
+plan table, keyed by shape, lists them relative to the sub-polygon's
+first vertex, one at a time, each when the search first asks for it;
+every later sub-polygon of the shape replays the plan shifted to its
+position.  A sub-polygon of at most ``FILL_SPAN`` + 1 vertices goes
+further: the first time the search fills it at a position, it records
+the chords and cells it places for each of its dissections there, and
+every later time it writes each recorded fill back whole.  Plans and
+fills are made as the search reaches them, never whole dissections,
+so generation still streams, and the first dissection plans one base
+cell per sub-polygon it places.
+
+The finished plans and fills of a filter are kept, per process, for
+the later walks of the same filter (those of the last ``TABLES_KEPT``
+filters used): a session that asks for several families of one filter
+plans each shape once.  Only finished, immutable tuples are kept;
+what a walk is still making stays with that walk, so walks of one
+filter may run at once, in one thread or several.
 
 The search is one loop over an explicit stack (compare the stack-based
 generation of nested structures in Knuth, TAOCP 4A, 7.2.1.6).  A stack
@@ -43,6 +54,7 @@ chord's name.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from math import log10
 from typing import Callable, Iterator, Optional, Sequence
@@ -68,20 +80,38 @@ from .core import (
 FAMILY_CAP = 35_000
 
 # Largest polygon that ``enumerate_dissections`` accepts.  A shape's
-# base cells are planned one at a time, as the search asks for them, so
-# the first dissection plans one base cell per sub-polygon it places.
-# At N = 200, on a 2-core machine, the ``enumerate`` verb's first line
-# takes 0.01-0.03 s with every cell allowed, every cell a quadrilateral
-# (sizes {3, 4}, m = 99) or a pentagon (sizes {3, 5}, m = 66), and at
-# N = 198 with every cell a hexagon.  What still grows with N is the
-# mask arithmetic on N-bit masks (``reach`` and each plan's step masks)
-# and what the line writer (``_line_writer``) of the ``enumerate`` and
-# ``classes`` verbs builds for the first line: a table of N^2 chord
-# names, and the sorted text of every prefix of its up to N - 3 chords.
-# With the cap lifted, that line took 0.2-0.3 s and 97 MB at N = 1000,
-# and about 1 s and 320 MB at N = 2000.  Raising the cap would change
-# which calls the CLI refuses, so it stays.
+# base cells are planned one at a time, as the search asks for them,
+# and a small sub-polygon's fills are recorded as the search places
+# them, so the first dissection plans one base cell per sub-polygon it
+# places.  At N = 200, on a 2-core machine, the ``enumerate`` verb's
+# first line takes 2-5 ms with every cell allowed, every cell a
+# quadrilateral (sizes {3, 4}, m = 99) or a pentagon (sizes {3, 5},
+# m = 66), and at N = 198 with every cell a hexagon.  What still grows
+# with N is the mask arithmetic on N-bit masks (``reach`` and each
+# plan's step masks) and the sorted text of every prefix of the first
+# line's up to N - 3 chords, which the line writer (``_line_writer``) of
+# the ``enumerate`` and ``classes`` verbs keeps; it names only the
+# chords it writes.  With the cap lifted, that line took 0.1 s and 34 MB
+# at N = 1000, and 0.4 s and 73 MB at N = 2000.  Raising the cap would
+# change which calls the CLI refuses, so it stays.
 ENUMERATE_N_CAP = 200
+
+# Sub-polygons of up to FILL_SPAN + 1 vertices are written from
+# recorded fills (``_walk``).  Timed on the benchmark's families session
+# in one process, 12 alternating pairs against 4: at 3 the session took
+# 6% longer; at 5 and 6 it took 3-5% less, within the noise, while a
+# first walk of the octagon's 132 triangulations took 38% longer at 6,
+# recording fills it seldom writes back.
+FILL_SPAN = 4
+# The filters whose finished plans and fills are kept for later walks,
+# the least recently used dropped first.  The benchmark's families
+# session walks 12 filters in 210 walks, 133 of them by the verify-all
+# suite run in one process: keeping 12 or more re-plans no filter,
+# keeping 8 re-plans 24 times.  Its tables take about 1.4 MB.
+TABLES_KEPT = 16
+_tables: dict[CellFilter, tuple[dict, dict]] = {}
+_tables_lock = threading.Lock()
+_NO_MORE: Iterator = iter(())
 
 
 @dataclass(frozen=True)
@@ -220,41 +250,68 @@ def _base_cells(
     """Every base cell on the edge (0, span), of an allowed size, whose
     gaps can hold a total count in ``want``, by increasing size and then
     in lexicographic order of its corners, one at a time as asked for:
-    (its corners, its first step)."""
+    (its corners, its first step).
 
-    def extend(
-        corners: tuple[int, ...], gaps: tuple[Chord, ...], left: int, rest: int
-    ) -> Iterator[tuple[tuple[int, ...], Optional[_Step]]]:
-        # ``left`` gaps follow the last corner; ``rest`` is the totals
-        # they may have
-        prev = corners[-1]
-        if left == 1:
-            if span - prev >= 2:
-                gaps += ((prev, span),)
-            step: Optional[_Step] = None  # its gaps, linked left to right
-            suffix = 1  # the counts the gaps after this one can have
-            for p, q in reversed(gaps):
-                if step is not None:
-                    suffix = _sumset(step[2], suffix)
-                step = (p, q, reach[q - p + 1], _differences(want, suffix),
-                        range(q - p + 1), step)
-            yield corners + (span,), step
-            return
-        # k >= 1 consecutive gaps spanning r polygon edges, a gap of
-        # span g being a sub-polygon on g + 1 vertices, hold the totals
-        # of one sub-polygon on r - k + 2 vertices: the excesses add
-        # up the same way, and a gap of span 1 holds nothing
-        for c in range(prev + 1, span - left + 2):
-            after = _differences(rest, reach[c - prev + 1])
-            if reach[span - c - left + 3] & after:
-                yield from extend(corners + (c,), gaps + ((prev, c),) if c - prev >= 2 else gaps,
-                                  left - 1, after)
-
+    A depth-first search over the corners, one loop over the stack of
+    corners placed and the totals the gaps after each may have."""
     for t in allowed:
         if t > span + 1:
             break
-        if reach[span - t + 3] & want:  # its t - 1 gaps span the span edges
-            yield from extend((0,), (), t - 1, want)
+        if not reach[span - t + 3] & want:  # its t - 1 gaps span the span edges
+            continue
+        corners = [0]
+        rests = [want]
+        c = 1  # the next candidate for the corner after the last
+        while True:
+            prev = corners[-1]
+            left = t - len(corners)  # the gaps that follow the last corner
+            if left > 1:
+                # k >= 1 consecutive gaps spanning r polygon edges, a gap
+                # of span g being a sub-polygon on g + 1 vertices, hold
+                # the totals of one sub-polygon on r - k + 2 vertices: the
+                # excesses add up the same way, and a gap of span 1 holds
+                # nothing
+                rest = rests[-1]
+                while c <= span - left + 1:
+                    after = _differences(rest, reach[c - prev + 1])
+                    if reach[span - c - left + 3] & after:
+                        corners.append(c)
+                        rests.append(after)
+                        break
+                    c += 1
+                else:
+                    c = 0  # no corner fits: back up
+                if c:
+                    c += 1
+                    continue
+            else:
+                step: Optional[_Step] = None  # its gaps, linked left to right
+                suffix = 1  # the counts the gaps after this one can have
+                q = span
+                for p in reversed(corners):
+                    if q - p >= 2:
+                        if step is not None:
+                            suffix = _sumset(step[2], suffix)
+                        step = (p, q, reach[q - p + 1], _differences(want, suffix),
+                                range(q - p + 1), step)
+                    q = p
+                yield (*corners, span), step
+            if len(corners) == 1:
+                break
+            c = corners.pop() + 1
+            rests.pop()
+
+
+def _table(cell_filter: CellFilter) -> tuple[dict, dict]:
+    """The filter's kept table, (finished plans by shape, finished fills
+    by shape and base vertex), made on first use; the least recently
+    used table past ``TABLES_KEPT`` is dropped."""
+    with _tables_lock:
+        table = _tables.pop(cell_filter, None) or ({}, {})
+        _tables[cell_filter] = table
+        if len(_tables) > TABLES_KEPT:
+            del _tables[next(iter(_tables))]
+    return table
 
 
 def _walk(
@@ -280,11 +337,12 @@ def _walk(
 
     One loop over an explicit stack of choice points: sub-polygons whose
     wanted-count mask allows more than one cell.  An entry holds the
-    sub-polygon's shape, with the base cells planned for it so far, the
-    index of the next one, the sub-polygon's first vertex, the
-    continuation and the length of ``chords``, and so of ``log``, on
-    entry, to which it cuts both back before placing its next base
-    cell; ``low`` is the least such length since the last item.  The
+    sub-polygon's record (its items made so far, and the iterator that
+    makes the rest), the index of its next item, the sub-polygon's first
+    vertex, the continuation and the length of ``chords``, and so of
+    ``log``, on entry, to which it cuts both back before placing its next
+    item; ``low`` is the least such length since the last item.  A
+    choice point places its first item as it is pushed.  The
     continuation is the gaps of enclosing base cells still to fill, a
     linked list of (next step, first vertex, chord count before the
     base cell's gaps, enclosing continuation) that entries share.  It
@@ -293,6 +351,28 @@ def _walk(
     finishing a sub-polygon never walks up through filled base cells.
     A gap whose mask allows exactly one cell is that cell, placed
     inline.
+
+    An item is a planned base cell of the sub-polygon's shape, or, on a
+    sub-polygon of at most ``FILL_SPAN`` + 1 vertices whose fills are
+    recorded, a whole fill (the first vertex -1 marks such an entry): one
+    of its dissections, as the chords and log entries the walk placed
+    for it.  The first time the walk reaches such a sub-polygon, it
+    walks it by its plans, with a node (None, (its key, fills so far),
+    chord count on entry, continuation) in front of the continuation;
+    each time it reaches that node the sub-polygon is filled, and the
+    fill is recorded from where it differs from the one before, as
+    (that index from the entry, the chords and log entries from there):
+    the entries before are the one before's own objects.  Writing a
+    fill back cuts there and adds the rest, so ``low`` and the kept
+    objects are those of the walk by plans.
+
+    Plans are made as the search first asks for them, so the first
+    dissection plans one base cell per sub-polygon it places.  A plan
+    record that runs to its end, and a sub-polygon's fills when its
+    choice point pops, go as tuples into the filter's kept table
+    (``_table``), which later walks of the filter read instead of
+    planning and recording again; what is still being made stays with
+    this walk.
     """
     _check_range(n_vertices, m)
     if n_vertices > ENUMERATE_N_CAP:
@@ -301,20 +381,33 @@ def _walk(
         )
     allowed = cell_filter.allowed_sizes_upto(n_vertices)
     reach = _reach_masks(n_vertices, allowed)
-
-    # (span, gaps' wanted totals) -> (its base cells planned so far, the
-    # ``_base_cells`` iterator that plans the rest).  A planned base cell
-    # is (its corners relative to the shape's first vertex, those between
+    kept_plans, kept_fills = _table(cell_filter)
+    # this walk's shape records: (span, gaps' wanted totals) -> (the base
+    # cells planned so far, the iterator that plans the rest), a tuple
+    # and no more when the kept table has them.  A planned base cell is
+    # (its corners relative to the shape's first vertex, those between
     # one-edge gaps included, its first step).  A choice point that has
-    # used every planned base cell plans the next one, and pops when the
-    # iterator ends.
-    shapes: dict[tuple[int, int], tuple[list, Iterator]] = {}
+    # used every item made asks the iterator for the next one, and pops
+    # when it ends; one that writes fills holds (the recorded fills, no
+    # more).
+    shapes: dict[tuple[int, int], tuple[Sequence, Iterator]] = {}
 
-    def shape_of(span: int, want: int) -> tuple[list, Iterator]:
+    def planning(key: tuple[int, int], planned: list) -> Iterator:
+        yield from _base_cells(reach, allowed, *key)
+        kept_plans[key] = tuple(planned)
+
+    def shape_of(span: int, want: int) -> tuple[Sequence, Iterator]:
         """The record of a sub-polygon shape, made on first use."""
-        shape = shapes.get((span, want))
+        key = (span, want)
+        shape = shapes.get(key)
         if shape is None:
-            shape = shapes[span, want] = ([], _base_cells(reach, allowed, span, want))
+            planned = kept_plans.get(key)
+            if planned is None:
+                planned = []
+                shape = (planned, planning(key, planned))
+            else:
+                shape = (planned, _NO_MORE)
+            shapes[key] = shape
         return shape
 
     def search() -> Iterator[tuple[list[Chord], list[tuple[int, Sequence[int]]], int]]:
@@ -326,22 +419,36 @@ def _walk(
         stack = [[shape_of(n_vertices - 1, want >> 1), 0, 0, None, 0]]
         while stack:
             point = stack[-1]
-            shape, idx, lo, cont, n_chords = point
-            planned, plans = shape
-            if idx == len(planned):
-                plan = next(plans, None)
+            record, idx, lo, cont, n_chords = point
+            done, more = record
+            if idx == len(done):
+                plan = next(more, None)
                 if plan is None:
                     stack.pop()
+                    if cont is not None and cont[0] is None and cont[2] == n_chords:
+                        key, filled = cont[1]  # it recorded its sub-polygon's fills
+                        kept_fills[key] = tuple(filled)
                     continue
-                planned.append(plan)
+                done.append(plan)
             point[1] = idx + 1
-            if n_chords < low:
-                low = n_chords
-            del chords[n_chords:]
-            del log[n_chords:]
-            corners, step = planned[idx]
-            log.append((lo, corners))
-            mark = n_chords  # the gaps of this base cell hold len(chords) - mark cells
+            if lo < 0:  # a whole fill, written from where it differs
+                same, new_chords, new_log = done[idx]
+                n_chords += same
+                if n_chords < low:
+                    low = n_chords
+                del chords[n_chords:]
+                del log[n_chords:]
+                chords += new_chords
+                log += new_log
+                step = None
+            else:
+                if n_chords < low:
+                    low = n_chords
+                del chords[n_chords:]
+                del log[n_chords:]
+                corners, step = done[idx]
+                log.append((lo, corners))
+                mark = n_chords  # the gaps of this base cell hold len(chords) - mark cells
             while True:  # fill gaps left to right up to the next choice point
                 if step is None:
                     if cont is None:  # every gap is filled
@@ -349,6 +456,9 @@ def _walk(
                         low = n_vertices  # over every cut to come
                         break
                     step, lo, mark, cont = cont  # on to an enclosing base cell
+                    if step is None:  # a recorded sub-polygon, from mark on, is filled
+                        start = low if low > mark else mark
+                        lo[1].append((start - mark, tuple(chords[start:]), tuple(log[start:])))
                     continue
                 p, q, sub_reach, fits, run, step = step
                 sub_want = sub_reach & (fits >> (len(chords) - mark))
@@ -357,10 +467,32 @@ def _walk(
                     log.append((lo + p, run))
                     continue
                 # a base cell with no gap left to fill adds no node
-                stack.append([shape_of(q - p, sub_want >> 1), 0, lo + p,
-                              cont if step is None else (step, lo, mark, cont),
-                              len(chords)])
-                break
+                after = cont if step is None else (step, lo, mark, cont)
+                n_chords = len(chords)
+                if q - p <= FILL_SPAN:
+                    key = (q - p, sub_want >> 1, lo + p)
+                    filled = kept_fills.get(key)
+                    if filled is None:  # walked, and its fills recorded
+                        after = (None, (key, []), n_chords, after)
+                    else:  # its first fill, whole
+                        stack.append([(filled, _NO_MORE), 1, -1, after, n_chords])
+                        _, new_chords, new_log = filled[0]
+                        chords += new_chords
+                        log += new_log
+                        step = None
+                        cont = after
+                        continue
+                # its first base cell; the exact masks leave it one at least
+                record = shape_of(q - p, sub_want >> 1)
+                done = record[0]
+                if not done:
+                    done.append(next(record[1]))
+                lo += p
+                stack.append([record, 1, lo, after, n_chords])
+                corners, step = done[0]
+                log.append((lo, corners))
+                mark = n_chords
+                cont = after
 
     return search()
 
@@ -379,9 +511,11 @@ def enumerate_dissections(
     Exact cell-count masks steer the search, so every branch it enters
     ends in at least one dissection.  A sub-polygon's base cells depend
     only on its shape, its span and wanted counts, so each shape's are
-    planned once per call, one at a time as the search first needs
-    each, with their gaps' masks, and replayed at every position it
-    occurs; the plans, not the dissections, are kept.
+    planned once per filter in a process, one at a time as the search
+    first needs each, with their gaps' masks, and replayed at every
+    position it occurs; a small sub-polygon's dissections at a position
+    are recorded the first time and written back whole after that.  The
+    plans and fills, not the dissections, are kept.
     The search is one loop over an explicit stack of choice points
     (``_walk``), so each dissection is handed up once.  After a set-up
     polynomial in N, the time is proportional to the number of
@@ -406,9 +540,11 @@ def _line_writer(n_vertices: int) -> Callable[[list[Chord], int], str]:
     run, whose left end is ``lefts[k]``.  Each line starts from entry
     ``low``, which the walk kept, and writes only the chords after it:
     one with the last run's left end is shorter than the run's, so its
-    name goes in front; any other starts a run.  The chord names are
-    looked up in a table of N^2 names made on this call."""
-    names = [[f"{i}-{j}" for j in range(n_vertices)] for i in range(n_vertices)]
+    name goes in front; any other starts a run.  Each chord's name is
+    made the first time it is written, into a row of its left end's
+    names, made when a run first starts there, so a line costs no table
+    of every chord of the N-gon."""
+    names: list[Optional[list[Optional[str]]]] = [None] * n_vertices
     # by prefix length k, up to the N - 3 chords of a triangulation
     done = [f"{n_vertices}:"] * (n_vertices - 2)
     runs = [""] * (n_vertices - 2)
@@ -416,15 +552,24 @@ def _line_writer(n_vertices: int) -> Callable[[list[Chord], int], str]:
 
     def line(chords: list[Chord], low: int) -> str:
         text, run, left = done[low], runs[low], lefts[low]
+        row = names[left]  # made when the run began, or unused
         k = low
         for i, j in chords[low:]:
             k += 1
             if i == left:
-                run = names[i][j] + "," + run
+                name = row[j]
+                if name is None:
+                    name = row[j] = f"{i}-{j}"
+                run = name + "," + run
             else:
                 if k > 1:  # close the run before it
                     text += run + ","
-                run = names[i][j]
+                row = names[i]
+                if row is None:
+                    row = names[i] = [None] * n_vertices
+                run = row[j]
+                if run is None:
+                    run = row[j] = f"{i}-{j}"
                 left = i
             done[k] = text
             runs[k] = run
@@ -440,16 +585,10 @@ def _texts(
     """The canonical text, ``str(d)``, of every dissection
     ``enumerate_dissections`` yields, in its order, each written by
     ``_line_writer`` from the chords it does not share with the line
-    before.  The writer is made at the first line, so that asking for
-    none builds no N^2 table.  The arguments are checked on the call."""
+    before.  The arguments are checked on the call."""
     walk = _walk(n_vertices, m, cell_filter)
-
-    def lines() -> Iterator[str]:
-        line = _line_writer(n_vertices)
-        for chords, _, low in walk:
-            yield line(chords, low)
-
-    return lines()
+    line = _line_writer(n_vertices)
+    return (line(chords, low) for chords, _, low in walk)
 
 
 def _carried_quiddities(
@@ -546,8 +685,7 @@ def _class_texts(
     ``_line_writer`` from the chords it does not share with the member
     before, so no ``Dissection`` or ``Quiddity`` is made per member.
     Refuses families larger than ``max_dissections``, and then the
-    arguments the walk refuses, before the writer builds its N^2
-    table."""
+    arguments the walk refuses, before the writer is made."""
     _refuse_large_family(n_vertices, m, cell_filter, max_dissections)
     members = _carried_quiddities(n_vertices, m, cell_filter)
     line = _line_writer(n_vertices)

@@ -459,23 +459,23 @@ def run_all(scope: str = "fast") -> list[CheckResult]:
     fast = scope == "fast"
     max_n = 8 if fast else 10
     quiddity_max_n = 8 if fast else 11
-    # (check, arguments, its time in ms run alone in one process on a
-    # 2-core machine, Python 3.11): queued longest first, so that no long
-    # check starts last.  All of them took 31 ms at fast scope and 470 ms
-    # at full scope one after another, and 18 ms and 0.24 s on both cores
-    # in this order
+    # (check, arguments, its time in ms run alone in one process, with no
+    # enumeration plans kept from before, on a 2-core machine, Python
+    # 3.11): queued longest first, so that no long check starts last.  All
+    # of them took 53 ms at fast scope and 0.75 s at full scope one after
+    # another, and 41 ms and 0.43 s on both cores in this order
     checks: list[tuple[Callable[..., CheckResult], tuple, float]] = [
-        (check_table, (), 0.1),
-        (check_dissection_counts, (max_n,), 4.7 if fast else 60),
-        (check_quiddity_counts, (quiddity_max_n,), 2.0 if fast else 99),
-        (check_quiddity_sum, (7 if fast else 9,), 2.0 if fast else 41),
-        (check_equal_size_injectivity, (9 if fast else 12,), 1.8 if fast else 69),
-        (check_witnesses, (9,), 5.3),
-        (check_surgery_classes, (8 if fast else 10, 5 if fast else 20), 4.7 if fast else 99),
-        (check_monodromy, (8 if fast else 10, 5 if fast else 6), 3.9 if fast else 30),
-        (check_series, (12 if fast else 14,), 1.6 if fast else 2.1),
-        (check_lagrange, (10 if fast else 12,), 0.6 if fast else 1.1),
-        (check_continued_fractions, (8 if fast else 12,), 4.1 if fast else 90),
+        (check_table, (), 0.2),
+        (check_dissection_counts, (max_n,), 7.0 if fast else 77),
+        (check_quiddity_counts, (quiddity_max_n,), 3.0 if fast else 138),
+        (check_quiddity_sum, (7 if fast else 9,), 2.9 if fast else 55),
+        (check_equal_size_injectivity, (9 if fast else 12,), 2.9 if fast else 103),
+        (check_witnesses, (9,), 8.4),
+        (check_surgery_classes, (8 if fast else 10, 5 if fast else 20), 7.0 if fast else 166),
+        (check_monodromy, (8 if fast else 10, 5 if fast else 6), 6.6 if fast else 52),
+        (check_series, (12 if fast else 14,), 4.1 if fast else 3.7),
+        (check_lagrange, (10 if fast else 12,), 1.4 if fast else 1.8),
+        (check_continued_fractions, (8 if fast else 12,), 7.1 if fast else 143),
     ]
     order = sorted(range(len(checks)), key=lambda i: -checks[i][2])
     return _fork_map(lambda check: check[0](*check[1]), checks, order)

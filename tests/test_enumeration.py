@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import io
 import itertools
+import sys
+import threading
 import time
 
 import pytest
@@ -114,13 +116,23 @@ def _drop_a_logged_corner(monkeypatch):
     monkeypatch.setattr(enumeration, "_walk", tampered)
 
 
+@pytest.fixture
+def cold_tables():
+    # walks keep each filter's finished plans and fills for later walks;
+    # a test that counts or tampers with what a walk plans starts from
+    # none kept, and leaves none of its own behind
+    enumeration._tables.clear()
+    yield
+    enumeration._tables.clear()
+
+
 @pytest.mark.parametrize("tamper", [_drop_a_planned_corner, _drop_a_logged_corner])
 @pytest.mark.parametrize("family", [
     lambda: enumeration.count_quiddities(8, 3),
     lambda: enumeration.quiddity_classes(9, 4, ELL3),
     lambda: modular.three_periodic_quiddities(9),
 ], ids=["count_quiddities", "quiddity_classes", "three_periodic_quiddities"])
-def test_cross_check_catches_a_skipped_corner(monkeypatch, tamper, family):
+def test_cross_check_catches_a_skipped_corner(monkeypatch, cold_tables, tamper, family):
     tamper(monkeypatch)
     with pytest.raises(AssertionError, match="self-check"):
         family()
@@ -230,11 +242,20 @@ def test_enumeration_refuses_polygons_over_its_cap():
         next(enumerate_dissections(ENUMERATE_N_CAP + 1, 2))
 
 
-@pytest.mark.parametrize("sizes", [None, {3, 4}], ids=["all", "sizes=3,4"])
-@pytest.mark.parametrize("n", [30, 200])
-def test_first_dissection_plans_at_most_n_base_cells(monkeypatch, n, sizes):
+@pytest.mark.parametrize("n, m, filt", [
+    pytest.param(30, None, CellFilter.all_cells(), id="30-all"),
+    pytest.param(200, None, CellFilter.all_cells(), id="200-all"),
+    # every cell a quadrilateral; every cell a hexagon; triangles and hexagons
+    pytest.param(30, 14, CellFilter.size_set({3, 4}), id="30-sizes=3,4"),
+    pytest.param(200, 99, CellFilter.size_set({3, 4}), id="200-sizes=3,4"),
+    pytest.param(198, 49, CellFilter.size_set({3, 6}), id="198-sizes=3,6"),
+    pytest.param(200, 66, ELL3, id="200-ell=3"),
+])
+def test_first_dissection_plans_at_most_n_base_cells(monkeypatch, cold_tables, n, m, filt):
     # a shape's base cells are planned one at a time, as the search asks
-    # for them, so the first member plans one per sub-polygon it places
+    # for them, so the first member plans one per sub-polygon it places;
+    # a small sub-polygon's fills are recorded as the walk places them,
+    # so they plan nothing more
     real = enumeration._base_cells
     planned = []
 
@@ -244,11 +265,77 @@ def test_first_dissection_plans_at_most_n_base_cells(monkeypatch, n, sizes):
             yield plan
 
     monkeypatch.setattr(enumeration, "_base_cells", counted)
-    if sizes is None:
-        next(enumerate_dissections(n))
-    else:  # every cell a quadrilateral
-        next(enumerate_dissections(n, n // 2 - 1, CellFilter.size_set(sizes)))
+    next(enumerate_dissections(n, m, filt))
     assert len(planned) <= n
+
+
+def _cold_walk(n, m, filt):
+    enumeration._tables.clear()
+    return [(list(chords), list(log), low) for chords, log, low in enumeration._walk(n, m, filt)]
+
+
+@pytest.mark.parametrize("filt", [CellFilter.all_cells(), ELL3, CellFilter.size_set({3, 4})],
+                         ids=lambda f: f.describe())
+def test_interleaved_walks_of_one_filter_are_each_a_cold_walk(cold_tables, filt):
+    # a walk reads the plans and fills that other walks of its filter
+    # finished, but keeps its own unfinished ones to itself: walks of
+    # N = 11, 5 and 11 advanced in turn, one item each, the second 11
+    # starting when the first has run part way
+    want = {n: _cold_walk(n, None, filt) for n in (5, 11)}
+    enumeration._tables.clear()
+    first = enumeration._walk(11, None, filt)
+    got: dict[int, list] = {0: [], 1: [], 2: []}
+    for item in itertools.islice(first, len(want[11]) // 3):
+        got[0].append((list(item[0]), list(item[1]), item[2]))
+    walks = {0: first, 1: enumeration._walk(5, None, filt), 2: enumeration._walk(11, None, filt)}
+    while walks:
+        for k in list(walks):
+            item = next(walks[k], None)
+            if item is None:
+                del walks[k]
+            else:
+                got[k].append((list(item[0]), list(item[1]), item[2]))
+    assert got[0] == want[11]
+    assert got[1] == want[5]
+    assert got[2] == want[11]
+    plans, fills = enumeration._tables[filt]
+    assert plans and fills  # the later walks had a table to read
+
+
+def test_threads_walking_one_filter_each_make_a_cold_walk(cold_tables):
+    # the kept table is shared by every walk of the filter in the process;
+    # two threads that walk it at once, from an empty table, each yield
+    # what a cold walk yields (a partly made plan shared between them
+    # would be asked for its next item by both at once)
+    filt = CellFilter.size_set({3, 4})
+    jobs = [(10, None), (9, None), (10, 5), (8, None)]
+    want = [_cold_walk(*job, filt) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # so that the walks take turns often
+    try:
+        for _ in range(5):
+            enumeration._tables.clear()
+            got: dict[int, object] = {}
+            start = threading.Barrier(2)
+
+            def walk(k):
+                start.wait()
+                try:
+                    got[k] = [[(list(chords), list(log), low)
+                               for chords, log, low in enumeration._walk(*job, filt)]
+                              for job in (jobs if k == 0 else jobs[::-1])]
+                except Exception as exc:  # compared, and so shown, below
+                    got[k] = exc
+
+            threads = [threading.Thread(target=walk, args=(k,)) for k in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert got[0] == want
+            assert got[1] == want[::-1]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("filt", [
