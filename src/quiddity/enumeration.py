@@ -39,8 +39,11 @@ generation of nested structures in Knuth, TAOCP 4A, 7.2.1.6).  A stack
 entry is a choice point, a sub-polygon whose mask allows more than one
 cell; a gap that must be exactly one cell is placed inline.  Each
 dissection is handed up once, from that one loop.  The loop also logs
-every cell it places, so the family functions read each member's
-quiddity off the log, cross-checked against 1 + chord degree.
+every cell it places, as its shift and its corners packed into one
+integer, a byte per corner, made once with the plan or gap it comes
+from.  So the family functions read each member's quiddity off the log
+as one integer, a byte per vertex, cross-checked against one made from
+1 + chord degree, and key their sets and classes on its bytes.
 
 The ``enumerate`` and ``classes`` verbs write each member's text from
 the walk, with no ``Dissection`` built (``_texts``, ``_class_texts``).
@@ -71,12 +74,15 @@ from .core import (
 # Largest family, by its closed-form count, that ``count_quiddities``
 # and, by default, ``quiddity_classes`` enumerate, and so the
 # ``quiddities`` and ``classes`` verbs.  It admits every family of an
-# N-gon with N <= 11; the largest, 32,032 dissections of the 11-gon
-# into 7 cells, takes 0.2 s for ``quiddities`` and 0.5-0.6 s for
-# ``classes`` on a 2-core machine.
-# Few-cell families of larger polygons cost more per member, since a
-# quiddity has N entries: ``classes --n 27 --m 3`` (34,776) takes
-# 0.9 s.
+# N-gon with N <= 11.  As commands, interpreter start-up included, on a
+# 2-core machine with Python 3.11, the largest, 32,032 dissections of
+# the 11-gon into 7 cells, takes 0.2 s for ``quiddities`` and 0.4-0.6 s
+# for ``classes`` (75 ms and 0.22 s of it in the verb).
+# Few-cell families of larger polygons cost more per member, since they
+# plan more shapes and a quiddity has N entries: for the 27-gon into 3
+# cells (34,776), ``quiddities`` takes 0.35 s and ``classes``
+# 0.55-0.6 s; most of the verb's time is the walk planning shapes,
+# which a warm walk reads from the kept table in an eighth of the time.
 FAMILY_CAP = 35_000
 
 # Largest polygon that ``enumerate_dissections`` accepts.  A shape's
@@ -96,6 +102,23 @@ FAMILY_CAP = 35_000
 # change which calls the CLI refuses, so it stays.
 ENUMERATE_N_CAP = 200
 
+# The walk logs each cell as its corners packed into one integer, one
+# byte per corner offset: corner c adds 1 << (_BYTE * c).  Shifted to
+# their place and summed over a dissection's cells, the packed cells
+# give one byte per vertex, the cells it lies in: its quiddity entry
+# (``_carried_quiddities``).  The log holds the base cell and one cell
+# per chord, at most N - 2 in all, and a vertex is the end of at most
+# N - 3 chords, so neither count of a vertex passes N - 2, even when the
+# walk is wrong: no byte carries into the next while N - 2 fits in one.
+# At ENUMERATE_N_CAP the largest entry is 198.
+_BYTE = 8
+if ENUMERATE_N_CAP - 2 >= 1 << _BYTE:
+    raise RuntimeError(
+        f"quiddity entries up to {ENUMERATE_N_CAP - 2} do not fit in {_BYTE}-bit bytes")
+# _RUNS[k]: the packed corners 0, 1, ..., k - 1, a one-cell gap on k
+# vertices and, for k = N, a byte of 1 at every vertex
+_RUNS = tuple(int.from_bytes(b"\1" * k, "little") for k in range(ENUMERATE_N_CAP + 1))
+
 # Sub-polygons of up to FILL_SPAN + 1 vertices are written from
 # recorded fills (``_walk``).  Timed on the benchmark's families session
 # in one process, 12 alternating pairs against 4: at 3 the session took
@@ -107,7 +130,9 @@ FILL_SPAN = 4
 # the least recently used dropped first.  The benchmark's families
 # session walks 12 filters in 210 walks, 133 of them by the verify-all
 # suite run in one process: keeping 12 or more re-plans no filter,
-# keeping 8 re-plans 24 times.  Its tables take about 1.4 MB.
+# keeping 8 re-plans 24 times.  Its tables take about 0.8 MB
+# (tracemalloc, measured by clearing them); the one table of
+# ``classes --n 27 --m 3`` takes 5.1 MB, most of it plans.
 TABLES_KEPT = 16
 _tables: dict[CellFilter, tuple[dict, dict]] = {}
 _tables_lock = threading.Lock()
@@ -218,12 +243,12 @@ def _differences(want: int, a: int) -> int:
 
 # A planned gap of a base cell that holds a cell (two or more polygon
 # edges), relative to the first vertex of its sub-polygon:
-# (p, q, reach[q - p + 1], fits, corners, next).  ``fits`` holds the
+# (p, q, reach[q - p + 1], fits, cell, next).  ``fits`` holds the
 # counts of the gap that the gaps after it can complete to a wanted
-# total, before earlier gaps used any; ``corners`` is range(q - p + 1),
-# the gap's corners relative to p, for when it is one cell; ``next`` is
-# the base cell's next such gap, or None.
-_Step = tuple[int, int, int, int, range, Optional["_Step"]]
+# total, before earlier gaps used any; ``cell`` is _RUNS[q - p + 1],
+# the gap's corners relative to p packed, for when it is one cell;
+# ``next`` is the base cell's next such gap, or None.
+_Step = tuple[int, int, int, int, int, Optional["_Step"]]
 
 
 def _reach_masks(n_vertices: int, allowed: Sequence[int]) -> list[int]:
@@ -250,7 +275,7 @@ def _base_cells(
     """Every base cell on the edge (0, span), of an allowed size, whose
     gaps can hold a total count in ``want``, by increasing size and then
     in lexicographic order of its corners, one at a time as asked for:
-    (its corners, its first step).
+    (its corners packed, one byte each, its first step).
 
     A depth-first search over the corners, one loop over the stack of
     corners placed and the totals the gaps after each may have."""
@@ -293,9 +318,12 @@ def _base_cells(
                         if step is not None:
                             suffix = _sumset(step[2], suffix)
                         step = (p, q, reach[q - p + 1], _differences(want, suffix),
-                                range(q - p + 1), step)
+                                _RUNS[q - p + 1], step)
                     q = p
-                yield (*corners, span), step
+                cell = 1 << _BYTE * span
+                for v in corners:
+                    cell += 1 << _BYTE * v
+                yield cell, step
             if len(corners) == 1:
                 break
             c = corners.pop() + 1
@@ -314,17 +342,32 @@ def _table(cell_filter: CellFilter) -> tuple[dict, dict]:
     return table
 
 
+def clear_tables() -> None:
+    """Drop the plans and fills kept for every filter, so that the next
+    walk of each filter plans its shapes and records its fills from
+    none, as the first walk in a process does.  A walk already running
+    keeps the table it holds to its end; its output is the same either
+    way, since a kept table only saves planning."""
+    with _tables_lock:
+        _tables.clear()
+
+
 def _walk(
     n_vertices: int, m: Optional[int], cell_filter: CellFilter
-) -> Iterator[tuple[list[Chord], list[tuple[int, Sequence[int]]], int]]:
+) -> Iterator[tuple[list[Chord], list[tuple[int, int]], int]]:
     """The enumerator: an iterator over (chords, log, low) for every
     dissection of the N-gon with ``m`` cells (any count if None) under
     the filter, in the order of ``enumerate_dissections``.  The
     arguments are checked on the call, before any item is asked for.
 
     ``chords`` lists the dissection's chords in the order placed and
-    ``log`` its cells, each as (shift, corners), the cell's vertices
-    being shift plus each corner.  Both are the walk's working lists,
+    ``log`` its cells, each as (shift, packed cell): the cell's vertices
+    are shift plus each corner c, and the packed cell is the sum of
+    1 << (8 * c) over its corners (``_BYTE``), made once, when its plan
+    or step is made, and shared by every cell logged from it.  So
+    ``packed << (8 * shift)`` has a byte of 1 at each of the cell's
+    vertices, and summed over the log, one byte per vertex counts its
+    cells.  Both are the walk's working lists,
     valid until the next item is asked for.  ``low`` is how many chords
     it kept from the previous item: ``chords[:low]`` are the same
     objects as then, and so are ``log[:low]``, since at a cut the log
@@ -386,10 +429,10 @@ def _walk(
     # cells planned so far, the iterator that plans the rest), a tuple
     # and no more when the kept table has them.  A planned base cell is
     # (its corners relative to the shape's first vertex, those between
-    # one-edge gaps included, its first step).  A choice point that has
-    # used every item made asks the iterator for the next one, and pops
-    # when it ends; one that writes fills holds (the recorded fills, no
-    # more).
+    # one-edge gaps included, packed, its first step).  A choice point
+    # that has used every item made asks the iterator for the next one,
+    # and pops when it ends; one that writes fills holds (the recorded
+    # fills, no more).
     shapes: dict[tuple[int, int], tuple[Sequence, Iterator]] = {}
 
     def planning(key: tuple[int, int], planned: list) -> Iterator:
@@ -410,9 +453,9 @@ def _walk(
             shapes[key] = shape
         return shape
 
-    def search() -> Iterator[tuple[list[Chord], list[tuple[int, Sequence[int]]], int]]:
+    def search() -> Iterator[tuple[list[Chord], list[tuple[int, int]], int]]:
         chords: list[Chord] = []
-        log: list[tuple[int, Sequence[int]]] = []
+        log: list[tuple[int, int]] = []
         low = 0  # the fewest chords kept since the last item
         want = 1 << m if m is not None else (1 << (n_vertices - 1)) - 2
         # the base cell is one of the cells, so its gaps want one fewer
@@ -446,8 +489,8 @@ def _walk(
                     low = n_chords
                 del chords[n_chords:]
                 del log[n_chords:]
-                corners, step = done[idx]
-                log.append((lo, corners))
+                cell, step = done[idx]
+                log.append((lo, cell))
                 mark = n_chords  # the gaps of this base cell hold len(chords) - mark cells
             while True:  # fill gaps left to right up to the next choice point
                 if step is None:
@@ -460,11 +503,11 @@ def _walk(
                         start = low if low > mark else mark
                         lo[1].append((start - mark, tuple(chords[start:]), tuple(log[start:])))
                     continue
-                p, q, sub_reach, fits, run, step = step
+                p, q, sub_reach, fits, cell, step = step
                 sub_want = sub_reach & (fits >> (len(chords) - mark))
                 chords.append((lo + p, lo + q))
                 if sub_want == 2:  # exactly one cell: the gap itself
-                    log.append((lo + p, run))
+                    log.append((lo + p, cell))
                     continue
                 # a base cell with no gap left to fill adds no node
                 after = cont if step is None else (step, lo, mark, cont)
@@ -489,8 +532,8 @@ def _walk(
                     done.append(next(record[1]))
                 lo += p
                 stack.append([record, 1, lo, after, n_chords])
-                corners, step = done[0]
-                log.append((lo, corners))
+                cell, step = done[0]
+                log.append((lo, cell))
                 mark = n_chords
                 cont = after
 
@@ -593,35 +636,42 @@ def _texts(
 
 def _carried_quiddities(
     n_vertices: int, m: Optional[int], cell_filter: CellFilter
-) -> Iterator[tuple[list[Chord], tuple[int, ...], int]]:
+) -> Iterator[tuple[list[Chord], bytes, int]]:
     """(chords, quiddity entries, low) of every dissection
     ``enumerate_dissections`` yields, in its order, without ``quiddity()``.
-    The arguments are checked on the call.
+    The entries are ``bytes``, one per vertex: iterated, they give the
+    entries, and they sort as the entries' tuples do.  The arguments
+    are checked on the call.
 
-    The entries count each vertex's cells in the walk's log, and are
-    checked against 1 + chord degree on every member, so the quiddity is
-    still computed two independent ways; a mismatch is a bug in the
-    walk's plans or log and raises at once.  ``chords`` and ``low`` are
-    the walk's, ``chords`` valid until the next item is asked for.
+    Each member's entries are two integers of one byte per vertex
+    (``_BYTE``): by membership, the sum of each logged cell's packed
+    corners shifted to its place, and by 1 + chord degree, a 1 at every
+    vertex plus a unit at each end of each chord.  They are compared on
+    every member, so the quiddity is still computed two independent
+    ways; a mismatch is a bug in the walk's plans or log and raises at
+    once.  ``chords`` and ``low`` are the walk's, ``chords`` valid until
+    the next item is asked for.
     """
     walk = _walk(n_vertices, m, cell_filter)
+    ones = _RUNS[n_vertices]
+    units = [1 << _BYTE * v for v in range(n_vertices)]
 
-    def members() -> Iterator[tuple[list[Chord], tuple[int, ...], int]]:
+    def members() -> Iterator[tuple[list[Chord], bytes, int]]:
         for chords, log, low in walk:
-            by_membership = [0] * n_vertices
-            for lo, corners in log:
-                for v in corners:
-                    by_membership[lo + v] += 1
-            by_degree = [1] * n_vertices
+            by_membership = 0
+            for shift, cell in log:
+                by_membership += cell << _BYTE * shift
+            by_degree = ones
             for i, j in chords:
-                by_degree[i] += 1
-                by_degree[j] += 1
+                by_degree += units[i] + units[j]
             if by_membership != by_degree:
                 raise AssertionError(
                     f"quiddity self-check failed for "
-                    f"{Dissection._trusted(n_vertices, chords)}: {by_membership} vs {by_degree}"
+                    f"{Dissection._trusted(n_vertices, chords)}: "
+                    f"{list(by_membership.to_bytes(n_vertices, 'little'))} vs "
+                    f"{list(by_degree.to_bytes(n_vertices, 'little'))}"
                 )
-            yield chords, tuple(by_membership), low
+            yield chords, by_membership.to_bytes(n_vertices, "little"), low
 
     return members()
 
@@ -670,10 +720,10 @@ def quiddity_classes(
     enumeration order.  Refuses families larger than ``max_dissections``.
     """
     _refuse_large_family(n_vertices, m, cell_filter, max_dissections)
-    grouped: dict[tuple[int, ...], list[Dissection]] = {}
+    grouped: dict[bytes, list[Dissection]] = {}
     for chords, entries, _ in _carried_quiddities(n_vertices, m, cell_filter):
         grouped.setdefault(entries, []).append(Dissection._trusted(n_vertices, chords))
-    return {Quiddity(entries): tuple(ds) for entries, ds in grouped.items()}
+    return {Quiddity(tuple(entries)): tuple(ds) for entries, ds in grouped.items()}
 
 
 def _class_texts(
@@ -689,7 +739,7 @@ def _class_texts(
     _refuse_large_family(n_vertices, m, cell_filter, max_dissections)
     members = _carried_quiddities(n_vertices, m, cell_filter)
     line = _line_writer(n_vertices)
-    grouped: dict[tuple[int, ...], list[str]] = {}
+    grouped: dict[bytes, list[str]] = {}
     for chords, entries, low in members:
         grouped.setdefault(entries, []).append(line(chords, low))
     return {",".join(map(str, entries)): sorted(texts) for entries, texts in grouped.items()}

@@ -22,9 +22,9 @@ from .enumeration import CellFilter, _carried_quiddities
 # Work refused by the correspondence check, on a 2-core machine:
 # coefficient tuples classified (270-280k/s, each product stepped on
 # four integers) and 3-periodic dissections enumerated with their
-# quiddities (275-290k/s, read off the enumerator's cell log).  The
-# dissection cap admits N = 12 (30,083, 0.10-0.11 s; ``modular verify
-# --n 12 --entry-bound 2`` takes 0.4-0.5 s) and refuses N = 13
+# quiddities (250-300k/s, read off the packed cells of the enumerator's
+# log).  The dissection cap admits N = 12 (30,083, 0.10-0.12 s; ``modular
+# verify --n 12 --entry-bound 2`` takes 0.4-0.6 s) and refuses N = 13
 # (114,660).  Raising it would move refusals that the CLI contract test
 # records.
 TUPLE_CAP = 80_000
@@ -107,7 +107,11 @@ def classify_monodromy(cs: Sequence[int]) -> MonodromyReport:
 
 def iterate_recurrence(cs: Sequence[int], v0: int, v1: int) -> tuple[int, int]:
     """(v_N, v_{N+1}) from the initial values (v_0, v_1), stepping the
-    recurrence once per coefficient."""
+    recurrence once per coefficient.
+
+    Public library API, kept and tested: nothing in the package calls
+    it, since ``elementary_product`` steps the same recurrence on the
+    four entries of the product matrix."""
     prev, cur = v0, v1
     for c in cs:
         prev, cur = cur, c * cur - prev
@@ -116,9 +120,11 @@ def iterate_recurrence(cs: Sequence[int], v0: int, v1: int) -> tuple[int, int]:
 
 def three_periodic_quiddities(n_vertices: int) -> set[tuple[int, ...]]:
     """All distinct quiddities of 3-periodic dissections of the N-gon,
-    over every cell count."""
-    return {entries for _, entries, _
-            in _carried_quiddities(n_vertices, None, CellFilter.ell_periodic(3))}
+    over every cell count: told apart by the enumerator's packed
+    entries, and made a tuple once each."""
+    distinct = {entries for _, entries, _
+                in _carried_quiddities(n_vertices, None, CellFilter.ell_periodic(3))}
+    return set(map(tuple, distinct))
 
 
 def verify_monodromy_correspondence(

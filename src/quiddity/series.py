@@ -351,6 +351,10 @@ def compose_q(p: BivariateSeries) -> BivariateSeries:
 
     ``p`` must solve the auxiliary equation at its own truncation
     order; anything else is rejected.
+
+    Public library API, kept and tested: nothing in the package calls
+    it, since ``solve_named`` composes Q (``_compose_q``) from a P that
+    ``solve_fixed_point`` has already checked.
     """
     if p_equation().apply(p) != p:
         raise DomainError("input series does not solve the auxiliary equation")

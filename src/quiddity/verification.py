@@ -124,7 +124,7 @@ def check_equal_size_injectivity(max_n: int) -> CheckResult:
             if bad:
                 return CheckResult(
                     "equal-size-injectivity", False,
-                    f"N={n_vertices}, m={m}, quiddity {Quiddity(bad[0])}")
+                    f"N={n_vertices}, m={m}, quiddity {Quiddity(tuple(bad[0]))}")
     return CheckResult("equal-size-injectivity", True, f"all equal-size families, N <= {max_n}")
 
 
@@ -135,7 +135,7 @@ def _shared_quiddities(
     increasing quiddity, each in enumeration order: the classes of
     ``quiddity_classes``, grouped from the quiddities the enumerator
     carries, with a ``Dissection`` made only for a shared quiddity."""
-    grouped: dict[tuple[int, ...], list[tuple[Chord, ...]]] = {}
+    grouped: dict[bytes, list[tuple[Chord, ...]]] = {}
     for chords, entries, _ in _carried_quiddities(n_vertices, m, cell_filter):
         grouped.setdefault(entries, []).append(tuple(chords))
     return [[Dissection._trusted(n_vertices, chords) for chords in grouped[entries]]
@@ -460,22 +460,23 @@ def run_all(scope: str = "fast") -> list[CheckResult]:
     max_n = 8 if fast else 10
     quiddity_max_n = 8 if fast else 11
     # (check, arguments, its time in ms run alone in one process, with no
-    # enumeration plans kept from before, on a 2-core machine, Python
-    # 3.11): queued longest first, so that no long check starts last.  All
-    # of them took 53 ms at fast scope and 0.75 s at full scope one after
-    # another, and 41 ms and 0.43 s on both cores in this order
+    # enumeration plans kept from before, the median of five on a 2-core
+    # machine, Python 3.11): queued longest first, so that no long check
+    # starts last.  All of them took 43 ms at fast scope and 0.63 s at
+    # full scope one after another, and 24-32 ms and 0.34-0.38 s on both
+    # cores in this order
     checks: list[tuple[Callable[..., CheckResult], tuple, float]] = [
-        (check_table, (), 0.2),
-        (check_dissection_counts, (max_n,), 7.0 if fast else 77),
-        (check_quiddity_counts, (quiddity_max_n,), 3.0 if fast else 138),
-        (check_quiddity_sum, (7 if fast else 9,), 2.9 if fast else 55),
-        (check_equal_size_injectivity, (9 if fast else 12,), 2.9 if fast else 103),
-        (check_witnesses, (9,), 8.4),
-        (check_surgery_classes, (8 if fast else 10, 5 if fast else 20), 7.0 if fast else 166),
-        (check_monodromy, (8 if fast else 10, 5 if fast else 6), 6.6 if fast else 52),
-        (check_series, (12 if fast else 14,), 4.1 if fast else 3.7),
-        (check_lagrange, (10 if fast else 12,), 1.4 if fast else 1.8),
-        (check_continued_fractions, (8 if fast else 12,), 7.1 if fast else 143),
+        (check_table, (), 0.1),
+        (check_dissection_counts, (max_n,), 8.9 if fast else 67),
+        (check_quiddity_counts, (quiddity_max_n,), 4.0 if fast else 125),
+        (check_quiddity_sum, (7 if fast else 9,), 2.4 if fast else 51),
+        (check_equal_size_injectivity, (9 if fast else 12,), 1.9 if fast else 66),
+        (check_witnesses, (9,), 5.6),
+        (check_surgery_classes, (8 if fast else 10, 5 if fast else 20), 5.9 if fast else 149),
+        (check_monodromy, (8 if fast else 10, 5 if fast else 6), 5.4 if fast else 42),
+        (check_series, (12 if fast else 14,), 2.2 if fast else 2.9),
+        (check_lagrange, (10 if fast else 12,), 0.7 if fast else 1.5),
+        (check_continued_fractions, (8 if fast else 12,), 5.4 if fast else 123),
     ]
     order = sorted(range(len(checks)), key=lambda i: -checks[i][2])
     return _fork_map(lambda check: check[0](*check[1]), checks, order)

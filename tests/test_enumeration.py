@@ -84,33 +84,48 @@ def test_carried_quiddities_match_quiddity_exhaustively(filt):
             enumerate_dissections(n, None, filt), _carried_quiddities(n, None, filt))
         for d, (chords, entries, _) in members:
             assert d == Dissection(n, tuple(chords))
-            assert entries == quiddity(d).entries, d
+            assert tuple(entries) == quiddity(d).entries, d
+
+
+def test_carried_quiddities_fit_a_byte_at_the_enumeration_cap():
+    # the first member of the cap's triangulations is the fan at its last
+    # vertex, which lies in all 198 cells: the largest entry the packed
+    # cells of a walk may hold
+    chords, entries, _ = next(_carried_quiddities(ENUMERATE_N_CAP, ENUMERATE_N_CAP - 2,
+                                                  CellFilter.all_cells()))
+    d = Dissection(ENUMERATE_N_CAP, tuple(chords))
+    assert d.chords == tuple((i, ENUMERATE_N_CAP - 1) for i in range(1, ENUMERATE_N_CAP - 2))
+    assert entries[-1] == ENUMERATE_N_CAP - 2 == 198
+    assert tuple(entries) == quiddity(d).entries
 
 
 def _drop_a_planned_corner(monkeypatch):
-    # the first base cell planned loses its second corner, which is
-    # never an end of the base edge; the chords it plans are unchanged
+    # the first base cell planned loses its second corner's byte from its
+    # packed corners, a corner never an end of the base edge; the chords
+    # it plans are unchanged
     real = enumeration._base_cells
     done = []
 
     def tampered(*args):
-        for corners, step in real(*args):
+        for cell, step in real(*args):
             if not done:
-                corners = corners[:1] + corners[2:]
+                rest = cell & (cell - 1)  # without the first corner's byte
+                cell -= rest & -rest
                 done.append(True)
-            yield corners, step
+            yield cell, step
 
     monkeypatch.setattr(enumeration, "_base_cells", tampered)
 
 
 def _drop_a_logged_corner(monkeypatch):
-    # the last cell logged before the first member loses its last corner
+    # the last cell logged before the first member loses its last
+    # corner's byte from its packed corners
     real = enumeration._walk
 
     def tampered(*args):
         for chords, log, low in real(*args):
-            shift, corners = log[-1]
-            log[-1] = (shift, corners[:-1])
+            shift, cell = log[-1]
+            log[-1] = (shift, cell - (1 << cell.bit_length() - 1))
             yield chords, log, low
 
     monkeypatch.setattr(enumeration, "_walk", tampered)
@@ -121,9 +136,9 @@ def cold_tables():
     # walks keep each filter's finished plans and fills for later walks;
     # a test that counts or tampers with what a walk plans starts from
     # none kept, and leaves none of its own behind
-    enumeration._tables.clear()
+    enumeration.clear_tables()
     yield
-    enumeration._tables.clear()
+    enumeration.clear_tables()
 
 
 @pytest.mark.parametrize("tamper", [_drop_a_planned_corner, _drop_a_logged_corner])
@@ -270,7 +285,7 @@ def test_first_dissection_plans_at_most_n_base_cells(monkeypatch, cold_tables, n
 
 
 def _cold_walk(n, m, filt):
-    enumeration._tables.clear()
+    enumeration.clear_tables()
     return [(list(chords), list(log), low) for chords, log, low in enumeration._walk(n, m, filt)]
 
 
@@ -282,7 +297,7 @@ def test_interleaved_walks_of_one_filter_are_each_a_cold_walk(cold_tables, filt)
     # N = 11, 5 and 11 advanced in turn, one item each, the second 11
     # starting when the first has run part way
     want = {n: _cold_walk(n, None, filt) for n in (5, 11)}
-    enumeration._tables.clear()
+    enumeration.clear_tables()
     first = enumeration._walk(11, None, filt)
     got: dict[int, list] = {0: [], 1: [], 2: []}
     for item in itertools.islice(first, len(want[11]) // 3):
@@ -314,7 +329,7 @@ def test_threads_walking_one_filter_each_make_a_cold_walk(cold_tables):
     sys.setswitchinterval(1e-5)  # so that the walks take turns often
     try:
         for _ in range(5):
-            enumeration._tables.clear()
+            enumeration.clear_tables()
             got: dict[int, object] = {}
             start = threading.Barrier(2)
 
