@@ -71,9 +71,9 @@ from .verification import run_all
 # fewer than 5.83^n) and takes at most 0.07 s (the 3-periodic quiddity
 # count at 4999, 2251, the slowest); the series solver grows about as
 # order^4 (the general and the 1-periodic equation, the slowest, take
-# 0.20 s as a command at order 85) and the table as max-n^2 (0.07 s at
-# 1200, each diagonal's binomial stepped from entry to entry), on a
-# 2-core machine.
+# 0.10 s at order 85, 0.19 s as a command) and the table as max-n^2
+# (0.07 s at 1200, each diagonal's binomial stepped from entry to
+# entry), on a 2-core machine.
 FORMULA_ARG_CAP = 5000
 SERIES_ORDER_CAP = 85
 TABLE_MAX_N_CAP = 1200

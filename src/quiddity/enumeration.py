@@ -57,7 +57,7 @@ chord's name.
 """
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from math import log10
 from typing import Callable, Iterator, Optional, Sequence
@@ -132,10 +132,10 @@ FILL_SPAN = 4
 # suite run in one process: keeping 12 or more re-plans no filter,
 # keeping 8 re-plans 24 times.  Its tables take about 0.8 MB
 # (tracemalloc, measured by clearing them); the one table of
-# ``classes --n 27 --m 3`` takes 5.1 MB, most of it plans.
+# ``classes --n 27 --m 3`` takes 5.1 MB, most of it plans.  The tables
+# are ``_table``'s cache, so ``_table.cache_info()`` gives its hits,
+# misses and the filters kept.
 TABLES_KEPT = 16
-_tables: dict[CellFilter, tuple[dict, dict]] = {}
-_tables_lock = threading.Lock()
 _NO_MORE: Iterator = iter(())
 
 
@@ -330,16 +330,14 @@ def _base_cells(
             rests.pop()
 
 
+@functools.lru_cache(maxsize=TABLES_KEPT)
 def _table(cell_filter: CellFilter) -> tuple[dict, dict]:
     """The filter's kept table, (finished plans by shape, finished fills
     by shape and base vertex), made on first use; the least recently
-    used table past ``TABLES_KEPT`` is dropped."""
-    with _tables_lock:
-        table = _tables.pop(cell_filter, None) or ({}, {})
-        _tables[cell_filter] = table
-        if len(_tables) > TABLES_KEPT:
-            del _tables[next(iter(_tables))]
-    return table
+    used table past ``TABLES_KEPT`` is dropped.  A second thread that
+    misses at the same moment may get a fresh table of its own, which
+    changes no output, since a kept table only saves planning."""
+    return {}, {}
 
 
 def clear_tables() -> None:
@@ -348,8 +346,7 @@ def clear_tables() -> None:
     none, as the first walk in a process does.  A walk already running
     keeps the table it holds to its end; its output is the same either
     way, since a kept table only saves planning."""
-    with _tables_lock:
-        _tables.clear()
+    _table.cache_clear()
 
 
 def _walk(

@@ -443,23 +443,37 @@ def test_count_with_one_large_period_is_answered_at_once():
     assert time.perf_counter() - start < 0.1
 
 
-@pytest.mark.parametrize("argv", [
-    ["formula", "catalan", "200000"],
-    ["formula", "kirkman-cayley", "200000", "100000"],
-    ["series", "kirkman-cayley", "--order", "200"],
-    ["table", "--max-n", "100000"],
-    ["modular", "verify", "--n", "9"],
-    ["modular", "verify", "--n", "30", "--entry-bound", "1"],
-    ["quiddities", "--n", "14", "--m", "6", "--no-cache"],
-    ["classes", "--n", "14", "--m", "6"],
-    ["classes", "--n", "12", "--m", "7", "--max-results", "10000000"],
-    ["modular", "verify", "--n", "13", "--entry-bound", "2"],
-    ["cf", "convert", "1,1000000000"],
-    ["cf", "strip", "1000000000,1"],
-    ["enumerate", "--n", "201", "--max-results", "1"],
-    ["enumerate", "--n", "100000", "--m", "2", "--max-results", "1"],
-])
-def test_unreachable_work_is_refused_up_front(cache_env, capsys, argv):
+# Each argv with the function that does its work, which the refusal
+# must come before.  The family-count refusal of ``quiddities --n 1000000
+# --m 1200 --sizes 5000,6,12`` is left out: it builds the count first.
+_REFUSED_UP_FRONT = [
+    (["formula", "catalan", "200000"], (formulas, "catalan")),
+    (["formula", "kirkman-cayley", "200000", "100000"], (formulas, "kirkman_cayley")),
+    (["series", "kirkman-cayley", "--order", "200"], (series, "solve_named")),
+    (["table", "--max-n", "100000"], (formulas, "quiddity_table")),
+    (["modular", "verify", "--n", "9"], (modular, "three_periodic_quiddities")),
+    (["modular", "verify", "--n", "30", "--entry-bound", "1"],
+     (modular, "three_periodic_quiddities")),
+    (["quiddities", "--n", "14", "--m", "6", "--no-cache"], (enumeration, "_walk")),
+    (["classes", "--n", "14", "--m", "6"], (enumeration, "_walk")),
+    (["classes", "--n", "12", "--m", "7", "--max-results", "10000000"], (enumeration, "_walk")),
+    (["modular", "verify", "--n", "13", "--entry-bound", "2"],
+     (modular, "three_periodic_quiddities")),
+    (["cf", "convert", "1,1000000000"], (cli, "regular_to_hj")),
+    (["cf", "strip", "1000000000,1"], (cli, "strip_triangulation")),
+    (["enumerate", "--n", "201", "--max-results", "1"], (enumeration, "_reach_masks")),
+    (["enumerate", "--n", "100000", "--m", "2", "--max-results", "1"],
+     (enumeration, "_reach_masks")),
+]
+
+
+@pytest.mark.parametrize("argv, unreached", _REFUSED_UP_FRONT,
+                         ids=[f"argv{k}" for k in range(len(_REFUSED_UP_FRONT))])
+def test_unreachable_work_is_refused_up_front(cache_env, capsys, monkeypatch, argv, unreached):
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{argv} reached {unreached[1]} before its refusal")
+
+    monkeypatch.setattr(*unreached, reached)
     start = time.perf_counter()
     code, out = run(argv)
     assert (code, out) == (1, "")
@@ -490,7 +504,7 @@ def test_few_cell_family_of_a_large_polygon_is_quick(cache_env):
 
 
 def test_series_at_its_order_cap_is_quick(cache_env):
-    # about 0.15 s in-process; re-evaluating the equation at every order took 90 s
+    # about 0.1 s in-process; re-evaluating the equation at every order took 90 s
     start = time.perf_counter()
     code, out = run(["series", "kirkman-cayley", "--order", str(SERIES_ORDER_CAP)])
     assert code == 0

@@ -313,7 +313,7 @@ def test_interleaved_walks_of_one_filter_are_each_a_cold_walk(cold_tables, filt)
     assert got[0] == want[11]
     assert got[1] == want[5]
     assert got[2] == want[11]
-    plans, fills = enumeration._tables[filt]
+    plans, fills = enumeration._table(filt)
     assert plans and fills  # the later walks had a table to read
 
 

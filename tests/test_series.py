@@ -117,6 +117,16 @@ def test_residual_vanishes():
         assert image.coefficient(0, 0) == 1
 
 
+def test_solve_applies_the_equation_once_and_computes_every_row():
+    applied = []
+    spec = kirkman_cayley_equation()
+    counted = EquationSpec(spec.name, lambda s: applied.append(1) or spec.apply(s))
+    s = solve_fixed_point(counted, 12)
+    assert len(applied) == 1
+    assert s._next is None  # every row computed, its operands dropped
+    assert s == solve_at_full_order(spec, 12)
+
+
 NAMED = [("catalan", None), ("kirkman-cayley", None), ("tri-quad", None), ("p", None),
          ("q", None), *(("ell-periodic", ell) for ell in (1, 2, 3, 4))]
 
@@ -388,9 +398,10 @@ def test_solve_named_quiddity_route():
         assert q.coefficient(n, m) == want
 
 
-def test_solve_named_q_checks_the_p_residual_once(monkeypatch):
-    # solve_fixed_point checks the solved P against the auxiliary
-    # equation; composing Q from it does not build and check it again
+def test_solve_named_q_builds_the_p_equation_once(monkeypatch):
+    # Q is composed from the P that solve_fixed_point solved, which
+    # satisfies the auxiliary equation by construction: the equation is
+    # not built again to check it
     built = []
     monkeypatch.setattr(series, "p_equation", lambda: built.append(1) or p_equation())
     q = solve_named("q", 8)

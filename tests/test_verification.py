@@ -10,7 +10,7 @@ import time
 import pytest
 
 import quiddity.verification as verification
-from quiddity import formulas
+from quiddity import formulas, series
 
 
 def test_fast_scope_is_all_green():
@@ -116,6 +116,37 @@ def test_tampered_series_closed_form_is_detected(monkeypatch, name):
     real = getattr(formulas, name)
     monkeypatch.setattr(formulas, name, lambda n, *rest: real(n, *rest) + (n == 6))
     assert not verification.check_series(8).passed
+
+
+def _kirkman_cayley_without_w(s):
+    # S = 1 + z S^2 + z S (S - 1): w dropped from the cell term
+    one, ss = series.BivariateSeries.one(s.order), s * s
+    return one + ss.shift(1, 0) + (ss - s).shift(1, 0)
+
+
+def _p_with_a_sign_flipped(s):
+    # S = 1 + w z S^2 - z^3 S^2 (S - 1)
+    one, ss = series.BivariateSeries.one(s.order), s * s
+    return one + ss.shift(1, 1) - (ss * (s - one)).shift(3, 0)
+
+
+@pytest.mark.parametrize("name, wrong, label", [
+    ("kirkman-cayley", _kirkman_cayley_without_w, "general"),
+    ("p", _p_with_a_sign_flipped, "quiddity series"),
+], ids=["kirkman-cayley", "p"])
+def test_a_wrong_equation_is_caught_by_the_closed_forms(monkeypatch, name, wrong, label):
+    # the solver makes S = F(S) by construction, so a wrong F solves
+    # normally and leaves no residual; only the closed forms see it
+    spec = series.EquationSpec(name, wrong)
+    s = series.solve_fixed_point(spec, 8)
+    assert spec.apply(s) == s
+    if name == "p":
+        monkeypatch.setattr(series, "p_equation", lambda: spec)
+    else:
+        monkeypatch.setitem(series.NAMED_EQUATIONS, name, lambda: spec)
+    result = verification.check_series(8)
+    assert not result.passed
+    assert result.detail.startswith(f"{label} at ")
 
 
 def _dropping_a_member(monkeypatch):
