@@ -1,27 +1,25 @@
 """Persistent result cache for the command-line ``table`` verb, the
 only verb that still caches.
 
-One CSV file per command family under the cache directory, key columns
-first and the value last (for ``table``, the path of a side file that
-holds the payload), so cached results stay inspectable and diffable.
-Rows carry a hash of the package's source files; rows written by any
-other source are ignored, so a code change never serves an old answer.
-Writes take an advisory lock on the directory so concurrent
-invocations stay single-writer.
+Each result is one file under the cache directory, named after the
+result with a hash of the package's source files before its suffix
+(``table-8-<hash>.csv``), so cached results stay inspectable and
+diffable, and a code change never serves an old answer: other source
+never reads the files this source wrote.  A result is written under a
+temporary name in the same directory and moved into place with
+``os.replace``, so a reader sees a whole file or none, and concurrent
+writers need no lock; there is no index.
 """
 from __future__ import annotations
 
-import csv
-import fcntl
 import functools
 import hashlib
 import os
+import threading
 from pathlib import Path
 from typing import Optional
 
 ENV_CACHE_DIR = "QUIDDITY_CACHE_DIR"
-
-_FIELDS = ["command", "n", "m", "filter", "order", "value", "tool_version"]
 
 
 def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:
@@ -49,69 +47,38 @@ class ResultCache:
     def __init__(self, directory: Path):
         self.directory = directory
 
-    def _file(self, family: str) -> Path:
-        return self.directory / f"{family}.csv"
-
-    @staticmethod
-    def _row_key(command: str, n: str, m: str, filt: str, order: str) -> tuple[str, ...]:
-        return (command, n, m, filt, order)
-
-    def get(self, family: str, command: str, n: str = "", m: str = "",
-            filt: str = "", order: str = "") -> Optional[str]:
-        path = self._file(family)
-        if not path.exists():
-            return None
-        key = self._row_key(command, n, m, filt, order)
-        hit: Optional[str] = None
-        try:
-            with path.open(newline="") as handle:
-                for row in csv.DictReader(handle):
-                    if row.get("tool_version") != source_key():
-                        continue
-                    if self._row_key(row["command"], row["n"], row["m"],
-                                     row["filter"], row["order"]) == key:
-                        hit = row["value"]  # last write wins
-        except (OSError, KeyError):
-            return None
-        return hit
-
-    def get_payload(self, family: str, command: str, filename: str,
-                    compute, n: str = "", m: str = "", filt: str = "",
-                    order: str = "") -> str:
-        """Multi-line results: the CSV row stores a file path, the
-        payload lives in a side file under the cache directory, named
-        ``filename`` with the source hash before its suffix, so each
-        source reads only the side files it wrote.  The directory is made
-        first, so an unusable one is refused before ``compute`` runs."""
-        self.directory.mkdir(parents=True, exist_ok=True)
+    def _file(self, filename: str) -> Path:
         name = Path(filename)
-        side_file = self.directory / f"{name.stem}-{source_key()}{name.suffix}"
-        row = self.get(family, command, n, m, filt, order)
-        if row is not None and side_file.exists():
-            return side_file.read_text()
-        payload = compute()
-        side_file.write_text(payload)
-        if row is None:
-            self.put(family, command, str(side_file), n, m, filt, order)
-        return payload
+        return self.directory / f"{name.stem}-{source_key()}{name.suffix}"
 
-    def put(self, family: str, command: str, value: str, n: str = "",
-            m: str = "", filt: str = "", order: str = "") -> None:
+    def get(self, filename: str) -> Optional[str]:
+        """The result this source stored as ``filename``, or None."""
+        try:
+            return self._file(filename).read_text()
+        except FileNotFoundError:
+            return None
+
+    def put(self, filename: str, payload: str) -> None:
+        """Store ``payload`` as ``filename``: written whole under a name
+        no other process or thread uses, then renamed into place."""
+        path = self._file(filename)
+        temporary = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}")
+        try:
+            temporary.write_text(payload)
+            os.replace(temporary, path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
+
+    def get_payload(self, family: str, command: str, filename: str, compute) -> str:
+        """The stored result ``filename``, else ``compute()``, stored.  The
+        directory is made first, so an unusable one is refused before
+        ``compute`` runs.  ``family`` and ``command`` are unused: the
+        file name is the whole key.  They keep ``compute`` fourth, where
+        the benchmark's tracer reads it."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        lock_path = self.directory / ".lock"
-        with lock_path.open("w") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            try:
-                path = self._file(family)
-                fresh = not path.exists()
-                with path.open("a", newline="") as handle:
-                    writer = csv.DictWriter(handle, fieldnames=_FIELDS)
-                    if fresh:
-                        writer.writeheader()
-                    writer.writerow({
-                        "command": command, "n": n, "m": m, "filter": filt,
-                        "order": order, "value": value,
-                        "tool_version": source_key(),
-                    })
-            finally:
-                fcntl.flock(lock, fcntl.LOCK_UN)
+        payload = self.get(filename)
+        if payload is None:
+            payload = compute()
+            self.put(filename, payload)
+        return payload

@@ -6,7 +6,8 @@ One flat verb per module operation: enumeration (``enumerate``,
 (``surgery``), continued fractions (``cf``), matrix products
 (``modular``) and the oracle suite (``verify-all``).  Machine-readable
 output, deterministic byte for byte.  ``table`` goes through a
-persistent cache unless ``--no-cache`` is given; ``count``,
+persistent cache unless ``--no-cache`` is given: one file per result,
+published by rename, with no index and no lock (``cache``).  ``count``,
 ``quiddities`` and ``formula`` accept the cache flags and ignore them.
 
 The grammar is declared once, as data (``_VERB_HELP``, ``_LEAVES``
@@ -435,8 +436,7 @@ def _run_table(args: argparse.Namespace, out) -> int:
         return 0
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
     try:
-        payload = cache.get_payload(
-            "table", "table", f"table-{args.max_n}.csv", compute, n=str(args.max_n))
+        payload = cache.get_payload("table", "table", f"table-{args.max_n}.csv", compute)
     except OSError as exc:  # say which directory, not where it failed
         raise DomainError(
             f"cache directory {cache.directory} is unusable: {exc.strerror or exc}") from None

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import log10
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import formulas
@@ -214,6 +213,17 @@ def _check_range(n_vertices: int, m: Optional[int]) -> None:
     if m is not None and not 1 <= m <= n_vertices - 2:
         raise DomainError(
             f"cell count {m} out of range [1, {n_vertices - 2}] for an {n_vertices}-gon"
+        )
+
+
+def _check_walkable(n_vertices: int, m: Optional[int]) -> None:
+    """Refuse arguments out of range, then a polygon over
+    ``ENUMERATE_N_CAP``, which no walk takes: a check that costs no
+    count and no table."""
+    _check_range(n_vertices, m)
+    if n_vertices > ENUMERATE_N_CAP:
+        raise ResourceLimitError(
+            f"a {n_vertices}-gon is over the enumeration cap of {ENUMERATE_N_CAP} vertices"
         )
 
 
@@ -414,11 +424,7 @@ def _walk(
     planning and recording again; what is still being made stays with
     this walk.
     """
-    _check_range(n_vertices, m)
-    if n_vertices > ENUMERATE_N_CAP:
-        raise ResourceLimitError(
-            f"a {n_vertices}-gon is over the enumeration cap of {ENUMERATE_N_CAP} vertices"
-        )
+    _check_walkable(n_vertices, m)
     allowed = cell_filter.allowed_sizes_upto(n_vertices)
     reach = _reach_masks(n_vertices, allowed)
     kept_plans, kept_fills = _table(cell_filter)
@@ -686,16 +692,14 @@ def count_dissections(
 def _refuse_large_family(
     n_vertices: int, m: int, cell_filter: CellFilter, cap: int = FAMILY_CAP
 ) -> None:
-    """Refuse, before enumerating, a family of more than ``cap``
-    dissections by its closed-form count.  A count too long for Python
-    to print is stated as the power of ten it reaches."""
+    """Refuse, before enumerating, what the walk would refuse, and then
+    a family of more than ``cap`` dissections by its closed-form count,
+    so no count is built for a polygon the walk cannot take.  Under
+    ``ENUMERATE_N_CAP`` the count has at most 147 digits, so it prints."""
+    _check_walkable(n_vertices, m)
     expected = count_dissections(n_vertices, m, cell_filter)
     if expected > cap:
-        try:
-            size = str(expected)
-        except ValueError:  # over Python's limit on printing an int
-            size = f"over 10^{int((expected.bit_length() - 1) * log10(2))}"
-        raise ResourceLimitError(f"{size} dissections exceed the cap of {cap}")
+        raise ResourceLimitError(f"{expected} dissections exceed the cap of {cap}")
 
 
 def count_quiddities(

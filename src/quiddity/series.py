@@ -186,10 +186,6 @@ class BivariateSeries:
 
         return BivariateSeries._lazy(self.order, low1 + low2, row)
 
-    def scale(self, factor: int) -> "BivariateSeries":
-        return BivariateSeries._lazy(
-            self.order, self._low, lambda n: tuple(factor * c for c in self._row(n)))
-
     def __pow__(self, exponent: int) -> "BivariateSeries":
         """By repeated squaring, so a power is O(log exponent) product
         nodes deep, and each square takes each pair of rows once."""

@@ -1,4 +1,6 @@
-"""Command-line behavior: outputs, exit codes, cache transparency."""
+"""Command-line behavior: outputs, exit codes, and the result cache:
+its transparency, and a table published whole, by rename, to readers
+and writers that run at once."""
 from __future__ import annotations
 
 import argparse
@@ -11,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 from quiddity import cache, cli, core, enumeration, formulas, modular, series, surgery, verification
 from quiddity.cache import source_key
 from quiddity.cli import SERIES_ORDER_CAP, _dumps, _parse_plain, build_parser, main
-from quiddity.enumeration import CellFilter, count_dissections, enumerate_dissections
+from quiddity.enumeration import CellFilter, enumerate_dissections
 from quiddity.formulas import ell_periodic_count, kirkman_cayley, tri_quad_count
 
 
@@ -243,7 +246,7 @@ def test_cache_transparency(cache_env, monkeypatch):
         warm.setattr(formulas, "quiddity_table", None)  # calling it fails
         assert run(["table", "--max-n", "9"]) == fresh == cold
     side_file = cache_env / f"table-9-{source_key()}.csv"
-    assert f"table,9,,,,{side_file},{source_key()}" in (cache_env / "table.csv").read_text()
+    assert sorted(cache_env.iterdir()) == [side_file]
     assert side_file.read_text() + "\n" == fresh[1]
 
 
@@ -251,7 +254,7 @@ def test_cache_dir_flag_beats_env(cache_env, tmp_path):
     explicit = tmp_path / "elsewhere"
     code, out = run(["table", "--max-n", "6", "--cache-dir", str(explicit)])
     assert (code, out) == run(["table", "--max-n", "6", "--no-cache"])
-    assert (explicit / "table.csv").exists()
+    assert (explicit / f"table-6-{source_key()}.csv").exists()
     assert not cache_env.exists()
 
 
@@ -317,6 +320,75 @@ def test_table_side_file_of_other_source_is_not_served(cache_env, monkeypatch):
         other.setattr(formulas, "quiddity_table", lambda max_n: {(1, 1): 999})
         assert "999" in run(["table", "--max-n", "8"])[1]
     assert run(["table", "--max-n", "8"]) == fresh
+
+
+def test_a_table_read_while_it_is_rewritten_is_whole(tmp_path, monkeypatch):
+    # writer B looks before writer A publishes table --max-n 8, so B
+    # writes the same table again; reader C, run after B's file is
+    # opened and before anything is written to it, must read A's whole
+    # table, not the empty file B opened
+    directory = tmp_path / "cache"
+    argv = ["table", "--max-n", "8", "--cache-dir", str(directory)]
+    fresh = run(["table", "--max-n", "8", "--no-cache"])
+    real_open = Path.open
+    armed, read = [], []
+
+    def open_then_read(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        if armed and "w" in mode and not read:
+            read.append(run(argv))  # reader C
+        return handle
+
+    def compute():
+        assert run(argv) == fresh  # writer A
+        armed.append(True)
+        return fresh[1].removesuffix("\n")
+
+    monkeypatch.setattr(Path, "open", open_then_read)
+    writer_b = cache.ResultCache(directory)
+    assert writer_b.get_payload("table", "table", "table-8.csv", compute) + "\n" == fresh[1]
+    assert read == [fresh]
+
+
+@pytest.mark.parametrize("argv", [["count", "--n", "8", "--m", "3"],
+                                  ["table", "--max-n", "6"]])
+def test_cli_needs_no_fcntl_and_loads_no_csv(tmp_path, argv):
+    # the cache takes no lock, so the CLI runs where fcntl cannot be
+    # imported; with or without it, importing the CLI loads neither
+    # fcntl nor csv
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "QUIDDITY_CACHE_DIR": str(tmp_path)}
+    script = ("import sys\n"
+              "if sys.argv.pop(1) == 'without': sys.modules['fcntl'] = None\n"
+              "import quiddity.cli\n"
+              "loaded = {'csv', 'fcntl'} & {k for k, v in sys.modules.items() if v is not None}\n"
+              "assert not loaded, loaded\n"
+              "sys.exit(quiddity.cli.main(sys.argv[1:]))\n")
+    want = run([*argv, "--no-cache"])
+    for fcntl in ("without", "with"):
+        done = subprocess.run([sys.executable, "-c", script, fcntl, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (*want, "")
+
+
+def test_cold_writers_of_one_table_print_it_and_leave_one_file(tmp_path):
+    directory = tmp_path / "cache"
+    argv = ["table", "--max-n", "300", "--cache-dir", str(directory)]
+    fresh = run(["table", "--max-n", "300", "--no-cache"])
+    start = threading.Barrier(2)
+    outcomes = []
+
+    def writer():
+        start.wait()
+        outcomes.append(run(argv))
+
+    threads = [threading.Thread(target=writer) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert outcomes == [fresh, fresh]
+    assert [path.name for path in directory.iterdir()] == [f"table-300-{source_key()}.csv"]
 
 
 def test_verify_all_fast_scope_passes(cache_env):
@@ -390,17 +462,13 @@ def test_count_answers_the_largest_benchmark_queries(cache_env, flags, closed_fo
 
 
 def test_cache_ignores_rows_written_by_other_source(cache_env):
-    # a table is served only under the hash of the source that wrote it
+    # a table is served only under the hash of the source that wrote it,
+    # and then as it stands
     fresh = run(["table", "--max-n", "7", "--no-cache"])
     cache_env.mkdir(parents=True)
-    header = "command,n,m,filter,order,value,tool_version\n"
-    stale = cache_env / "table-7-0.1.0.csv"
-    stale.write_text("999")
-    (cache_env / "table.csv").write_text(header + f"table,7,,,,{stale},0.1.0\n")
+    (cache_env / f"table-7-{'0' * 16}.csv").write_text("999")
     assert run(["table", "--max-n", "7"]) == fresh
-    mine = cache_env / f"table-7-{source_key()}.csv"
-    mine.write_text("999")
-    (cache_env / "table.csv").write_text(header + f"table,7,,,,{mine},{source_key()}\n")
+    (cache_env / f"table-7-{source_key()}.csv").write_text("999")
     assert run(["table", "--max-n", "7"]) == (0, "999\n")
 
 
@@ -444,8 +512,8 @@ def test_count_with_one_large_period_is_answered_at_once():
 
 
 # Each argv with the function that does its work, which the refusal
-# must come before.  The family-count refusal of ``quiddities --n 1000000
-# --m 1200 --sizes 5000,6,12`` is left out: it builds the count first.
+# must come before.  A family over the enumeration cap is refused before
+# its count is built.
 _REFUSED_UP_FRONT = [
     (["formula", "catalan", "200000"], (formulas, "catalan")),
     (["formula", "kirkman-cayley", "200000", "100000"], (formulas, "kirkman_cayley")),
@@ -464,6 +532,10 @@ _REFUSED_UP_FRONT = [
     (["enumerate", "--n", "201", "--max-results", "1"], (enumeration, "_reach_masks")),
     (["enumerate", "--n", "100000", "--m", "2", "--max-results", "1"],
      (enumeration, "_reach_masks")),
+    (["quiddities", "--n", "1000000", "--m", "1200", "--sizes", "5000,6,12"],
+     (formulas, "dissection_count")),
+    (["classes", "--n", "1000000", "--m", "1200", "--sizes", "5000,6,12"],
+     (formulas, "dissection_count")),
 ]
 
 
@@ -543,18 +615,6 @@ def test_classes_refuses_a_polygon_over_the_enumeration_cap_before_the_writer(
     assert run(["classes", "--n", "4000", "--m", "2", "--sizes", "4"]) == (1, "")
     assert capsys.readouterr().err == \
         "error: a 4000-gon is over the enumeration cap of 200 vertices\n"
-
-
-@pytest.mark.parametrize("verb", ["quiddities", "classes"])
-def test_family_too_large_to_print_its_count_is_refused(capsys, verb):
-    # the count has over 4300 digits, more than Python prints, so the
-    # refusal states the power of ten it reaches
-    assert run([verb, "--n", "1000000", "--m", "1200", "--sizes", "5000,6,12"]) == (1, "")
-    found = re.fullmatch(r"error: over 10\^(\d+) dissections exceed the cap of 35000\n",
-                         capsys.readouterr().err)
-    assert found
-    count = count_dissections(1000000, 1200, CellFilter.size_set({5000, 6, 12}))
-    assert 10 ** int(found.group(1)) <= count < 10 ** (int(found.group(1)) + 2)
 
 
 @pytest.mark.parametrize("argv", [

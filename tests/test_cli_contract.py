@@ -122,7 +122,7 @@ def _refusal_grid() -> list[list[str]]:
         ["quiddities", "--n", "14", "--m", "6", "--no-cache"],
         ["classes", "--n", "14", "--m", "6"],
         ["classes", "--n", "4000", "--m", "2", "--sizes", "4"],  # no member, N over the cap
-        # a family count too long to print
+        # a family over the enumeration cap, refused before its count is built
         ["quiddities", "--n", "1000000", "--m", "1200", "--sizes", "5000,6,12"],
         ["classes", "--n", "1000000", "--m", "1200", "--sizes", "5000,6,12"],
         ["classes", "--n", "8", "--m", "3", "--ell", "3", "--max-results", "35"],
