@@ -365,21 +365,39 @@ def _take(fn: Callable[[Any], Any], tasks: Sequence, queue: int) -> dict[int, tu
     return done
 
 
+# The least total cost, in ms, of the tasks that ``_fork_map`` is told
+# the costs of, for it to fork: a smaller suite runs in this process.  A
+# forked child plans again the walk tables that checks run in one process
+# share, every page either process writes while both live is copied, and
+# a fork, exit and reap alone take about 1.5 ms.  Measured on 2 cores,
+# Python 3.11.7, in one process with the walk tables cleared before each
+# run, median of 9, forked against in-process: suites costed at 92, 102
+# and 605 ms took 87 against 105, 76 against 110 and 361 against 635 ms.
+# The fast scope, costed at 40 ms, took 30-47 ms forked and 41-46 ms
+# in-process from run to run there; in the benchmark's larger process,
+# running it in-process cut the families session's wall time by 6%.
+# 100 ms leaves the fast scope room to grow before it forks.
+FORK_MIN_MS = 100
+
+
 def _fork_map(
-    fn: Callable[[Any], Any], tasks: Sequence, order: Optional[Sequence[int]] = None
+    fn: Callable[[Any], Any], tasks: Sequence, costs: Optional[Sequence[float]] = None
 ) -> list:
     """``[fn(task) for task in tasks]``, run on up to one process per
-    usable CPU.
+    usable CPU when the tasks' ``costs`` (their estimated times in ms,
+    one per task) sum to ``FORK_MIN_MS`` or more, or are not given.
 
-    The task indices are queued on one pipe, one byte each, in ``order``
-    (task order by default), before any worker starts, so there may be
-    at most 256 tasks (a pipe takes at least 512 bytes in one write).
-    This process and ``w - 1`` forked children, ``w`` being the smaller
-    of the task count and the usable CPUs, each take the next index
-    until the pipe is empty.  A child sends its values back pickled, and
-    they come back in task order.  With one CPU, no ``os.fork``, or a second live thread (a fork
-    copies only the calling thread, so a lock another thread holds would
-    stay held in the child), the same loop runs in this process alone.
+    The task indices are queued on one pipe, one byte each, longest
+    first by ``costs`` (in task order without them), before any worker
+    starts, so there may be at most 256 tasks (a pipe takes at least 512
+    bytes in one write).  This process and ``w - 1`` forked children,
+    ``w`` being the smaller of the task count and the usable CPUs, each
+    take the next index until the pipe is empty.  A child sends its
+    values back pickled, and they come back in task order.  With costs
+    summing under ``FORK_MIN_MS``, one CPU, no ``os.fork``, or a second
+    live thread (a fork copies only the calling thread, so a lock
+    another thread holds would stay held in the child), the same loop
+    runs in this process alone, in the same queue order.
 
     Every task runs.  Then the exception of the first task in task order
     that raised, if any, is raised again here; one raised in a child
@@ -387,16 +405,21 @@ def _fork_map(
     child is reaped before this returns or raises.  A child never
     returns into the caller: it ends with ``os._exit`` whatever happens.
     """
-    # imported here, so that a process that never runs the suite does
-    # not hold the module (about 0.25 MB)
-    import pickle
-
     tasks = list(tasks)
+    order = range(len(tasks))
     workers = min(len(tasks), _usable_cpus())
+    if costs is not None:
+        order = sorted(order, key=lambda index: -costs[index])
+        if sum(costs) < FORK_MIN_MS:
+            workers = 1
     if not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
+    if workers > 1:
+        # imported here, so that a process that never forks the suite
+        # does not hold the module (about 0.25 MB)
+        import pickle
     queue, fill = os.pipe()
-    os.write(fill, bytes(range(len(tasks)) if order is None else order))
+    os.write(fill, bytes(order))
     os.close(fill)
     children: dict[int, int] = {}  # pid -> read end of its result pipe
     try:
@@ -449,34 +472,34 @@ def run_all(scope: str = "fast") -> list[CheckResult]:
     """The oracle-equivalence suite at the configured polygon caps, one
     result per check, in a fixed order.
 
-    The checks are independent, so they run through ``_fork_map`` on the
-    usable CPUs, queued longest first by their measured times; the
-    results, and so the lines ``verify-all`` prints, are the same as
-    when they run one after another in this process, which they do on
-    one CPU or when the caller has a second live thread."""
+    The checks are independent and go through ``_fork_map`` with their
+    measured times as costs: queued longest first, they run in this
+    process when those sum under ``FORK_MIN_MS`` (the fast scope), and
+    otherwise (the full scope) on the usable CPUs.  The results, and so
+    the lines ``verify-all`` prints, are the same either way, as they
+    are on one CPU or when the caller has a second live thread."""
     if scope not in ("fast", "full"):
         raise ValueError(f"scope must be 'fast' or 'full', got {scope!r}")
     fast = scope == "fast"
     max_n = 8 if fast else 10
     quiddity_max_n = 8 if fast else 11
-    # (check, arguments, its time in ms run alone in one process, with no
-    # enumeration plans kept from before, the median of five on a 2-core
-    # machine, Python 3.11): queued longest first, so that no long check
-    # starts last.  All of them took 43 ms at fast scope and 0.63 s at
-    # full scope one after another, and 24-32 ms and 0.34-0.38 s on both
-    # cores in this order
+    # (check, arguments, its time in ms run alone in a fresh interpreter,
+    # the median of 15 taken round robin over the checks on a 2-core
+    # machine, Python 3.11.7): the costs ``_fork_map`` sums and queues
+    # longest first, so that no long check starts last.  They sum to 40 ms
+    # at fast scope, run in one process in 41-46 ms, and to 0.60 s at full
+    # scope, forked onto both cores in about 0.36 s
     checks: list[tuple[Callable[..., CheckResult], tuple, float]] = [
         (check_table, (), 0.1),
-        (check_dissection_counts, (max_n,), 8.9 if fast else 67),
-        (check_quiddity_counts, (quiddity_max_n,), 4.0 if fast else 125),
-        (check_quiddity_sum, (7 if fast else 9,), 2.4 if fast else 51),
-        (check_equal_size_injectivity, (9 if fast else 12,), 1.9 if fast else 66),
-        (check_witnesses, (9,), 5.6),
-        (check_surgery_classes, (8 if fast else 10, 5 if fast else 20), 5.9 if fast else 149),
-        (check_monodromy, (8 if fast else 10, 5 if fast else 6), 5.4 if fast else 42),
-        (check_series, (12 if fast else 14,), 2.2 if fast else 2.9),
-        (check_lagrange, (10 if fast else 12,), 0.7 if fast else 1.5),
-        (check_continued_fractions, (8 if fast else 12,), 5.4 if fast else 123),
+        (check_dissection_counts, (max_n,), 6.5 if fast else 63),
+        (check_quiddity_counts, (quiddity_max_n,), 2.6 if fast else 116),
+        (check_quiddity_sum, (7 if fast else 9,), 2.4 if fast else 52),
+        (check_equal_size_injectivity, (9 if fast else 12,), 2.1 if fast else 62),
+        (check_witnesses, (9,), 6.6),
+        (check_surgery_classes, (8 if fast else 10, 5 if fast else 20), 6.6 if fast else 143),
+        (check_monodromy, (8 if fast else 10, 5 if fast else 6), 5.3 if fast else 41),
+        (check_series, (12 if fast else 14,), 1.7 if fast else 2.1),
+        (check_lagrange, (10 if fast else 12,), 0.9 if fast else 1.5),
+        (check_continued_fractions, (8 if fast else 12,), 5.3 if fast else 118),
     ]
-    order = sorted(range(len(checks)), key=lambda i: -checks[i][2])
-    return _fork_map(lambda check: check[0](*check[1]), checks, order)
+    return _fork_map(lambda check: check[0](*check[1]), checks, [ms for _, _, ms in checks])

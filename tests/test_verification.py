@@ -190,20 +190,65 @@ def _no_child_left() -> bool:
     return False
 
 
+def _counting_fork(monkeypatch) -> list[int]:
+    """Count the children ``os.fork`` makes from here on: the list of
+    their pids, as the parent saw them."""
+    forks: list[int] = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 @pytest.fixture
 def forking(monkeypatch):
-    """Two workers whatever the machine, so that a child is forked; a
-    test may raise the count."""
+    """Two workers whatever the machine, and no suite too small to fork,
+    so that a child is forked; a test may raise the count.  The pids of
+    the children forked, as a list."""
     if threading.active_count() > 1:
         pytest.skip("another thread is live, so every run stays in-process")
     monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verification, "FORK_MIN_MS", 0)
+    return _counting_fork(monkeypatch)
 
 
 @pytest.mark.parametrize("scope", ["fast", "full"])
 def test_forked_checks_print_the_single_process_lines(monkeypatch, forking, scope):
     forked = [r.line() for r in verification.run_all(scope)]
+    assert len(forking) == 1
     monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
     assert [r.line() for r in verification.run_all(scope)] == forked
+    assert len(forking) == 1
+    assert _no_child_left()
+
+
+def test_the_fast_suite_stays_in_process_and_the_full_suite_forks(monkeypatch):
+    # the default threshold on two CPUs: the fast scope's checks cost too
+    # little to pay for a fork, the full scope's pay for one child
+    if threading.active_count() > 1:
+        pytest.skip("another thread is live, so every run stays in-process")
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    real_fork = os.fork
+
+    def no_fork():
+        raise AssertionError("the fast suite forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    in_process = [r.line() for r in verification.run_all("fast")]
+    monkeypatch.setattr(os, "fork", real_fork)
+    forks = _counting_fork(monkeypatch)
+    assert all(r.passed for r in verification.run_all("full"))
+    assert len(forks) == 1
+    # the lines the fast suite prints when it forks, as it always did
+    monkeypatch.setattr(verification, "FORK_MIN_MS", 0)
+    assert [r.line() for r in verification.run_all("fast")] == in_process
+    assert len(forks) == 2
     assert _no_child_left()
 
 
@@ -218,7 +263,8 @@ def test_each_task_runs_once_and_comes_back_in_task_order(monkeypatch, forking):
         return task * task
 
     try:
-        results = verification._fork_map(fn, tasks, tasks[::-1])
+        # costs that queue the tasks in reverse
+        results = verification._fork_map(fn, tasks, tasks)
         ran = os.read(ran_r, 1024)
     finally:
         os.close(ran_r)
@@ -226,6 +272,19 @@ def test_each_task_runs_once_and_comes_back_in_task_order(monkeypatch, forking):
     assert results == [t * t for t in tasks]
     assert sorted(ran) == tasks
     assert _no_child_left()
+
+
+def test_cheap_tasks_run_here_longest_first():
+    # costs summing under FORK_MIN_MS: every task runs in this process,
+    # taken from the queue longest first, and comes back in task order
+    ran = []
+
+    def fn(task):
+        ran.append(task)
+        return -task
+
+    assert verification._fork_map(fn, [2, 0, 3, 1], [2, 0, 3, 1]) == [-2, 0, -3, -1]
+    assert ran == [3, 2, 1, 0]
 
 
 def test_an_exception_in_a_child_is_raised_in_the_caller(forking):
@@ -258,6 +317,7 @@ def test_a_check_that_raises_is_raised_by_run_all(monkeypatch, forking):
     monkeypatch.setattr(verification, "check_series", broken)
     with pytest.raises(ArithmeticError, match="broken check"):
         verification.run_all("fast")
+    assert len(forking) == 1
     assert _no_child_left()
 
 
@@ -269,6 +329,7 @@ def test_a_tamper_reaches_the_forked_checks(monkeypatch, forking):
     assert [r.name for r in failed] == [
         "dissection-counts", "surgery-classes", "series-solver", "lagrange-inversion"]
     assert "maximally open members" in failed[1].detail
+    assert len(forking) == 1
     assert _no_child_left()
 
 
