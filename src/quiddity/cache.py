@@ -8,16 +8,18 @@ diffable, and a code change never serves an old answer: other source
 never reads the files this source wrote.  A result is written under a
 temporary name in the same directory and moved into place with
 ``os.replace``, so a reader sees a whole file or none, and concurrent
-writers need no lock; there is no index.
+writers need no lock; there is no index.  Only the ``table`` verb
+reaches the cache, so the modules it alone needs are imported where
+they are used, not with the package.
 """
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
-import threading
-from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 ENV_CACHE_DIR = "QUIDDITY_CACHE_DIR"
 
@@ -25,6 +27,8 @@ ENV_CACHE_DIR = "QUIDDITY_CACHE_DIR"
 def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:
     """Explicit flag first, then the environment override, then a
     per-user default."""
+    from pathlib import Path
+
     if flag_value:
         return Path(flag_value)
     env = os.environ.get(ENV_CACHE_DIR)
@@ -37,6 +41,9 @@ def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:
 def source_key() -> str:
     """Hash of the package's source files, computed on first use (not
     at import) and kept for the life of the process."""
+    import hashlib
+    from pathlib import Path
+
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
@@ -48,8 +55,8 @@ class ResultCache:
         self.directory = directory
 
     def _file(self, filename: str) -> Path:
-        name = Path(filename)
-        return self.directory / f"{name.stem}-{source_key()}{name.suffix}"
+        path = self.directory / filename
+        return path.with_name(f"{path.stem}-{source_key()}{path.suffix}")
 
     def get(self, filename: str) -> Optional[str]:
         """The result this source stored as ``filename``, or None."""
@@ -61,6 +68,8 @@ class ResultCache:
     def put(self, filename: str, payload: str) -> None:
         """Store ``payload`` as ``filename``: written whole under a name
         no other process or thread uses, then renamed into place."""
+        import threading
+
         path = self._file(filename)
         temporary = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}")
         try:

@@ -9,38 +9,37 @@ quiddity entries along the top row reproduce the minus-sign terms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Dissection, DomainError
+from .core import Dissection, DomainError, Value
 
 
-@dataclass(frozen=True)
-class RegularContinuedFraction:
+class RegularContinuedFraction(Value):
     """Plus-sign continued fraction: terms a_i >= 1, even length."""
 
-    terms: tuple[int, ...]
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __init__(self, terms: tuple[int, ...]) -> None:
+        if not terms:
             raise DomainError("continued fraction needs at least one term")
-        if len(self.terms) % 2:
+        if len(terms) % 2:
             raise DomainError("plus-sign expansion must have even length")
-        if any(t < 1 for t in self.terms):
+        if any(t < 1 for t in terms):
             raise DomainError("plus-sign terms must be at least 1")
+        object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True)
-class HirzebruchJungContinuedFraction:
+class HirzebruchJungContinuedFraction(Value):
     """Minus-sign continued fraction: every term at least 2."""
 
-    terms: tuple[int, ...]
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __init__(self, terms: tuple[int, ...]) -> None:
+        if not terms:
             raise DomainError("continued fraction needs at least one term")
-        if any(t < 2 for t in self.terms):
+        if any(t < 2 for t in terms):
             raise DomainError("minus-sign terms must be at least 2")
+        object.__setattr__(self, "terms", terms)
 
 
 def eval_regular(cf: RegularContinuedFraction) -> Fraction:

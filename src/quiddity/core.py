@@ -15,12 +15,14 @@ by C-level sorts: validation opens the chords by left end, cell
 extraction closes them by right end and pushes the vertices between
 right ends in one step.  A dissection's cells are swept once, by the
 first call that needs them, and kept on the object (see :func:`cells`).
+
+Every value class of the package derives from :class:`Value`, a plain
+base that, unlike a dataclass decorator, generates no code at import.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable
 
 
@@ -44,20 +46,65 @@ Chord = tuple[int, int]
 PARSE_N_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class Dissection:
-    """A convex polygon together with a non-crossing set of diagonals."""
+class Value:
+    """An immutable record of the fields named in ``_fields``.
 
-    n_vertices: int
-    chords: tuple[Chord, ...]
+    A subclass lists its fields in ``_fields`` and in ``__slots__``, and
+    its own ``__init__`` validates them and sets each with
+    ``object.__setattr__``.  Equality (only with the same class), the
+    hash (that of the field tuple), ``repr``, ``__match_args__`` and
+    pickling and copying (through ``__init__``, so re-validated) follow
+    the fields, as they do for a frozen dataclass; assigning or deleting
+    an attribute raises ``AttributeError``."""
 
-    def __post_init__(self) -> None:
-        n = self.n_vertices
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # _astuple(x) is x's field tuple; attrgetter of one name gives
+        # the bare value, so one field is wrapped
+        get = attrgetter(*cls._fields)
+        cls._astuple = staticmethod(get if len(cls._fields) > 1 else lambda x: (get(x),))
+        cls.__match_args__ = cls._fields
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Dissection(Value):
+    """A convex polygon together with a non-crossing set of diagonals.
+
+    The chords are normalized and validated on construction; ``_cells``
+    is the slot where :func:`cells` keeps the swept cells."""
+
+    _fields = ("n_vertices", "chords")
+    __slots__ = _fields + ("_cells",)
+
+    def __init__(self, n_vertices: int, chords: Iterable[Chord]) -> None:
+        n = n_vertices
         if n < 3:
             raise DomainError(f"polygon needs at least 3 vertices, got {n}")
         normalized = []
         last = n - 1
-        for i, j in self.chords:
+        for i, j in chords:
             if i > j:
                 i, j = j, i
             if not 0 <= i < j <= last:
@@ -89,6 +136,7 @@ class Dissection:
             open_chords.append(chord)
             q = j
         normalized.sort()
+        object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "chords", tuple(normalized))
 
     @classmethod
@@ -112,15 +160,15 @@ class Dissection:
         return degrees
 
 
-@dataclass(frozen=True)
-class Quiddity:
+class Quiddity(Value):
     """Cell-contact counts per vertex, as an N-tuple."""
 
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self) -> None:
-        if self.entries and min(self.entries) < 1:
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        if entries and min(entries) < 1:
             raise DomainError("quiddity entries must be positive")
+        object.__setattr__(self, "entries", entries)
 
     def __str__(self) -> str:
         return ",".join(map(str, self.entries))
@@ -203,7 +251,7 @@ def cells(d: Dissection) -> tuple[tuple[int, ...], ...]:
     then vertices, from one stack sweep (``_sweep``).
 
     The sweep runs once per object: its cells are kept on ``d`` as
-    ``_cells``, outside the dataclass fields, so equality, hashing and
+    ``_cells``, a slot outside its ``_fields``, so equality, hashing and
     ``repr`` see only the chords.  ``quiddity`` may keep the unsorted
     sweep there first, as a list; this sorts it into a tuple."""
     cs = getattr(d, "_cells", None)

@@ -58,7 +58,6 @@ chord's name.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import formulas
@@ -68,6 +67,7 @@ from .core import (
     DomainError,
     Quiddity,
     ResourceLimitError,
+    Value,
 )
 
 # Largest family, by its closed-form count, that ``count_quiddities``
@@ -138,8 +138,7 @@ TABLES_KEPT = 16
 _NO_MORE: Iterator = iter(())
 
 
-@dataclass(frozen=True)
-class CellFilter:
+class CellFilter(Value):
     """Restriction on the allowed cell sizes of a dissection.
 
     ``kind`` is "all", "ell" (every size congruent to 3 mod ``ell``) or
@@ -147,21 +146,24 @@ class CellFilter:
     families are the one-element "sizes" case.
     """
 
-    kind: str = "all"
-    ell: Optional[int] = None
-    sizes: Optional[frozenset[int]] = None
+    __slots__ = _fields = ("kind", "ell", "sizes")
 
-    def __post_init__(self) -> None:
-        if self.kind == "ell":
-            if self.ell is None or self.ell < 1:
-                raise DomainError(f"period must be at least 1, got {self.ell}")
-        elif self.kind == "sizes":
-            if not self.sizes:
+    def __init__(
+        self, kind: str = "all", ell: Optional[int] = None, sizes: Optional[frozenset[int]] = None
+    ) -> None:
+        if kind == "ell":
+            if ell is None or ell < 1:
+                raise DomainError(f"period must be at least 1, got {ell}")
+        elif kind == "sizes":
+            if not sizes:
                 raise DomainError("size set must be nonempty")
-            if any(s < 3 for s in self.sizes):
+            if any(s < 3 for s in sizes):
                 raise DomainError("cell sizes must be at least 3")
-        elif self.kind != "all":
-            raise DomainError(f"unknown filter kind {self.kind!r}")
+        elif kind != "all":
+            raise DomainError(f"unknown filter kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "sizes", sizes)
 
     @classmethod
     def all_cells(cls) -> "CellFilter":

@@ -12,11 +12,10 @@ which ``verify_monodromy_correspondence`` checks at desk scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import formulas
-from .core import DomainError, ResourceLimitError
+from .core import DomainError, ResourceLimitError, Value
 from .enumeration import CellFilter, _carried_quiddities
 
 # Work refused by the correspondence check, on a 2-core machine:
@@ -35,14 +34,16 @@ MINUS_IDENTITY = "minus_identity"
 NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Value):
     """2x2 integer matrix (a b; c d)."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -83,13 +84,15 @@ def elementary_product(cs: Sequence[int]) -> Mat2:
     return Mat2(a, b, c, d)
 
 
-@dataclass(frozen=True)
-class MonodromyReport:
+class MonodromyReport(Value):
     """Product matrix of a coefficient tuple plus its classification:
     all recurrence solutions periodic, all antiperiodic, or neither."""
 
-    matrix: Mat2
-    classification: str
+    __slots__ = _fields = ("matrix", "classification")
+
+    def __init__(self, matrix: Mat2, classification: str) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "classification", classification)
 
 
 def classify_monodromy(cs: Sequence[int]) -> MonodromyReport:

@@ -27,10 +27,9 @@ where the geometric sum U = 1 + C U would need both C U and B U.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import DomainError
+from .core import DomainError, Value
 from .enumeration import CellFilter
 
 Row = tuple[int, ...]
@@ -244,13 +243,15 @@ def geometric_sum(s: BivariateSeries) -> BivariateSeries:
     return _recursive(s.order, lambda u: one + s * u)
 
 
-@dataclass(frozen=True)
-class EquationSpec:
+class EquationSpec(Value):
     """A named functional equation S = F(S) for a dissection-counting
     series, with F mapping series to series at a fixed order."""
 
-    name: str
-    apply: Callable[[BivariateSeries], BivariateSeries]
+    __slots__ = _fields = ("name", "apply")
+
+    def __init__(self, name: str, apply: Callable[[BivariateSeries], BivariateSeries]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "apply", apply)
 
 
 def catalan_equation() -> EquationSpec:

@@ -33,7 +33,6 @@ from __future__ import annotations
 import random
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -41,6 +40,7 @@ from .core import (
     Dissection,
     DomainError,
     ResourceLimitError,
+    Value,
     cells,
     quiddity,
 )
@@ -74,16 +74,21 @@ SURGERY_CLASS_CAP = 8_000_000
 SURGERY_CANON_CAP = 5000
 
 
-@dataclass(frozen=True)
-class SurgeryMove:
+class SurgeryMove(Value):
     """One legal surgery: the acting cell (with its index in
     :func:`cells`), the two removed chords and the two chords replacing
     them (all with sorted endpoints)."""
 
-    cell_index: int
-    cell: tuple[int, ...]
-    removed: tuple[Chord, Chord]
-    added: tuple[Chord, Chord]
+    __slots__ = _fields = ("cell_index", "cell", "removed", "added")
+
+    def __init__(
+        self, cell_index: int, cell: tuple[int, ...], removed: tuple[Chord, Chord],
+        added: tuple[Chord, Chord],
+    ) -> None:
+        object.__setattr__(self, "cell_index", cell_index)
+        object.__setattr__(self, "cell", cell)
+        object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "added", added)
 
 
 def base_edge(cell: tuple[int, ...]) -> Chord:

@@ -7,15 +7,12 @@ from __future__ import annotations
 
 import os
 import random
-import signal
 import threading
-import traceback
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from . import formulas, series
-from .core import Chord, Dissection, Quiddity, dihedral_orbit, quiddity
+from .core import Chord, Dissection, Quiddity, Value, dihedral_orbit, quiddity
 from .enumeration import ALL_CELLS, CellFilter, _carried_quiddities, _walk, enumerate_dissections
 from .modular import (
     MINUS_IDENTITY,
@@ -33,11 +30,16 @@ from .surgery import (
 from .contfrac import RegularContinuedFraction, regular_to_hj, strip_triangulation
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Value):
+    """The outcome of one check: its name, whether it passed, and a
+    detail to print after them."""
+
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -361,6 +363,8 @@ def _take(fn: Callable[[Any], Any], tasks: Sequence, queue: int) -> dict[int, tu
         try:
             done[index] = (True, fn(tasks[index]))
         except Exception as exc:
+            import traceback  # only a failing check needs it
+
             done[index] = (False, exc, traceback.format_exc())
     return done
 
@@ -416,8 +420,10 @@ def _fork_map(
         workers = 1
     if workers > 1:
         # imported here, so that a process that never forks the suite
-        # does not hold the module (about 0.25 MB)
+        # does not hold them (pickle alone is about 0.25 MB)
         import pickle
+        import signal
+        import traceback
     queue, fill = os.pipe()
     os.write(fill, bytes(order))
     os.close(fill)

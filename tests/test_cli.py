@@ -371,6 +371,32 @@ def test_cli_needs_no_fcntl_and_loads_no_csv(tmp_path, argv):
         assert (done.returncode, done.stdout, done.stderr) == (*want, "")
 
 
+def test_count_and_of_load_no_dataclasses_and_no_rare_path_modules(tmp_path):
+    # the value classes make no code at import, so nothing loads
+    # dataclasses or inspect, and the cache and verify-all's fork path
+    # import hashlib, pathlib, traceback and signal where they use them.
+    # Without site, which may load some of them, the interpreter's own
+    # start-up loads none; the table still caches in the same process
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    script = ("import sys\n"
+              "from quiddity.cli import main\n"
+              "main(['count', '--n', '10', '--m', '3'])\n"
+              "main(['of', '8:1-3,5-7'])\n"
+              "rare = {'dataclasses', 'inspect', 'hashlib', 'pathlib', 'traceback', 'signal'}\n"
+              "loaded = rare & {k for k, v in sys.modules.items() if v is not None}\n"
+              "assert not loaded, sorted(loaded)\n"
+              "sys.exit(main(['table', '--max-n', '8', '--cache-dir', sys.argv[1]]))\n")
+    directory = tmp_path / "cache"
+    done = subprocess.run([sys.executable, "-S", "-c", script, str(directory)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    want = "".join(run(argv)[1] for argv in (["count", "--n", "10", "--m", "3"],
+                                             ["of", "8:1-3,5-7"],
+                                             ["table", "--max-n", "8", "--no-cache"]))
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+    assert [p.name for p in directory.iterdir()] == [f"table-8-{source_key()}.csv"]
+
+
 def test_cold_writers_of_one_table_print_it_and_leave_one_file(tmp_path):
     directory = tmp_path / "cache"
     argv = ["table", "--max-n", "300", "--cache-dir", str(directory)]
