@@ -16,15 +16,11 @@ from __future__ import annotations
 
 import functools
 import os
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    from pathlib import Path
 
 ENV_CACHE_DIR = "QUIDDITY_CACHE_DIR"
 
 
-def resolve_cache_dir(flag_value: Optional[str] = None) -> Path:
+def resolve_cache_dir(flag_value: str | None = None) -> Path:
     """Explicit flag first, then the environment override, then a
     per-user default."""
     from pathlib import Path
@@ -58,7 +54,7 @@ class ResultCache:
         path = self.directory / filename
         return path.with_name(f"{path.stem}-{source_key()}{path.suffix}")
 
-    def get(self, filename: str) -> Optional[str]:
+    def get(self, filename: str) -> str | None:
         """The result this source stored as ``filename``, or None."""
         try:
             return self._file(filename).read_text()

@@ -34,8 +34,7 @@ import itertools
 import json
 import os
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import __version__, formulas, series
 from .cache import ResultCache, resolve_cache_dir
@@ -107,7 +106,7 @@ def _refuse_over(value: int, cap: int, what: str) -> None:
         raise ResourceLimitError(f"{what} {value} is over the cap of {cap}")
 
 
-def _refuse_negative(value: Optional[int], flag: str) -> None:
+def _refuse_negative(value: int | None, flag: str) -> None:
     if value is not None and value < 0:
         raise DomainError(f"{flag} must be at least 0, got {value}")
 
@@ -268,7 +267,7 @@ class _HelpFormatter(argparse.HelpFormatter):
                 self._current_indent + len(self._format_action_invocation(verb)))
 
 
-def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+def build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
     """The argparse parser of the grammar as far as ``argv`` reaches,
     shared by later calls that reach as far: the verb it names, with
     arguments for the actions it names (an action's parser reads only
@@ -285,7 +284,7 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
 
 
 @functools.lru_cache(maxsize=None)
-def _tree(only: Optional[str], leaves: frozenset) -> argparse.ArgumentParser:
+def _tree(only: str | None, leaves: frozenset) -> argparse.ArgumentParser:
     """The parser of the verb ``only`` (of every verb when None) and its
     actions, the leaves in ``leaves`` with their arguments; with neither,
     only each verb's name and help."""
@@ -351,7 +350,7 @@ def _table(leaf: str) -> tuple:
     return slots, options, required, defaults, _EXCLUSIVE.get(leaf, ())
 
 
-def _parse_plain(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+def _parse_plain(argv: Sequence[str]) -> argparse.Namespace | None:
     """``build_parser().parse_args(argv)`` for a plain argv (see the
     module docstring), read off the leaf's table in one pass; None for
     any other argv and for one that argparse would refuse."""
@@ -474,16 +473,15 @@ def _run_surgery(args: argparse.Namespace, out) -> int:
 def _run_cf(args: argparse.Namespace, out) -> int:
     if args.action == "eval":
         if args.regular is not None:
-            cf = RegularContinuedFraction(tuple(_parse_int_list(args.regular, "term list")))
+            cf = RegularContinuedFraction(_parse_int_list(args.regular, "term list"))
             _refuse_unprintable_continuant(cf.terms)
             value = eval_regular(cf)
         else:
-            value = eval_hj(HirzebruchJungContinuedFraction(
-                tuple(_parse_int_list(args.hj, "term list"))))
+            value = eval_hj(HirzebruchJungContinuedFraction(_parse_int_list(args.hj, "term list")))
         _refuse_unprintable(value.numerator, value.denominator)
         _print_fraction(value, args.json, out)
         return 0
-    cf = RegularContinuedFraction(tuple(_parse_int_list(args.terms, "term list")))
+    cf = RegularContinuedFraction(_parse_int_list(args.terms, "term list"))
     _refuse_over(sum(cf.terms), CF_TERM_SUM_CAP, "term sum")
     if args.action == "convert":
         print(",".join(str(t) for t in regular_to_hj(cf).terms), file=out)
@@ -514,7 +512,7 @@ def _run_modular(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
+def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     # two steps (see the module docstring), so every usage error is
     # still argparse's

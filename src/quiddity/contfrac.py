@@ -9,6 +9,7 @@ quiddity entries along the top row reproduce the minus-sign terms.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .core import Dissection, DomainError, Value
@@ -19,7 +20,8 @@ class RegularContinuedFraction(Value):
 
     __slots__ = _fields = ("terms",)
 
-    def __init__(self, terms: tuple[int, ...]) -> None:
+    def __init__(self, terms: Iterable[int]) -> None:
+        terms = tuple(terms)
         if not terms:
             raise DomainError("continued fraction needs at least one term")
         if len(terms) % 2:
@@ -34,7 +36,8 @@ class HirzebruchJungContinuedFraction(Value):
 
     __slots__ = _fields = ("terms",)
 
-    def __init__(self, terms: tuple[int, ...]) -> None:
+    def __init__(self, terms: Iterable[int]) -> None:
+        terms = tuple(terms)
         if not terms:
             raise DomainError("continued fraction needs at least one term")
         if any(t < 2 for t in terms):
@@ -69,7 +72,7 @@ def hj_expansion(value: Fraction) -> HirzebruchJungContinuedFraction:
         terms.append(c)
         rest = c - value
         if rest == 0:
-            return HirzebruchJungContinuedFraction(tuple(terms))
+            return HirzebruchJungContinuedFraction(terms)
         value = 1 / rest
 
 

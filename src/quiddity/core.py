@@ -22,8 +22,8 @@ base that, unlike a dataclass decorator, generates no code at import.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from operator import attrgetter, itemgetter
-from typing import Iterable
 
 
 class DomainError(ValueError):
@@ -165,7 +165,8 @@ class Quiddity(Value):
 
     __slots__ = _fields = ("entries",)
 
-    def __init__(self, entries: tuple[int, ...]) -> None:
+    def __init__(self, entries: Iterable[int]) -> None:
+        entries = tuple(entries)
         if entries and min(entries) < 1:
             raise DomainError("quiddity entries must be positive")
         object.__setattr__(self, "entries", entries)
@@ -291,7 +292,7 @@ def quiddity(d: Dissection) -> Quiddity:
         raise AssertionError(
             f"quiddity self-check failed for {d}: {by_membership} vs {by_degree}"
         )
-    return Quiddity(tuple(by_membership))
+    return Quiddity(by_membership)
 
 
 def cell_size_profile(d: Dissection) -> tuple[int, ...]:

@@ -58,7 +58,7 @@ chord's name.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterator, Optional, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import formulas
 from .core import (
@@ -142,25 +142,29 @@ class CellFilter(Value):
     """Restriction on the allowed cell sizes of a dissection.
 
     ``kind`` is "all", "ell" (every size congruent to 3 mod ``ell``) or
-    "sizes" (every size in the finite set ``sizes``).  Equal-size
-    families are the one-element "sizes" case.
-    """
+    "sizes" (every size in the finite set ``sizes``, kept as a
+    frozenset); a kind refuses the field it does not use.  Equal-size
+    families are the one-element "sizes" case."""
 
     __slots__ = _fields = ("kind", "ell", "sizes")
 
     def __init__(
-        self, kind: str = "all", ell: Optional[int] = None, sizes: Optional[frozenset[int]] = None
+        self, kind: str = "all", ell: int | None = None, sizes: Iterable[int] | None = None
     ) -> None:
         if kind == "ell":
             if ell is None or ell < 1:
                 raise DomainError(f"period must be at least 1, got {ell}")
         elif kind == "sizes":
+            sizes = frozenset(sizes or ())
             if not sizes:
                 raise DomainError("size set must be nonempty")
             if any(s < 3 for s in sizes):
                 raise DomainError("cell sizes must be at least 3")
         elif kind != "all":
             raise DomainError(f"unknown filter kind {kind!r}")
+        for name, value in (("ell", ell), ("sizes", sizes)):  # each kind but "all" names its field
+            if value is not None and kind != name:
+                raise DomainError(f"filter kind {kind!r} takes no {name}, got {name}={value}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "sizes", sizes)
@@ -175,7 +179,7 @@ class CellFilter(Value):
 
     @classmethod
     def size_set(cls, sizes) -> "CellFilter":
-        return cls("sizes", sizes=frozenset(sizes))
+        return cls("sizes", sizes=sizes)
 
     @classmethod
     def equal_size(cls, k: int) -> "CellFilter":
@@ -209,7 +213,7 @@ class CellFilter(Value):
 ALL_CELLS = CellFilter.all_cells()
 
 
-def _check_range(n_vertices: int, m: Optional[int]) -> None:
+def _check_range(n_vertices: int, m: int | None) -> None:
     if n_vertices < 3:
         raise DomainError(f"polygon needs at least 3 vertices, got {n_vertices}")
     if m is not None and not 1 <= m <= n_vertices - 2:
@@ -218,7 +222,7 @@ def _check_range(n_vertices: int, m: Optional[int]) -> None:
         )
 
 
-def _check_walkable(n_vertices: int, m: Optional[int]) -> None:
+def _check_walkable(n_vertices: int, m: int | None) -> None:
     """Refuse arguments out of range, then a polygon over
     ``ENUMERATE_N_CAP``, which no walk takes: a check that costs no
     count and no table."""
@@ -260,7 +264,7 @@ def _differences(want: int, a: int) -> int:
 # total, before earlier gaps used any; ``cell`` is _RUNS[q - p + 1],
 # the gap's corners relative to p packed, for when it is one cell;
 # ``next`` is the base cell's next such gap, or None.
-_Step = tuple[int, int, int, int, int, Optional["_Step"]]
+_Step = tuple
 
 
 def _reach_masks(n_vertices: int, allowed: Sequence[int]) -> list[int]:
@@ -283,7 +287,7 @@ def _reach_masks(n_vertices: int, allowed: Sequence[int]) -> list[int]:
 
 def _base_cells(
     reach: list[int], allowed: Sequence[int], span: int, want: int
-) -> Iterator[tuple[tuple[int, ...], Optional[_Step]]]:
+) -> Iterator[tuple[tuple[int, ...], _Step | None]]:
     """Every base cell on the edge (0, span), of an allowed size, whose
     gaps can hold a total count in ``want``, by increasing size and then
     in lexicographic order of its corners, one at a time as asked for:
@@ -322,7 +326,7 @@ def _base_cells(
                     c += 1
                     continue
             else:
-                step: Optional[_Step] = None  # its gaps, linked left to right
+                step: _Step | None = None  # its gaps, linked left to right
                 suffix = 1  # the counts the gaps after this one can have
                 q = span
                 for p in reversed(corners):
@@ -362,7 +366,7 @@ def clear_tables() -> None:
 
 
 def _walk(
-    n_vertices: int, m: Optional[int], cell_filter: CellFilter
+    n_vertices: int, m: int | None, cell_filter: CellFilter
 ) -> Iterator[tuple[list[Chord], list[tuple[int, int]], int]]:
     """The enumerator: an iterator over (chords, log, low) for every
     dissection of the N-gon with ``m`` cells (any count if None) under
@@ -546,9 +550,7 @@ def _walk(
 
 
 def enumerate_dissections(
-    n_vertices: int,
-    m: Optional[int] = None,
-    cell_filter: CellFilter = ALL_CELLS,
+    n_vertices: int, m: int | None = None, cell_filter: CellFilter = ALL_CELLS
 ) -> Iterator[Dissection]:
     """Every dissection of the N-gon exactly once, in canonical form,
     restricted to ``m`` cells if given and to the size filter, as an
@@ -592,7 +594,7 @@ def _line_writer(n_vertices: int) -> Callable[[list[Chord], int], str]:
     made the first time it is written, into a row of its left end's
     names, made when a run first starts there, so a line costs no table
     of every chord of the N-gon."""
-    names: list[Optional[list[Optional[str]]]] = [None] * n_vertices
+    names: list[list[str | None] | None] = [None] * n_vertices
     # by prefix length k, up to the N - 3 chords of a triangulation
     done = [f"{n_vertices}:"] * (n_vertices - 2)
     runs = [""] * (n_vertices - 2)
@@ -628,7 +630,7 @@ def _line_writer(n_vertices: int) -> Callable[[list[Chord], int], str]:
 
 
 def _texts(
-    n_vertices: int, m: Optional[int] = None, cell_filter: CellFilter = ALL_CELLS
+    n_vertices: int, m: int | None = None, cell_filter: CellFilter = ALL_CELLS
 ) -> Iterator[str]:
     """The canonical text, ``str(d)``, of every dissection
     ``enumerate_dissections`` yields, in its order, each written by
@@ -640,7 +642,7 @@ def _texts(
 
 
 def _carried_quiddities(
-    n_vertices: int, m: Optional[int], cell_filter: CellFilter
+    n_vertices: int, m: int | None, cell_filter: CellFilter
 ) -> Iterator[tuple[list[Chord], bytes, int]]:
     """(chords, quiddity entries, low) of every dissection
     ``enumerate_dissections`` yields, in its order, without ``quiddity()``.
@@ -726,7 +728,7 @@ def quiddity_classes(
     grouped: dict[bytes, list[Dissection]] = {}
     for chords, entries, _ in _carried_quiddities(n_vertices, m, cell_filter):
         grouped.setdefault(entries, []).append(Dissection._trusted(n_vertices, chords))
-    return {Quiddity(tuple(entries)): tuple(ds) for entries, ds in grouped.items()}
+    return {Quiddity(entries): tuple(ds) for entries, ds in grouped.items()}
 
 
 def _class_texts(

@@ -12,7 +12,7 @@ which ``verify_monodromy_correspondence`` checks at desk scale.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import formulas
 from .core import DomainError, ResourceLimitError, Value

@@ -27,7 +27,7 @@ where the geometric sum U = 1 + C U would need both C U and B U.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .core import DomainError, Value
 from .enumeration import CellFilter
@@ -64,7 +64,7 @@ class BivariateSeries:
         # nonzero (m, c) terms of the rows read so far by a product
         self._terms: list[list[tuple[int, int]]] = []
         # computes row len(_rows); None once every row is cached
-        self._next: Optional[Callable[[int], Row]] = None
+        self._next: Callable[[int], Row] | None = None
 
     @classmethod
     def _lazy(cls, order: int, low: int, next_row: Callable[[int], Row]) -> "BivariateSeries":
@@ -410,7 +410,7 @@ NAMED_EQUATIONS: dict[str, Callable[..., EquationSpec]] = {
 }
 
 
-def solve_named(name: str, max_z_order: int, ell: Optional[int] = None) -> BivariateSeries:
+def solve_named(name: str, max_z_order: int, ell: int | None = None) -> BivariateSeries:
     """Solve one of the named equations; ``q`` composes the quiddity
     series from the auxiliary solution."""
     if name == "q":

@@ -30,10 +30,9 @@ validated once.
 """
 from __future__ import annotations
 
-import random
 from bisect import insort
 from collections import deque
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 from .core import (
     Chord,
@@ -187,7 +186,7 @@ def _kept_quiddity(n: int, chords: tuple[Chord, ...], degrees: list[int]) -> Dis
 
 
 def apply_surgery(
-    d: Dissection, move: SurgeryMove, legal: Optional[list[SurgeryMove]] = None
+    d: Dissection, move: SurgeryMove, legal: list[SurgeryMove] | None = None
 ) -> Dissection:
     """Apply a surgery move, returning the canonical result.
 
@@ -237,7 +236,7 @@ def _opening(n: int, cs: Sequence[tuple[int, ...]]) -> Iterator[SurgeryMove]:
 
 
 def canonicalize_trace(
-    d: Dissection, rng: Optional[random.Random] = None
+    d: Dissection, rng: random.Random | None = None
 ) -> tuple[Dissection, tuple[SurgeryMove, ...]]:
     """Apply 3-periodic opening surgeries until none remains, returning
     the fixed point and the moves applied.
@@ -281,9 +280,7 @@ def canonicalize_trace(
     return result, tuple(applied)
 
 
-def canonicalize_maximally_open(
-    d: Dissection, rng: Optional[random.Random] = None
-) -> Dissection:
+def canonicalize_maximally_open(d: Dissection, rng: random.Random | None = None) -> Dissection:
     """The maximally open dissection reached from ``d`` by repeated
     3-periodic opening surgeries."""
     result, _ = canonicalize_trace(d, rng)
@@ -293,7 +290,7 @@ def canonicalize_maximally_open(
 def surgery_class(
     d: Dissection,
     require_3periodic: bool,
-    max_work: Optional[int] = None,
+    max_work: int | None = None,
 ) -> frozenset[Dissection]:
     """Closure of a dissection under (3-periodic) surgeries, by
     breadth-first search.  Each state carries its cells from its parent;

@@ -9,7 +9,7 @@ import os
 import random
 import threading
 from collections import Counter
-from typing import Any, Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from . import formulas, series
 from .core import Chord, Dissection, Quiddity, Value, dihedral_orbit, quiddity
@@ -50,7 +50,7 @@ def check_dissection_counts(max_n: int) -> CheckResult:
     """Brute-force enumeration counts against all four closed forms,
     counting each comparison made.  The members are counted off the
     enumerator's walk, with no ``Dissection`` made for each."""
-    def by_cells(n_vertices: int, m: Optional[int], cell_filter: CellFilter) -> Counter:
+    def by_cells(n_vertices: int, m: int | None, cell_filter: CellFilter) -> Counter:
         return Counter(len(chords) + 1 for chords, _, _ in _walk(n_vertices, m, cell_filter))
 
     checked = 0
@@ -126,7 +126,7 @@ def check_equal_size_injectivity(max_n: int) -> CheckResult:
             if bad:
                 return CheckResult(
                     "equal-size-injectivity", False,
-                    f"N={n_vertices}, m={m}, quiddity {Quiddity(tuple(bad[0]))}")
+                    f"N={n_vertices}, m={m}, quiddity {Quiddity(bad[0])}")
     return CheckResult("equal-size-injectivity", True, f"all equal-size families, N <= {max_n}")
 
 
@@ -144,7 +144,7 @@ def _shared_quiddities(
             for entries in sorted(grouped) if len(grouped[entries]) > 1]
 
 
-def find_non_dihedral_pair(max_n: int) -> Optional[tuple[Dissection, Dissection]]:
+def find_non_dihedral_pair(max_n: int) -> tuple[Dissection, Dissection] | None:
     """Smallest equal-quiddity pair not related by any dihedral
     relabeling, searching all dissections by polygon size."""
     for n_vertices in range(3, max_n + 1):
@@ -157,7 +157,7 @@ def find_non_dihedral_pair(max_n: int) -> Optional[tuple[Dissection, Dissection]
     return None
 
 
-def find_equal_quiddity_without_surgery(n_vertices: int = 8) -> Optional[tuple[Dissection, Dissection]]:
+def find_equal_quiddity_without_surgery(n_vertices: int = 8) -> tuple[Dissection, Dissection] | None:
     """Equal-quiddity pair among triangle/quadrilateral dissections
     (which admit no surgery at all)."""
     for m in range(1, n_vertices - 1):
@@ -353,7 +353,7 @@ class _ChildTraceback(Exception):
     the cause of the exception when it is raised again in the caller."""
 
 
-def _take(fn: Callable[[Any], Any], tasks: Sequence, queue: int) -> dict[int, tuple]:
+def _take(fn: Callable[[object], object], tasks: Sequence, queue: int) -> dict[int, tuple]:
     """Run ``fn`` on each task whose index this process takes from the
     ``queue`` pipe, until the pipe is empty: index -> (True, value), or
     (False, exception, traceback text) for a task that raised."""
@@ -385,7 +385,7 @@ FORK_MIN_MS = 100
 
 
 def _fork_map(
-    fn: Callable[[Any], Any], tasks: Sequence, costs: Optional[Sequence[float]] = None
+    fn: Callable[[object], object], tasks: Sequence, costs: Sequence[float] | None = None
 ) -> list:
     """``[fn(task) for task in tasks]``, run on up to one process per
     usable CPU when the tasks' ``costs`` (their estimated times in ms,

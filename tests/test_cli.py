@@ -373,8 +373,9 @@ def test_cli_needs_no_fcntl_and_loads_no_csv(tmp_path, argv):
 
 def test_count_and_of_load_no_dataclasses_and_no_rare_path_modules(tmp_path):
     # the value classes make no code at import, so nothing loads
-    # dataclasses or inspect, and the cache and verify-all's fork path
-    # import hashlib, pathlib, traceback and signal where they use them.
+    # dataclasses or inspect; no module imports typing for its
+    # annotations; and the cache and verify-all's fork path import
+    # hashlib, pathlib, traceback and signal where they use them.
     # Without site, which may load some of them, the interpreter's own
     # start-up loads none; the table still caches in the same process
     src = Path(__file__).resolve().parent.parent / "src"
@@ -383,7 +384,8 @@ def test_count_and_of_load_no_dataclasses_and_no_rare_path_modules(tmp_path):
               "from quiddity.cli import main\n"
               "main(['count', '--n', '10', '--m', '3'])\n"
               "main(['of', '8:1-3,5-7'])\n"
-              "rare = {'dataclasses', 'inspect', 'hashlib', 'pathlib', 'traceback', 'signal'}\n"
+              "rare = {'dataclasses', 'inspect', 'typing', 'hashlib', 'pathlib', 'traceback',"
+              " 'signal'}\n"
               "loaded = rare & {k for k, v in sys.modules.items() if v is not None}\n"
               "assert not loaded, sorted(loaded)\n"
               "sys.exit(main(['table', '--max-n', '8', '--cache-dir', sys.argv[1]]))\n")

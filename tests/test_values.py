@@ -10,7 +10,7 @@ import pytest
 
 from quiddity.contfrac import HirzebruchJungContinuedFraction, RegularContinuedFraction
 from quiddity.core import Dissection, DomainError, Quiddity, cells
-from quiddity.enumeration import CellFilter
+from quiddity.enumeration import CellFilter, count_dissections, enumerate_dissections
 from quiddity.modular import Mat2, MonodromyReport
 from quiddity.series import EquationSpec
 from quiddity.surgery import SurgeryMove
@@ -121,11 +121,45 @@ def test_values_build_by_keyword():
     ({"kind": "sizes", "sizes": frozenset()}, "size set must be nonempty"),
     ({"kind": "sizes", "sizes": frozenset({2, 3})}, "cell sizes must be at least 3"),
     ({"kind": "squares"}, "unknown filter kind 'squares'"),
+    ({"kind": "all", "ell": 2}, "filter kind 'all' takes no ell, got ell=2"),
+    ({"kind": "sizes", "ell": 3, "sizes": frozenset({3})},
+     "filter kind 'sizes' takes no ell, got ell=3"),
+    ({"kind": "all", "sizes": frozenset({3})},
+     "filter kind 'all' takes no sizes, got sizes=frozenset({3})"),
+    ({"kind": "ell", "ell": 3, "sizes": frozenset({5})},
+     "filter kind 'ell' takes no sizes, got sizes=frozenset({5})"),
 ])
 def test_cell_filter_refuses_bad_fields(kwargs, message):
     with pytest.raises(DomainError) as info:
         CellFilter(**kwargs)
     assert str(info.value) == message
+
+
+# (a value built from a mutable collection, the same value built from
+# a tuple or frozenset)
+MUTABLE_BUILT = [
+    (CellFilter("sizes", sizes={3, 4}), CellFilter.size_set(frozenset({3, 4}))),
+    (Quiddity([2, 1, 2, 1, 1]), Quiddity((2, 1, 2, 1, 1))),
+    (RegularContinuedFraction([2, 1]), RegularContinuedFraction((2, 1))),
+    (HirzebruchJungContinuedFraction([3, 2]), HirzebruchJungContinuedFraction((3, 2))),
+]
+
+
+@pytest.mark.parametrize("value,twin", MUTABLE_BUILT,
+                         ids=[type(value).__name__ for value, _ in MUTABLE_BUILT])
+def test_collection_fields_are_stored_immutably(value, twin):
+    assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
+    for name in type(value).__match_args__:
+        assert type(getattr(value, name)) is type(getattr(twin, name))
+
+
+def test_a_filter_built_from_a_set_keeps_no_view_of_it():
+    sizes = {3, 4}
+    filt = CellFilter("sizes", sizes=sizes)
+    sizes.add(5)
+    assert list(filt.allowed_sizes_upto(8)) == [3, 4]
+    # the walk keys its tables by the filter, so the filter must hash
+    assert sum(1 for _ in enumerate_dissections(6, 3, filt)) == count_dissections(6, 3, filt) == 21
 
 
 def test_copies_and_pickles_of_a_dissection_are_validated_again():
