@@ -58,6 +58,7 @@ chord's name.
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import formulas
@@ -138,6 +139,14 @@ TABLES_KEPT = 16
 _NO_MORE: Iterator = iter(())
 
 
+def _integer(value: object, what: str) -> int:
+    """``value`` as an int, or DomainError if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
 class CellFilter(Value):
     """Restriction on the allowed cell sizes of a dissection.
 
@@ -152,10 +161,11 @@ class CellFilter(Value):
         self, kind: str = "all", ell: int | None = None, sizes: Iterable[int] | None = None
     ) -> None:
         if kind == "ell":
+            ell = None if ell is None else _integer(ell, "period")
             if ell is None or ell < 1:
                 raise DomainError(f"period must be at least 1, got {ell}")
         elif kind == "sizes":
-            sizes = frozenset(sizes or ())
+            sizes = frozenset(_integer(s, "cell size") for s in sizes or ())
             if not sizes:
                 raise DomainError("size set must be nonempty")
             if any(s < 3 for s in sizes):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable
 
-from .core import DomainError, Value
+from .core import DomainError
 from .enumeration import CellFilter
 
 Row = tuple[int, ...]
@@ -141,17 +141,20 @@ class BivariateSeries:
                 f"series order mismatch: {self.order} vs {other.order}"
             )
 
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
+    def _elementwise(
+        self, other: "BivariateSeries", op: Callable[[int, int], int]
+    ) -> "BivariateSeries":
+        """The node applying ``op`` to each pair of coefficients."""
         self._require_same_order(other)
         return BivariateSeries._lazy(
             self.order, min(self._low, other._low),
-            lambda n: tuple(map(operator.add, self._row(n), other._row(n))))
+            lambda n: tuple(map(op, self._row(n), other._row(n))))
+
+    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
+        return self._elementwise(other, operator.add)
 
     def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        self._require_same_order(other)
-        return BivariateSeries._lazy(
-            self.order, min(self._low, other._low),
-            lambda n: tuple(map(operator.sub, self._row(n), other._row(n))))
+        return self._elementwise(other, operator.sub)
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         """A square ``a * a`` takes each pair of rows k < n - k once,
@@ -243,26 +246,15 @@ def geometric_sum(s: BivariateSeries) -> BivariateSeries:
     return _recursive(s.order, lambda u: one + s * u)
 
 
-class EquationSpec(Value):
-    """A named functional equation S = F(S) for a dissection-counting
-    series, with F mapping series to series at a fixed order."""
-
-    __slots__ = _fields = ("name", "apply")
-
-    def __init__(self, name: str, apply: Callable[[BivariateSeries], BivariateSeries]) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "apply", apply)
+Equation = Callable[[BivariateSeries], BivariateSeries]
 
 
-def catalan_equation() -> EquationSpec:
-    def f(s: BivariateSeries) -> BivariateSeries:
-        one = BivariateSeries.one(s.order)
-        return one + (s * s).shift(1, 0)
-
-    return EquationSpec("catalan", f)
+def catalan_equation(s: BivariateSeries) -> BivariateSeries:
+    # S = 1 + z S^2
+    return BivariateSeries.one(s.order) + (s * s).shift(1, 0)
 
 
-def cell_filter_equation(cell_filter: CellFilter) -> EquationSpec:
+def cell_filter_equation(cell_filter: CellFilter) -> Equation:
     """S = 1 + w z S^2 * sum over allowed cell sizes t of (zS)^(t-3):
     the z^n w^m coefficient counts dissections of the (n+2)-gon into m
     cells whose sizes pass the filter.
@@ -294,36 +286,17 @@ def cell_filter_equation(cell_filter: CellFilter) -> EquationSpec:
             image = image + tail.shift(ell, 0)
         return image
 
-    return EquationSpec(f"cells({cell_filter.describe()})", f)
+    return f
 
 
-def kirkman_cayley_equation() -> EquationSpec:
-    # S = 1 + w z S^2 / (1 - z S), solved as S = 1 + w z S^2 + z S (S - 1)
-    return EquationSpec("kirkman-cayley", cell_filter_equation(CellFilter.all_cells()).apply)
-
-
-def ell_periodic_equation(ell: int) -> EquationSpec:
-    # S = 1 + w z S^2 / (1 - z^ell S^ell), solved as
-    # S = 1 + w z S^2 + z^ell S^ell (S - 1)
-    return EquationSpec(f"ell-periodic({ell})", cell_filter_equation(CellFilter.ell_periodic(ell)).apply)
-
-
-def tri_quad_equation() -> EquationSpec:
-    # S = 1 + w z S^2 + w z^2 S^3
-    return EquationSpec("tri-quad", cell_filter_equation(CellFilter.size_set({3, 4})).apply)
-
-
-def p_equation() -> EquationSpec:
+def p_equation(s: BivariateSeries) -> BivariateSeries:
     # S = 1 + w z S^2 / (1 - z^3 S^2), solved as
     # S = 1 + w z S^2 + z^3 S^2 (S - 1)
-    def f(s: BivariateSeries) -> BivariateSeries:
-        one, ss = BivariateSeries.one(s.order), s * s
-        return one + ss.shift(1, 1) + (ss * (s - one)).shift(3, 0)
-
-    return EquationSpec("p", f)
+    one, ss = BivariateSeries.one(s.order), s * s
+    return one + ss.shift(1, 1) + (ss * (s - one)).shift(3, 0)
 
 
-def solve_fixed_point(spec: EquationSpec, max_z_order: int) -> BivariateSeries:
+def solve_fixed_point(equation: Equation, max_z_order: int) -> BivariateSeries:
     """The unique series satisfying S = F(S) up to the truncation order,
     solved row by row.
 
@@ -336,7 +309,7 @@ def solve_fixed_point(spec: EquationSpec, max_z_order: int) -> BivariateSeries:
     """
     if max_z_order < 0:
         raise DomainError(f"truncation order must be nonnegative, got {max_z_order}")
-    s = _recursive(max_z_order, spec.apply)
+    s = _recursive(max_z_order, equation)
     s._row(max_z_order)
     return s
 
@@ -353,7 +326,7 @@ def compose_q(p: BivariateSeries) -> BivariateSeries:
     it, since ``solve_named`` composes Q (``_compose_q``) from a P that
     ``solve_fixed_point`` has just solved.
     """
-    if p_equation().apply(p) != p:
+    if p_equation(p) != p:
         raise DomainError("input series does not solve the auxiliary equation")
     return _compose_q(p)
 
@@ -401,12 +374,21 @@ def series_terms_json(s: BivariateSeries) -> list[dict[str, object]]:
     ]
 
 
-NAMED_EQUATIONS: dict[str, Callable[..., EquationSpec]] = {
-    "catalan": catalan_equation,
-    "kirkman-cayley": kirkman_cayley_equation,
-    "ell-periodic": ell_periodic_equation,
-    "tri-quad": tri_quad_equation,
-    "p": p_equation,
+def _ell_periodic_equation(ell: int | None) -> Equation:
+    if ell is None:
+        raise DomainError("ell-periodic equation needs a period")
+    return cell_filter_equation(CellFilter.ell_periodic(ell))
+
+
+# each name's equation, given the period; the three filters' equations
+# are S = 1 + w z S^2 / (1 - z S) for all cells, the same with z^ell S^ell
+# for the sizes 3 mod ell, and S = 1 + w z S^2 + w z^2 S^3 for sizes 3, 4
+NAMED_EQUATIONS: dict[str, Callable[[int | None], Equation]] = {
+    "catalan": lambda ell: catalan_equation,
+    "kirkman-cayley": lambda ell: cell_filter_equation(CellFilter.all_cells()),
+    "ell-periodic": _ell_periodic_equation,
+    "tri-quad": lambda ell: cell_filter_equation(CellFilter.size_set({3, 4})),
+    "p": lambda ell: p_equation,
 }
 
 
@@ -415,11 +397,7 @@ def solve_named(name: str, max_z_order: int, ell: int | None = None) -> Bivariat
     series from the auxiliary solution."""
     if name == "q":
         # a P solved here needs none of compose_q's check of a caller's P
-        return _compose_q(solve_fixed_point(p_equation(), max_z_order))
+        return _compose_q(solve_fixed_point(p_equation, max_z_order))
     if name not in NAMED_EQUATIONS:
         raise DomainError(f"unknown equation {name!r}")
-    if name == "ell-periodic":
-        if ell is None:
-            raise DomainError("ell-periodic equation needs a period")
-        return solve_fixed_point(ell_periodic_equation(ell), max_z_order)
-    return solve_fixed_point(NAMED_EQUATIONS[name](), max_z_order)
+    return solve_fixed_point(NAMED_EQUATIONS[name](ell), max_z_order)

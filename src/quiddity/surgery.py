@@ -76,7 +76,8 @@ SURGERY_CANON_CAP = 5000
 class SurgeryMove(Value):
     """One legal surgery: the acting cell (with its index in
     :func:`cells`), the two removed chords and the two chords replacing
-    them (all with sorted endpoints)."""
+    them (all with sorted endpoints); the cell and each pair of chords
+    are kept as tuples, whatever sequence the caller passes."""
 
     __slots__ = _fields = ("cell_index", "cell", "removed", "added")
 
@@ -85,9 +86,9 @@ class SurgeryMove(Value):
         added: tuple[Chord, Chord],
     ) -> None:
         object.__setattr__(self, "cell_index", cell_index)
-        object.__setattr__(self, "cell", cell)
-        object.__setattr__(self, "removed", removed)
-        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "cell", tuple(cell))
+        object.__setattr__(self, "removed", tuple(removed))
+        object.__setattr__(self, "added", tuple(added))
 
 
 def base_edge(cell: tuple[int, ...]) -> Chord:

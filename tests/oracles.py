@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 from quiddity.core import Chord, Dissection, DomainError
 from quiddity.enumeration import CellFilter
-from quiddity.series import BivariateSeries, EquationSpec
+from quiddity.series import BivariateSeries, Equation
 
 
 def cells_by_splitting(d: Dissection) -> list[tuple[int, ...]]:
@@ -293,12 +293,12 @@ def shifts_by_monomial_products():
         BivariateSeries.shift = moving
 
 
-def solve_at_full_order(spec: EquationSpec, order: int) -> BivariateSeries:
+def solve_at_full_order(equation: Equation, order: int) -> BivariateSeries:
     """The fixed point of S = F(S) from order+1 iterations of F, each
     at the full truncation order and with shifts done as products,
     starting from S = 1: the k-th iteration fixes the z^(k-1) row."""
     with shifts_by_monomial_products():
         s = BivariateSeries.one(order)
         for _ in range(order + 1):
-            s = spec.apply(s)
+            s = equation(s)
     return s

@@ -223,7 +223,7 @@ def test_dissection_count_is_zero_without_a_composition():
 
 
 def test_quiddity_count_matches_the_series_coefficients():
-    q = compose_q(solve_fixed_point(p_equation(), 30))
+    q = compose_q(solve_fixed_point(p_equation, 30))
     for n in range(31):
         for m in range(n + 1):
             assert quiddity_count_3periodic(n, m) == q.coefficient(n, m), (n, m)

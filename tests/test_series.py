@@ -14,17 +14,13 @@ from quiddity.series import (
     catalan_equation,
     cell_filter_equation,
     compose_q,
-    EquationSpec,
-    ell_periodic_equation,
     geometric_sum,
-    kirkman_cayley_equation,
     lagrange_invert,
     NAMED_EQUATIONS,
     p_equation,
     solve_fixed_point,
     solve_named,
     series_terms_json,
-    tri_quad_equation,
 )
 from quiddity.verification import dissection_inversion_series, known_quiddity_table
 
@@ -38,7 +34,7 @@ def closed_form_with_empty_row(f, n, m):
 
 
 def test_catalan_series():
-    s = solve_fixed_point(catalan_equation(), 12)
+    s = solve_fixed_point(catalan_equation, 12)
     assert s.coefficient(5, 0) == 42
     assert s.coefficient(6, 0) == 132
     for n in range(13):
@@ -46,7 +42,7 @@ def test_catalan_series():
 
 
 def test_kirkman_cayley_series():
-    s = solve_fixed_point(kirkman_cayley_equation(), 12)
+    s = solve_fixed_point(NAMED_EQUATIONS["kirkman-cayley"](None), 12)
     assert s.coefficient(4, 2) == 9
     assert s.coefficient(9, 9) == 4862
     for n in range(13):
@@ -57,7 +53,7 @@ def test_kirkman_cayley_series():
 
 def test_ell_periodic_series():
     for ell in (2, 3):
-        s = solve_fixed_point(ell_periodic_equation(ell), 12)
+        s = solve_fixed_point(NAMED_EQUATIONS["ell-periodic"](ell), 12)
         for n in range(13):
             for m in range(n + 1):
                 want = closed_form_with_empty_row(
@@ -66,7 +62,7 @@ def test_ell_periodic_series():
 
 
 def test_tri_quad_series():
-    s = solve_fixed_point(tri_quad_equation(), 12)
+    s = solve_fixed_point(NAMED_EQUATIONS["tri-quad"](None), 12)
     for n in range(13):
         for m in range(n + 1):
             assert s.coefficient(n, m) == \
@@ -83,14 +79,14 @@ def test_cell_filter_series_without_closed_form():
 
 
 def test_auxiliary_series_low_orders():
-    p = solve_fixed_point(p_equation(), 3)
+    p = solve_fixed_point(p_equation, 3)
     assert p.coefficient(0, 0) == 1
     assert p.coefficient(1, 1) == 1
     assert p.coefficient(2, 2) == 2
 
 
 def test_quiddity_series_composition():
-    p = solve_fixed_point(p_equation(), 12)
+    p = solve_fixed_point(p_equation, 12)
     q = compose_q(p)
     assert q.coefficient(0, 0) == 1
     assert q.coefficient(6, 3) == 34
@@ -108,23 +104,23 @@ def test_compose_rejects_non_solutions():
 
 
 def test_residual_vanishes():
-    for eq in (catalan_equation(), kirkman_cayley_equation(),
-               ell_periodic_equation(3), tri_quad_equation(), p_equation()):
-        s = solve_fixed_point(eq, 9)
-        assert eq.apply(s) == s
+    for name, ell in (("catalan", None), ("kirkman-cayley", None), ("ell-periodic", 3),
+                      ("tri-quad", None), ("p", None)):
+        equation = NAMED_EQUATIONS[name](ell)
+        s = solve_fixed_point(equation, 9)
+        assert equation(s) == s
         # the defining map sends constant-term-1 series to 1 + higher order
-        image = eq.apply(BivariateSeries.one(9))
+        image = equation(BivariateSeries.one(9))
         assert image.coefficient(0, 0) == 1
 
 
 def test_solve_applies_the_equation_once_and_computes_every_row():
     applied = []
-    spec = kirkman_cayley_equation()
-    counted = EquationSpec(spec.name, lambda s: applied.append(1) or spec.apply(s))
-    s = solve_fixed_point(counted, 12)
+    equation = NAMED_EQUATIONS["kirkman-cayley"](None)
+    s = solve_fixed_point(lambda s: applied.append(1) or equation(s), 12)
     assert len(applied) == 1
     assert s._next is None  # every row computed, its operands dropped
-    assert s == solve_at_full_order(spec, 12)
+    assert s == solve_at_full_order(equation, 12)
 
 
 NAMED = [("catalan", None), ("kirkman-cayley", None), ("tri-quad", None), ("p", None),
@@ -136,18 +132,29 @@ def test_named_solutions_match_full_order_iteration(name, ell):
     for order in range(17):
         if name == "q":
             with shifts_by_monomial_products():
-                want = compose_q(solve_at_full_order(p_equation(), order))
+                want = compose_q(solve_at_full_order(p_equation, order))
         else:
-            spec = ell_periodic_equation(ell) if ell else NAMED_EQUATIONS[name]()
-            want = solve_at_full_order(spec, order)
+            want = solve_at_full_order(NAMED_EQUATIONS[name](ell), order)
         assert solve_named(name, order, ell) == want, order
+
+
+@pytest.mark.parametrize("name, ell, cell_filter", [
+    ("kirkman-cayley", None, CellFilter.all_cells()), ("tri-quad", None, CellFilter.size_set({3, 4})),
+    *(("ell-periodic", ell, CellFilter.ell_periodic(ell)) for ell in (1, 2, 3, 4))],
+    ids=lambda v: v.describe() if isinstance(v, CellFilter) else None)
+def test_named_series_count_what_their_filter_allows(name, ell, cell_filter):
+    # the series and the composition count read the same filter
+    s = solve_named(name, 16, ell)
+    for n in range(17):
+        for m in range(1, n + 1):
+            assert s.coefficient(n, m) == count_dissections(n + 2, m, cell_filter), (n, m)
 
 
 @pytest.mark.parametrize("sizes", [{3, 5}, {4, 7}])
 def test_cell_filter_solutions_match_full_order_iteration(sizes):
-    spec = cell_filter_equation(CellFilter.size_set(sizes))
+    equation = cell_filter_equation(CellFilter.size_set(sizes))
     for order in range(17):
-        assert solve_fixed_point(spec, order) == solve_at_full_order(spec, order), order
+        assert solve_fixed_point(equation, order) == solve_at_full_order(equation, order), order
 
 
 def power_sum_filter_equation(cell_filter):
@@ -165,7 +172,7 @@ def power_sum_filter_equation(cell_filter):
             total = total + power
         return one + (s * s).shift(1, 1) * total
 
-    return EquationSpec(f"power-sum({cell_filter.describe()})", f)
+    return f
 
 
 @pytest.mark.parametrize("cell_filter", [
@@ -174,19 +181,16 @@ def power_sum_filter_equation(cell_filter):
     *(CellFilter.size_set(sizes) for sizes in ({3}, {4}, {3, 4}, {5, 7}))],
     ids=lambda f: f.describe())
 def test_filter_equation_matches_its_power_sum_form(cell_filter):
-    spec, definition = cell_filter_equation(cell_filter), power_sum_filter_equation(cell_filter)
+    equation, definition = cell_filter_equation(cell_filter), power_sum_filter_equation(cell_filter)
     for order in range(21):
-        assert solve_fixed_point(spec, order) == solve_fixed_point(definition, order), order
+        assert solve_fixed_point(equation, order) == solve_fixed_point(definition, order), order
 
 
-def geometric_p_equation():
+def geometric_p_equation(p):
     """P = 1 + w z P^2 / (1 - z^3 P^2) as the paper writes it, the
     fraction expanded as a geometric sum."""
-    def f(p):
-        pp = p * p
-        return BivariateSeries.one(p.order) + pp.shift(1, 1) * geometric_sum(pp.shift(3, 0))
-
-    return EquationSpec("geometric-p", f)
+    pp = p * p
+    return BivariateSeries.one(p.order) + pp.shift(1, 1) * geometric_sum(pp.shift(3, 0))
 
 
 def geometric_q(p):
@@ -197,7 +201,7 @@ def geometric_q(p):
 
 def test_p_and_q_match_their_geometric_definitions():
     for order in range(21):
-        p = solve_fixed_point(geometric_p_equation(), order)
+        p = solve_fixed_point(geometric_p_equation, order)
         assert solve_named("p", order) == p, order
         assert solve_named("q", order) == geometric_q(p), order
 
@@ -211,21 +215,24 @@ def products(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("spec, most", [
-    (catalan_equation(), 1), (kirkman_cayley_equation(), 1), (ell_periodic_equation(2), 2),
-    (ell_periodic_equation(3), 3), (ell_periodic_equation(4), 3), (p_equation(), 2),
+FEW_PRODUCTS = [
+    ("catalan", None, 1), ("kirkman-cayley", None, 1), ("ell-periodic", 2, 2),
+    ("ell-periodic", 3, 3), ("ell-periodic", 4, 3), ("p", None, 2),
     # a period past the order leaves S^2 alone
-    (ell_periodic_equation(10), 1), (ell_periodic_equation(10 ** 30), 1)],
-    ids=lambda v: getattr(v, "name", None))
-def test_each_equation_builds_few_products(products, spec, most):
+    ("ell-periodic", 10, 1), ("ell-periodic", 10 ** 30, 1)]
+
+
+@pytest.mark.parametrize("name, ell, most", FEW_PRODUCTS, ids=[
+    f"{name}({ell})-{most}" if ell else f"{name}-{most}" for name, ell, most in FEW_PRODUCTS])
+def test_each_equation_builds_few_products(products, name, ell, most):
     # each rational equation is solved cleared of its denominator: a
     # geometric sum would cost a product for itself and one for its use
-    spec.apply(BivariateSeries.one(9))
+    NAMED_EQUATIONS[name](ell)(BivariateSeries.one(9))
     assert len(products) <= most
 
 
 def test_quiddity_series_builds_three_products(products):
-    p = solve_fixed_point(p_equation(), 9)
+    p = solve_fixed_point(p_equation, 9)
     products.clear()
     series._compose_q(p)
     assert len(products) == 3
@@ -234,17 +241,17 @@ def test_quiddity_series_builds_three_products(products):
 def test_equation_without_a_factor_z_is_refused_cleanly():
     # S = 1 + S^2 reads row n of S to compute row n; the second equation
     # reads row 0 of S while it is still being defined
-    unguarded = [
-        EquationSpec("no-z", lambda s: BivariateSeries.one(s.order) + s * s),
-        EquationSpec("identity", lambda s: s),
-        EquationSpec("eager", lambda s: BivariateSeries.one(s.order) + geometric_sum(s * s)),
-    ]
-    for spec in unguarded:
+    unguarded = {
+        "no-z": lambda s: BivariateSeries.one(s.order) + s * s,
+        "identity": lambda s: s,
+        "eager": lambda s: BivariateSeries.one(s.order) + geometric_sum(s * s),
+    }
+    for name, equation in unguarded.items():
         for order in (0, 5, 60):
             start = time.perf_counter()
             with pytest.raises(AssertionError):
-                solve_fixed_point(spec, order)
-            assert time.perf_counter() - start < 1.0, (spec.name, order)
+                solve_fixed_point(equation, order)
+            assert time.perf_counter() - start < 1.0, (name, order)
 
 
 def test_solution_may_stand_on_either_side_of_a_product():
@@ -255,8 +262,7 @@ def test_solution_may_stand_on_either_side_of_a_product():
         return BivariateSeries.one(s.order) + s * s.shift(1, 0)
 
     for order in range(13):
-        assert solve_fixed_point(EquationSpec("left", f), order) == \
-            solve_fixed_point(catalan_equation(), order), order
+        assert solve_fixed_point(f, order) == solve_fixed_point(catalan_equation, order), order
 
 
 def signed_series(order, seed):
@@ -316,11 +322,11 @@ def test_high_powers_and_inversion_do_not_recurse_deeply():
 
 def test_solver_refuses_negative_order():
     with pytest.raises(DomainError):
-        solve_fixed_point(catalan_equation(), -1)
+        solve_fixed_point(catalan_equation, -1)
 
 
 def test_coefficient_bounds_checked():
-    s = solve_fixed_point(catalan_equation(), 5)
+    s = solve_fixed_point(catalan_equation, 5)
     with pytest.raises(DomainError):
         s.coefficient(6, 0)
     with pytest.raises(DomainError):
@@ -383,7 +389,7 @@ def test_lagrange_rejects_zero_constant_term():
 
 
 def test_series_dump_format():
-    s = solve_fixed_point(catalan_equation(), 3)
+    s = solve_fixed_point(catalan_equation, 3)
     assert series_terms_json(s) == [
         {"n": 0, "m": 0, "coeff": "1"},
         {"n": 1, "m": 0, "coeff": "1"},
@@ -403,10 +409,10 @@ def test_solve_named_q_builds_the_p_equation_once(monkeypatch):
     # satisfies the auxiliary equation by construction: the equation is
     # not built again to check it
     built = []
-    monkeypatch.setattr(series, "p_equation", lambda: built.append(1) or p_equation())
+    monkeypatch.setattr(series, "p_equation", lambda s: built.append(1) or p_equation(s))
     q = solve_named("q", 8)
     assert len(built) == 1
-    assert q == compose_q(solve_fixed_point(p_equation(), 8))
+    assert q == compose_q(solve_fixed_point(p_equation, 8))
 
 
 small_series = st.builds(

@@ -12,15 +12,8 @@ from quiddity.contfrac import HirzebruchJungContinuedFraction, RegularContinuedF
 from quiddity.core import Dissection, DomainError, Quiddity, cells
 from quiddity.enumeration import CellFilter, count_dissections, enumerate_dissections
 from quiddity.modular import Mat2, MonodromyReport
-from quiddity.series import EquationSpec
 from quiddity.surgery import SurgeryMove
 from quiddity.verification import CheckResult
-
-
-def _same(s):
-    """An equation's right-hand side, named at module level so that it
-    pickles."""
-    return s
 
 
 # (value, its fields in order, its exact repr)
@@ -33,7 +26,6 @@ FROZEN = [
      (0, (0, 1, 3, 4, 5, 7), ((1, 3), (5, 7)), ((1, 7), (3, 5))),
      "SurgeryMove(cell_index=0, cell=(0, 1, 3, 4, 5, 7), removed=((1, 3), (5, 7)), "
      "added=((1, 7), (3, 5)))"),
-    (EquationSpec("same", _same), ("same", _same), f"EquationSpec(name='same', apply={_same!r})"),
     (Mat2(1, -1, 1, 0), (1, -1, 1, 0), "Mat2(a=1, b=-1, c=1, d=0)"),
     (MonodromyReport(Mat2(-1, 0, 0, -1), "minus_identity"),
      (Mat2(-1, 0, 0, -1), "minus_identity"),
@@ -128,6 +120,10 @@ def test_values_build_by_keyword():
      "filter kind 'all' takes no sizes, got sizes=frozenset({3})"),
     ({"kind": "ell", "ell": 3, "sizes": frozenset({5})},
      "filter kind 'ell' takes no sizes, got sizes=frozenset({5})"),
+    # a non-integer is refused here, not by a later range()
+    ({"kind": "ell", "ell": 2.5}, "period must be an integer, got 2.5"),
+    ({"kind": "ell", "ell": "3"}, "period must be an integer, got '3'"),
+    ({"kind": "sizes", "sizes": {3, 3.5}}, "cell size must be an integer, got 3.5"),
 ])
 def test_cell_filter_refuses_bad_fields(kwargs, message):
     with pytest.raises(DomainError) as info:
@@ -142,6 +138,8 @@ MUTABLE_BUILT = [
     (Quiddity([2, 1, 2, 1, 1]), Quiddity((2, 1, 2, 1, 1))),
     (RegularContinuedFraction([2, 1]), RegularContinuedFraction((2, 1))),
     (HirzebruchJungContinuedFraction([3, 2]), HirzebruchJungContinuedFraction((3, 2))),
+    (SurgeryMove(0, [0, 1, 3, 4, 5, 7], [(1, 3), (5, 7)], [(1, 7), (3, 5)]),
+     SurgeryMove(0, (0, 1, 3, 4, 5, 7), ((1, 3), (5, 7)), ((1, 7), (3, 5)))),
 ]
 
 
@@ -151,6 +149,19 @@ def test_collection_fields_are_stored_immutably(value, twin):
     assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
     for name in type(value).__match_args__:
         assert type(getattr(value, name)) is type(getattr(twin, name))
+
+
+class _Three:
+    """An integer type that is not int, as numpy's are."""
+
+    def __index__(self):
+        return 3
+
+
+def test_filter_fields_are_stored_as_ints():
+    assert type(CellFilter.ell_periodic(_Three()).ell) is int
+    assert CellFilter.ell_periodic(_Three()) == CellFilter.ell_periodic(3)
+    assert CellFilter.size_set([_Three(), 4]) == CellFilter.size_set({3, 4})
 
 
 def test_a_filter_built_from_a_set_keeps_no_view_of_it():

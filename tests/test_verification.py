@@ -137,13 +137,12 @@ def _p_with_a_sign_flipped(s):
 def test_a_wrong_equation_is_caught_by_the_closed_forms(monkeypatch, name, wrong, label):
     # the solver makes S = F(S) by construction, so a wrong F solves
     # normally and leaves no residual; only the closed forms see it
-    spec = series.EquationSpec(name, wrong)
-    s = series.solve_fixed_point(spec, 8)
-    assert spec.apply(s) == s
+    s = series.solve_fixed_point(wrong, 8)
+    assert wrong(s) == s
     if name == "p":
-        monkeypatch.setattr(series, "p_equation", lambda: spec)
+        monkeypatch.setattr(series, "p_equation", wrong)
     else:
-        monkeypatch.setitem(series.NAMED_EQUATIONS, name, lambda: spec)
+        monkeypatch.setitem(series.NAMED_EQUATIONS, name, lambda ell: wrong)
     result = verification.check_series(8)
     assert not result.passed
     assert result.detail.startswith(f"{label} at ")
