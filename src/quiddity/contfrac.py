@@ -46,34 +46,36 @@ class HirzebruchJungContinuedFraction(Value):
 
 
 def eval_regular(cf: RegularContinuedFraction) -> Fraction:
-    """Exact value a_1 + 1/(a_2 + 1/(...)), always > 1 in lowest terms."""
-    value = Fraction(cf.terms[-1])
+    """Exact value a_1 + 1/(a_2 + 1/(...)), always > 1 in lowest terms,
+    from the integer continuants: p/q steps to a + q/p = (a p + q)/p."""
+    p, q = cf.terms[-1], 1
     for a in reversed(cf.terms[:-1]):
-        value = a + 1 / value
-    return value
+        p, q = a * p + q, p
+    return Fraction(p, q)
 
 
 def eval_hj(cf: HirzebruchJungContinuedFraction) -> Fraction:
-    """Exact value c_1 - 1/(c_2 - 1/(...)), always > 1 in lowest terms."""
-    value = Fraction(cf.terms[-1])
+    """Exact value c_1 - 1/(c_2 - 1/(...)), always > 1 in lowest terms,
+    from the integer continuants: p/q steps to c - q/p = (c p - q)/p."""
+    p, q = cf.terms[-1], 1
     for c in reversed(cf.terms[:-1]):
-        value = c - 1 / value
-    return value
+        p, q = c * p - q, p
+    return Fraction(p, q)
 
 
 def hj_expansion(value: Fraction) -> HirzebruchJungContinuedFraction:
     """Minus-sign expansion of a rational > 1 by ceiling-division
-    Euclid: c = ceil(value), recurse on 1/(c - value)."""
+    Euclid on its numerator p and denominator q: c = ceil(p/q), then on
+    to 1/(c - p/q) = q/(c q - p)."""
     if value <= 1:
         raise DomainError(f"minus-sign expansion needs a value > 1, got {value}")
+    p, q = value.numerator, value.denominator
     terms = []
-    while True:
-        c = -((-value.numerator) // value.denominator)
+    while q:
+        c = -(-p // q)
         terms.append(c)
-        rest = c - value
-        if rest == 0:
-            return HirzebruchJungContinuedFraction(terms)
-        value = 1 / rest
+        p, q = q, c * q - p
+    return HirzebruchJungContinuedFraction(terms)
 
 
 def regular_to_hj(cf: RegularContinuedFraction) -> HirzebruchJungContinuedFraction:

@@ -76,13 +76,13 @@ from .core import (
 # ``quiddities`` and ``classes`` verbs.  It admits every family of an
 # N-gon with N <= 11.  As commands, interpreter start-up included, on a
 # 2-core machine with Python 3.11, the largest, 32,032 dissections of
-# the 11-gon into 7 cells, takes 0.2 s for ``quiddities`` and 0.4-0.6 s
-# for ``classes`` (75 ms and 0.22 s of it in the verb).
+# the 11-gon into 7 cells, takes 0.2 s for ``quiddities`` and 0.3-0.35 s
+# for ``classes`` (70 ms and 0.17 s of it in the verb).
 # Few-cell families of larger polygons cost more per member, since they
 # plan more shapes and a quiddity has N entries: for the 27-gon into 3
-# cells (34,776), ``quiddities`` takes 0.35 s and ``classes``
-# 0.55-0.6 s; most of the verb's time is the walk planning shapes,
-# which a warm walk reads from the kept table in an eighth of the time.
+# cells (34,776), ``quiddities`` takes 0.32-0.34 s and ``classes``
+# 0.44-0.47 s; most of the verb's time is the walk planning shapes,
+# which a warm walk reads from the kept table in a seventh of the time.
 FAMILY_CAP = 35_000
 
 # Largest polygon that ``enumerate_dissections`` accepts.  A shape's
@@ -118,6 +118,8 @@ if ENUMERATE_N_CAP - 2 >= 1 << _BYTE:
 # _RUNS[k]: the packed corners 0, 1, ..., k - 1, a one-cell gap on k
 # vertices and, for k = N, a byte of 1 at every vertex
 _RUNS = tuple(int.from_bytes(b"\1" * k, "little") for k in range(ENUMERATE_N_CAP + 1))
+# _DECIMAL[b]: the text of a quiddity entry b, for the keys of ``_class_texts``
+_DECIMAL = tuple(str(b) for b in range(1 << _BYTE))
 
 # Sub-polygons of up to FILL_SPAN + 1 vertices are written from
 # recorded fills (``_walk``).  Timed on the benchmark's families session
@@ -304,7 +306,11 @@ def _base_cells(
     (its corners packed, one byte each, its first step).
 
     A depth-first search over the corners, one loop over the stack of
-    corners placed and the totals the gaps after each may have."""
+    corners placed, the totals the gaps after each may have and the
+    corners up to each packed, so a cell found is that packed prefix
+    plus the corner ``span``.  A one-edge gap holds no cell
+    (``reach[2]`` is 1), so a corner next to the last leaves the totals
+    as they were, with no mask work."""
     for t in allowed:
         if t > span + 1:
             break
@@ -312,6 +318,7 @@ def _base_cells(
             continue
         corners = [0]
         rests = [want]
+        packs = [1]  # the corners placed, packed
         c = 1  # the next candidate for the corner after the last
         while True:
             prev = corners[-1]
@@ -324,10 +331,11 @@ def _base_cells(
                 # nothing
                 rest = rests[-1]
                 while c <= span - left + 1:
-                    after = _differences(rest, reach[c - prev + 1])
+                    after = rest if c == prev + 1 else _differences(rest, reach[c - prev + 1])
                     if reach[span - c - left + 3] & after:
                         corners.append(c)
                         rests.append(after)
+                        packs.append(packs[-1] + (1 << _BYTE * c))
                         break
                     c += 1
                 else:
@@ -346,14 +354,12 @@ def _base_cells(
                         step = (p, q, reach[q - p + 1], _differences(want, suffix),
                                 _RUNS[q - p + 1], step)
                     q = p
-                cell = 1 << _BYTE * span
-                for v in corners:
-                    cell += 1 << _BYTE * v
-                yield cell, step
+                yield packs[-1] + (1 << _BYTE * span), step
             if len(corners) == 1:
                 break
             c = corners.pop() + 1
             rests.pop()
+            packs.pop()
 
 
 @functools.lru_cache(maxsize=TABLES_KEPT)
@@ -430,7 +436,11 @@ def _walk(
     (that index from the entry, the chords and log entries from there):
     the entries before are the one before's own objects.  Writing a
     fill back cuts there and adds the rest, so ``low`` and the kept
-    objects are those of the walk by plans.
+    objects are those of the walk by plans.  A sub-polygon with kept
+    fills that is the last gap, with nothing after it to fill, pushes no
+    entry: its fills are members one after another, so a local loop
+    cuts to where each differs from the one before, writes it and hands
+    it up, one pass of the outer loop for all of them.
 
     Plans are made as the search first asks for them, so the first
     dissection plans one base cell per sub-polygon it places.  A plan
@@ -498,10 +508,8 @@ def _walk(
                 n_chords += same
                 if n_chords < low:
                     low = n_chords
-                del chords[n_chords:]
-                del log[n_chords:]
-                chords += new_chords
-                log += new_log
+                chords[n_chords:] = new_chords
+                log[n_chords:] = new_log
                 step = None
             else:
                 if n_chords < low:
@@ -536,6 +544,16 @@ def _walk(
                     filled = kept_fills.get(key)
                     if filled is None:  # walked, and its fills recorded
                         after = (None, (key, []), n_chords, after)
+                    elif after is None:  # the last gap: each fill is a member
+                        for same, new_chords, new_log in filled:
+                            cut = n_chords + same
+                            if cut < low:
+                                low = cut
+                            chords[cut:] = new_chords
+                            log[cut:] = new_log
+                            yield chords, log, low
+                            low = n_vertices
+                        break
                     else:  # its first fill, whole
                         stack.append([(filled, _NO_MORE), 1, -1, after, n_chords])
                         _, new_chords, new_log = filled[0]
@@ -757,4 +775,5 @@ def _class_texts(
     grouped: dict[bytes, list[str]] = {}
     for chords, entries, low in members:
         grouped.setdefault(entries, []).append(line(chords, low))
-    return {",".join(map(str, entries)): sorted(texts) for entries, texts in grouped.items()}
+    return {",".join([_DECIMAL[e] for e in entries]): sorted(texts)
+            for entries, texts in grouped.items()}

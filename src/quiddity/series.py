@@ -394,10 +394,13 @@ NAMED_EQUATIONS: dict[str, Callable[[int | None], Equation]] = {
 
 def solve_named(name: str, max_z_order: int, ell: int | None = None) -> BivariateSeries:
     """Solve one of the named equations; ``q`` composes the quiddity
-    series from the auxiliary solution."""
+    series from the auxiliary solution.  Only ``ell-periodic`` takes a
+    period ``ell``; any other equation given one is refused."""
+    if name != "q" and name not in NAMED_EQUATIONS:
+        raise DomainError(f"unknown equation {name!r}")
+    if ell is not None and name != "ell-periodic":
+        raise DomainError(f"equation {name!r} takes no period, got ell={ell}")
     if name == "q":
         # a P solved here needs none of compose_q's check of a caller's P
         return _compose_q(solve_fixed_point(p_equation, max_z_order))
-    if name not in NAMED_EQUATIONS:
-        raise DomainError(f"unknown equation {name!r}")
     return solve_fixed_point(NAMED_EQUATIONS[name](ell), max_z_order)

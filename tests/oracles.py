@@ -9,6 +9,8 @@ masks, and fixed points of the series equations come from iterating
 at the full truncation order with every shift done as a product.
 Frozen copies of earlier validation and cell sweeps pin the messages
 and the cell order of the chord-driven passes that replaced them.
+A shape's base cells come from every corner set of every size, and
+continued fractions from ``Fraction`` arithmetic one term at a time.
 """
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ import contextlib
 import itertools
 import random
 from typing import Iterator, Optional
+
+from fractions import Fraction
 
 from quiddity.core import Chord, Dissection, DomainError
 from quiddity.enumeration import CellFilter
@@ -217,6 +221,44 @@ def reach_and_chain_by_sumsets(
     return reach, chain
 
 
+def _mask(counts: set[int]) -> int:
+    return sum(1 << c for c in counts)
+
+
+def base_cells_by_corner_sets(
+    reach: list[set[int]], allowed, span: int, want: set[int]
+) -> list[tuple[int, Optional[tuple]]]:
+    """The enumerator's plans of the shape (span, want), from every
+    corner set of every allowed size t, ordered by (t, corners): each
+    corner set whose t - 1 gaps, a gap of span g holding the counts
+    reach[g + 1], have counts summing into ``want``, as (its corners
+    packed, a byte each, summed over the corners; its gaps of span 2 or
+    more linked left to right as (p, q, reach, the counts that the later
+    such gaps can complete into ``want``, p..q packed, next)).  Every
+    set of counts is a set of ints until it is written as a mask."""
+    out = []
+    for t in allowed:
+        for inner in itertools.combinations(range(1, span), t - 2):
+            corners = (0, *inner, span)
+            gaps = list(zip(corners, corners[1:]))
+            totals = {0}
+            for p, q in gaps:
+                totals = {x + y for x in totals for y in reach[q - p + 1]}
+            if not totals & want:
+                continue
+            step = None
+            suffix = {0}  # the totals of the later gaps of span 2 or more
+            for p, q in reversed(gaps):
+                if q - p >= 2:
+                    fits = {y for y in range(max(want) + 1)
+                            if any(y + x in want for x in suffix)}
+                    step = (p, q, _mask(reach[q - p + 1]), _mask(fits),
+                            sum(1 << 8 * k for k in range(q - p + 1)), step)
+                    suffix = {x + y for x in suffix for y in reach[q - p + 1]}
+            out.append((sum(1 << 8 * v for v in corners), step))
+    return out
+
+
 def enumerate_by_interval_bounds(
     n_vertices: int, m: Optional[int], cell_filter: CellFilter
 ) -> Iterator[tuple[Chord, ...]]:
@@ -302,3 +344,35 @@ def solve_at_full_order(equation: Equation, order: int) -> BivariateSeries:
         for _ in range(order + 1):
             s = equation(s)
     return s
+
+
+def eval_regular_by_fractions(terms) -> Fraction:
+    """a_1 + 1/(a_2 + 1/(...)), one ``Fraction`` step per term."""
+    value = Fraction(terms[-1])
+    for a in reversed(terms[:-1]):
+        value = a + 1 / value
+    return value
+
+
+def eval_hj_by_fractions(terms) -> Fraction:
+    """c_1 - 1/(c_2 - 1/(...)), one ``Fraction`` step per term."""
+    value = Fraction(terms[-1])
+    for c in reversed(terms[:-1]):
+        value = c - 1 / value
+    return value
+
+
+def hj_terms_by_fractions(value: Fraction) -> tuple[int, ...]:
+    """The minus-sign terms of a rational > 1 by ceiling division on
+    ``Fraction``s: c = ceil(value), then on to 1/(c - value); the
+    package's ``DomainError`` for a value of at most 1."""
+    if value <= 1:
+        raise DomainError(f"minus-sign expansion needs a value > 1, got {value}")
+    terms = []
+    while True:
+        c = -((-value.numerator) // value.denominator)
+        terms.append(c)
+        rest = c - value
+        if rest == 0:
+            return tuple(terms)
+        value = 1 / rest

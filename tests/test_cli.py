@@ -179,6 +179,15 @@ def test_series_ell_requires_period(cache_env):
     assert code == 1
 
 
+@pytest.mark.parametrize("equation", ["catalan", "kirkman-cayley", "tri-quad", "p", "q"])
+def test_series_refuses_a_period_its_equation_does_not_take(cache_env, capsys, equation):
+    # only ell-periodic reads --ell; any other equation given it once
+    # printed its own coefficients as though no period were asked for
+    code, out = run(["series", equation, "--order", "3", "--ell", "3"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: equation {equation!r} takes no period, got ell=3\n"
+
+
 def test_surgery_verbs(cache_env):
     code, out = run(["surgery", "moves", "8:1-3,5-7", "--require-3p"])
     assert json.loads(out.splitlines()[0]) == {

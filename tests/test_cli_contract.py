@@ -144,6 +144,7 @@ def _refusal_grid() -> list[list[str]]:
         ["count", "--n", "2", "--m", "1", "--no-cache"],
         ["formula", "catalan", "1", "2", "--no-cache"],
         ["series", "ell-periodic", "--order", "4"],
+        ["series", "catalan", "--order", "3", "--ell", "3"],  # a period it does not take
         ["of", "6:0-2,1-3"], ["of", "5"], ["of", "x:"], ["of", "2:"], ["of", "5:0-9"],
         ["of", "8:0-7"], ["of", "6:0-2,0-2"], ["of", "6:0-2,a-3"],
         ["surgery", "apply", "8:1-3,5-7", "--remove=1-x,5-7"],

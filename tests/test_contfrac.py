@@ -17,6 +17,17 @@ from quiddity.contfrac import (
     strip_triangulation,
 )
 
+from oracles import eval_hj_by_fractions, eval_regular_by_fractions, hj_terms_by_fractions
+
+
+def _compositions(total, least):
+    """Every tuple of terms >= ``least`` summing to ``total``."""
+    if total == 0:
+        yield ()
+    for first in range(least, total + 1):
+        for rest in _compositions(total - first, least):
+            yield (first, *rest)
+
 
 def test_seven_fifths_example():
     cf = RegularContinuedFraction((1, 2, 1, 1))
@@ -49,6 +60,37 @@ def test_term_validation():
         HirzebruchJungContinuedFraction((2, 1))
     with pytest.raises(DomainError):
         hj_expansion(Fraction(1, 2))
+
+
+def test_integer_continuants_match_fraction_steps():
+    # the evaluations step integer continuants and the expansion divides
+    # integers; the reference steps Fractions one term at a time
+    for total in range(1, 13):
+        for terms in _compositions(total, 1):
+            if len(terms) % 2 == 0:
+                cf = RegularContinuedFraction(terms)
+                assert eval_regular(cf) == eval_regular_by_fractions(terms), terms
+                assert regular_to_hj(cf).terms == hj_terms_by_fractions(
+                    eval_regular_by_fractions(terms)), terms
+    for total in range(2, 15):
+        for terms in _compositions(total, 2):
+            value = eval_hj(HirzebruchJungContinuedFraction(terms))
+            assert value == eval_hj_by_fractions(terms), terms
+            assert hj_expansion(value).terms == hj_terms_by_fractions(value) == terms
+    for p in range(2, 61):
+        for q in range(1, p):
+            value = Fraction(p, q)
+            assert hj_expansion(value).terms == hj_terms_by_fractions(value), value
+            assert eval_hj(hj_expansion(value)) == value
+
+
+@pytest.mark.parametrize("value", [Fraction(1), Fraction(1, 2), Fraction(0), Fraction(-7, 3)])
+def test_expansion_refuses_values_of_at_most_one_as_before(value):
+    with pytest.raises(DomainError) as want:
+        hj_terms_by_fractions(value)
+    with pytest.raises(DomainError) as got:
+        hj_expansion(value)
+    assert str(got.value) == str(want.value)
 
 
 def test_strip_of_seven_fifths():

@@ -26,7 +26,12 @@ from quiddity.enumeration import (
 )
 from quiddity import cell_size_profile, formulas
 
-from oracles import enumerate_by_interval_bounds, reach_and_chain_by_sumsets, total_dissections
+from oracles import (
+    base_cells_by_corner_sets,
+    enumerate_by_interval_bounds,
+    reach_and_chain_by_sumsets,
+    total_dissections,
+)
 
 ELL3 = CellFilter.ell_periodic(3)
 # the test filters: every size, both ell kinds, and size sets with and
@@ -231,6 +236,38 @@ def test_reach_masks_match_sums_over_every_split(filt):
         for k in range(1, len(ref_chain)):
             for r in range(k, n):
                 assert ref_chain[k][r] == bits[r - k + 2], (n, k, r)
+
+
+@pytest.mark.parametrize("filt", SEVEN_FILTERS, ids=lambda f: f.describe())
+def test_base_cells_match_every_corner_set(filt):
+    # the planner skips the mask work of one-edge gaps and packs each
+    # depth's corners once; the reference tries every corner set of every
+    # size and sums over the corners, for each single wanted count and
+    # for every count at once
+    for span in range(1, 11):
+        allowed = filt.allowed_sizes_upto(span + 1)
+        reach = _reach_masks(span + 1, allowed)
+        ref_reach, _ = reach_and_chain_by_sumsets(span + 1, allowed)
+        for want in [*({c} for c in range(span)), set(range(span - 1))]:
+            got = list(enumeration._base_cells(reach, allowed, span, sum(1 << c for c in want)))
+            assert got == base_cells_by_corner_sets(ref_reach, allowed, span, want), (span, want)
+
+
+@pytest.mark.parametrize("filt", SEVEN_FILTERS, ids=lambda f: f.describe())
+def test_warm_walks_write_the_last_gap_fills_of_a_cold_walk(cold_tables, filt):
+    # a walk whose tables hold every fill writes a last gap's fills in
+    # one loop, with no choice point; it hands up what the cold walk did,
+    # and records and plans nothing more
+    for n in range(3, 11):
+        for m in (None, *range(1, n - 1)):
+            enumeration.clear_tables()
+            cold = [(tuple(chords), tuple(log), low)
+                    for chords, log, low in enumeration._walk(n, m, filt)]
+            plans, fills = (dict(table) for table in enumeration._table(filt))
+            warm = [(tuple(chords), tuple(log), low)
+                    for chords, log, low in enumeration._walk(n, m, filt)]
+            assert warm == cold, (n, m)
+            assert enumeration._table(filt) == (plans, fills), (n, m)
 
 
 @pytest.mark.parametrize("n, m, filt", [

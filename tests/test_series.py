@@ -138,6 +138,14 @@ def test_named_solutions_match_full_order_iteration(name, ell):
         assert solve_named(name, order, ell) == want, order
 
 
+@pytest.mark.parametrize("name", ["catalan", "kirkman-cayley", "tri-quad", "p", "q"])
+def test_only_the_ell_periodic_equation_takes_a_period(name):
+    with pytest.raises(DomainError, match=f"equation {name!r} takes no period, got ell=2"):
+        solve_named(name, 5, 2)
+    with pytest.raises(DomainError, match="unknown equation 'hexagonal'"):
+        solve_named("hexagonal", 5, 2)
+
+
 @pytest.mark.parametrize("name, ell, cell_filter", [
     ("kirkman-cayley", None, CellFilter.all_cells()), ("tri-quad", None, CellFilter.size_set({3, 4})),
     *(("ell-periodic", ell, CellFilter.ell_periodic(ell)) for ell in (1, 2, 3, 4))],
