@@ -66,7 +66,10 @@ def eval_hj(cf: HirzebruchJungContinuedFraction) -> Fraction:
 def hj_expansion(value: Fraction) -> HirzebruchJungContinuedFraction:
     """Minus-sign expansion of a rational > 1 by ceiling-division
     Euclid on its numerator p and denominator q: c = ceil(p/q), then on
-    to 1/(c - p/q) = q/(c q - p)."""
+    to 1/(c - p/q) = q/(c q - p).  Refuses a value that is not an
+    ``int`` or a ``Fraction``, a float included, with a DomainError."""
+    if not isinstance(value, (int, Fraction)):
+        raise DomainError(f"minus-sign expansion needs an int or a Fraction, got {value!r}")
     if value <= 1:
         raise DomainError(f"minus-sign expansion needs a value > 1, got {value}")
     p, q = value.numerator, value.denominator

@@ -54,6 +54,20 @@ before.  One line writer (``_line_writer``) keeps the text of every
 prefix of the chords, and writes each line on from the kept prefix,
 with only the chords placed since: no sort, and no join of every
 chord's name.
+
+These verbs and ``quiddities`` read the walk in block mode.  Where the
+last gap to fill has its fills kept, the members are the chords placed
+so far, the prefix, completed by each fill in turn, so the walk hands
+up the prefix once, with the kept fill record, as a block.  The first
+block of a record makes, for each of its fills, the text of its chords
+around the prefix's last run and its packed cells and chord degrees
+summed (``_fill_pieces``), and keeps them in the table beside the
+fills.  A block's lines are then the prefix's text with each fill's
+pieces put in, and its quiddities the prefix's sums plus each fill's,
+still checked on every member.  ``enumerate_dissections`` and
+``_carried_quiddities``, which the library functions and every
+``verification`` check read, take the walk one member at a time, so
+they check the blocks from outside.
 """
 from __future__ import annotations
 
@@ -122,21 +136,22 @@ _RUNS = tuple(int.from_bytes(b"\1" * k, "little") for k in range(ENUMERATE_N_CAP
 _DECIMAL = tuple(str(b) for b in range(1 << _BYTE))
 
 # Sub-polygons of up to FILL_SPAN + 1 vertices are written from
-# recorded fills (``_walk``).  Timed on the benchmark's families session
-# in one process, 12 alternating pairs against 4: at 3 the session took
-# 6% longer; at 5 and 6 it took 3-5% less, within the noise, while a
-# first walk of the octagon's 132 triangulations took 38% longer at 6,
-# recording fills it seldom writes back.
-FILL_SPAN = 4
+# recorded fills, and a last gap's handed up as blocks (``_walk``).
+# Timed by ``bench/run.py --workload families``, 7 alternating runs each
+# against the walk without blocks at 4 (2 cores): at 5, ``wall_s``
+# -14.1%, ``op_p50_ms`` -5.2% and ``op_p95_ms`` -1.1%; at 4, -7.2%,
+# -3.9% and +1.0%.  At 5 the session's kept tables take 1.55 MB against
+# 1.09 MB at 4 (tracemalloc); ``peak_rss_mb`` read +2.5% and +2.3%.
+FILL_SPAN = 5
 # The filters whose finished plans and fills are kept for later walks,
 # the least recently used dropped first.  The benchmark's families
 # session walks 12 filters in 210 walks, 133 of them by the verify-all
 # suite run in one process: keeping 12 or more re-plans no filter,
-# keeping 8 re-plans 24 times.  Its tables take about 0.8 MB
-# (tracemalloc, measured by clearing them); the one table of
-# ``classes --n 27 --m 3`` takes 5.1 MB, most of it plans.  The tables
-# are ``_table``'s cache, so ``_table.cache_info()`` gives its hits,
-# misses and the filters kept.
+# keeping 8 re-plans 24 times.  Its tables take about 1.55 MB
+# (tracemalloc, measured by clearing them), 0.2 MB of it blocks'
+# pieces; the one table of ``classes --n 27 --m 3`` takes 5.15 MB, most
+# of it plans.  The tables are ``_table``'s cache, so
+# ``_table.cache_info()`` gives its hits, misses and the filters kept.
 TABLES_KEPT = 16
 _NO_MORE: Iterator = iter(())
 
@@ -365,10 +380,11 @@ def _base_cells(
 @functools.lru_cache(maxsize=TABLES_KEPT)
 def _table(cell_filter: CellFilter) -> tuple[dict, dict]:
     """The filter's kept table, (finished plans by shape, finished fills
-    by shape and base vertex), made on first use; the least recently
-    used table past ``TABLES_KEPT`` is dropped.  A second thread that
-    misses at the same moment may get a fresh table of its own, which
-    changes no output, since a kept table only saves planning."""
+    by shape and base vertex, each with its blocks' pieces or None),
+    made on first use; the least recently used table past
+    ``TABLES_KEPT`` is dropped.  A second thread that misses at the
+    same moment may get a fresh table of its own, which changes no
+    output, since a kept table only saves planning."""
     return {}, {}
 
 
@@ -381,13 +397,49 @@ def clear_tables() -> None:
     _table.cache_clear()
 
 
+def _fill_pieces(
+    first: int, fills: tuple
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    """(heads, tails, members, degrees) of a kept fill record, whose
+    sub-polygon's first vertex is ``first``, one entry per fill, for
+    the walk's blocks.  ``heads`` and ``tails`` are the text of the
+    fill's chords with left end ``first``, each followed by a comma,
+    and of the rest, each after a comma, both sorted; ``members`` and
+    ``degrees`` are its cells' packed corners shifted to their place
+    and summed, and a unit at each end of each chord, summed
+    (``_carried_quiddities``).  Each fill is rebuilt from the one before
+    and what it records from where they differ."""
+    chords: list[Chord] = []
+    log: list[tuple[int, int]] = []
+    heads, tails, members, degrees = [], [], [], []
+    for same, new_chords, new_log in fills:
+        chords[same:] = new_chords
+        log[same:] = new_log
+        head = tail = ""
+        member = degree = 0
+        for i, j in sorted(chords):
+            if i == first:
+                head += f"{i}-{j},"
+            else:
+                tail += f",{i}-{j}"
+            degree += (1 << _BYTE * i) + (1 << _BYTE * j)
+        for shift, cell in log:
+            member += cell << _BYTE * shift
+        heads.append(head)
+        tails.append(tail)
+        members.append(member)
+        degrees.append(degree)
+    return tuple(heads), tuple(tails), tuple(members), tuple(degrees)
+
+
 def _walk(
-    n_vertices: int, m: int | None, cell_filter: CellFilter
-) -> Iterator[tuple[list[Chord], list[tuple[int, int]], int]]:
+    n_vertices: int, m: int | None, cell_filter: CellFilter, blocks: bool = False
+) -> Iterator[tuple[list[Chord], list[tuple[int, int]], int | tuple]]:
     """The enumerator: an iterator over (chords, log, low) for every
     dissection of the N-gon with ``m`` cells (any count if None) under
     the filter, in the order of ``enumerate_dissections``.  The
-    arguments are checked on the call, before any item is asked for.
+    arguments are checked on the call, before any item is asked for;
+    ``blocks`` hands up a last gap's kept fills as one block, below.
 
     ``chords`` lists the dissection's chords in the order placed and
     ``log`` its cells, each as (shift, packed cell): the cell's vertices
@@ -442,13 +494,23 @@ def _walk(
     cuts to where each differs from the one before, writes it and hands
     it up, one pass of the outer loop for all of them.
 
+    With ``blocks`` set, that loop is one item instead, a block: the
+    lists then hold the prefix, the chords up to and including the last
+    gap's and the cells outside that gap, and ``low`` is (low, kept
+    record), the record being (the fills, their pieces) as
+    ``_fill_pieces`` makes them, made by the first block that reads the
+    record and kept in its place.  Every other item is a member, as
+    without ``blocks``.  The next item's ``low`` is at most the prefix's
+    length, so a consumer that keeps state by prefix length (the line
+    writer) reads the block's from the prefix.
+
     Plans are made as the search first asks for them, so the first
     dissection plans one base cell per sub-polygon it places.  A plan
     record that runs to its end, and a sub-polygon's fills when its
-    choice point pops, go as tuples into the filter's kept table
-    (``_table``), which later walks of the filter read instead of
-    planning and recording again; what is still being made stays with
-    this walk.
+    choice point pops (with None for their pieces), go as tuples into
+    the filter's kept table (``_table``), which later walks of the
+    filter read instead of planning and recording again; what is still
+    being made stays with this walk.
     """
     _check_walkable(n_vertices, m)
     allowed = cell_filter.allowed_sizes_upto(n_vertices)
@@ -499,7 +561,7 @@ def _walk(
                     stack.pop()
                     if cont is not None and cont[0] is None and cont[2] == n_chords:
                         key, filled = cont[1]  # it recorded its sub-polygon's fills
-                        kept_fills[key] = tuple(filled)
+                        kept_fills[key] = (tuple(filled), None)
                     continue
                 done.append(plan)
             point[1] = idx + 1
@@ -541,10 +603,17 @@ def _walk(
                 n_chords = len(chords)
                 if q - p <= FILL_SPAN:
                     key = (q - p, sub_want >> 1, lo + p)
-                    filled = kept_fills.get(key)
-                    if filled is None:  # walked, and its fills recorded
+                    kept = kept_fills.get(key)
+                    if kept is None:  # walked, and its fills recorded
                         after = (None, (key, []), n_chords, after)
                     elif after is None:  # the last gap: each fill is a member
+                        filled, pieces = kept
+                        if blocks:  # handed up once, with pieces
+                            if pieces is None:
+                                kept = kept_fills[key] = (filled, _fill_pieces(lo + p, filled))
+                            yield chords, log, (low, kept)
+                            low = n_vertices
+                            break
                         for same, new_chords, new_log in filled:
                             cut = n_chords + same
                             if cut < low:
@@ -555,6 +624,7 @@ def _walk(
                             low = n_vertices
                         break
                     else:  # its first fill, whole
+                        filled = kept[0]
                         stack.append([(filled, _NO_MORE), 1, -1, after, n_chords])
                         _, new_chords, new_log = filled[0]
                         chords += new_chords
@@ -608,20 +678,27 @@ def enumerate_dissections(
     return (Dissection._trusted(n_vertices, chords) for chords, _, _ in walk)
 
 
-def _line_writer(n_vertices: int) -> Callable[[list[Chord], int], str]:
+def _line_writer(
+    n_vertices: int
+) -> tuple[Callable[[list[Chord], int], str], list[str], list[str]]:
     """The canonical text, ``str(d)``, of each item of one walk of the
-    N-gon, from its ``chords`` and ``low``, with no sort and no join.
+    N-gon, from its ``chords`` and ``low``, with no sort and no join;
+    returned with ``done`` and ``runs``, below, whose entries at an
+    item's k chords are its text's two parts once it is written.
 
     The chords' pre-order is runs of one left end, so the sorted text
     of a prefix of k chords is ``done[k]``, the text of its finished
     runs (each followed by a comma), plus ``runs[k]``, that of its last
-    run, whose left end is ``lefts[k]``.  Each line starts from entry
-    ``low``, which the walk kept, and writes only the chords after it:
-    one with the last run's left end is shorter than the run's, so its
-    name goes in front; any other starts a run.  Each chord's name is
-    made the first time it is written, into a row of its left end's
-    names, made when a run first starts there, so a line costs no table
-    of every chord of the N-gon."""
+    run, whose left end is ``lefts[k]``.  A block's prefix ends with
+    the chord (p, q) over its last gap, so its last run's left end is p,
+    and each fill's chords go around that run: those with left end p,
+    shorter than (p, q), before it, the others after it.  Each line
+    starts from entry ``low``, which the walk kept, and writes only the
+    chords after it: one with the last run's left end is shorter than
+    the run's, so its name goes in front; any other starts a run.  Each
+    chord's name is made the first time it is written, into a row of
+    its left end's names, made when a run first starts there, so a line
+    costs no table of every chord of the N-gon."""
     names: list[list[str | None] | None] = [None] * n_vertices
     # by prefix length k, up to the N - 3 chords of a triangulation
     done = [f"{n_vertices}:"] * (n_vertices - 2)
@@ -654,7 +731,7 @@ def _line_writer(n_vertices: int) -> Callable[[list[Chord], int], str]:
             lefts[k] = left
         return text + run
 
-    return line
+    return line, done, runs
 
 
 def _texts(
@@ -663,10 +740,28 @@ def _texts(
     """The canonical text, ``str(d)``, of every dissection
     ``enumerate_dissections`` yields, in its order, each written by
     ``_line_writer`` from the chords it does not share with the line
-    before.  The arguments are checked on the call."""
-    walk = _walk(n_vertices, m, cell_filter)
-    line = _line_writer(n_vertices)
-    return (line(chords, low) for chords, _, low in walk)
+    before.  The arguments are checked on the call.
+
+    It reads the walk in block mode: a block's lines share the text of
+    its prefix, so the writer is run once for the block, to ``done[k]``
+    and ``runs[k]`` at the prefix's k chords, and each fill's line is
+    ``done[k] + head + runs[k] + tail`` from the fill's kept pieces
+    (``_fill_pieces``)."""
+    walk = _walk(n_vertices, m, cell_filter, True)
+    line, done, runs = _line_writer(n_vertices)
+
+    def lines() -> Iterator[str]:
+        for chords, _, low in walk:
+            if low.__class__ is int:
+                yield line(chords, low)
+                continue
+            low, (_, (heads, tails, _, _)) = low
+            line(chords, low)
+            text, run = done[len(chords)], runs[len(chords)]
+            for head, tail in zip(heads, tails):
+                yield text + head + run + tail
+
+    return lines()
 
 
 def _carried_quiddities(
@@ -711,6 +806,50 @@ def _carried_quiddities(
     return members()
 
 
+def _packed_blocks(
+    n_vertices: int, m: int, cell_filter: CellFilter
+) -> Iterator[tuple[list[Chord], int, int | list[int], tuple | None]]:
+    """(chords, low, packed, pieces) of every item of the walk in block
+    mode, for ``count_quiddities`` and ``_class_texts``, which check
+    the arguments first.  A member alone has its packed quiddity, whose
+    bytes are its entries, and no pieces; a block has the list of its
+    members' and (heads, tails), its text pieces (``_fill_pieces``).
+    Each member is checked as in ``_carried_quiddities``; a block sums
+    the prefix's cells and chords once, and adds each fill's kept sums."""
+    ones = _RUNS[n_vertices]
+    units = [1 << _BYTE * v for v in range(n_vertices)]
+    for chords, log, low in _walk(n_vertices, m, cell_filter, True):
+        by_membership = 0
+        for shift, cell in log:
+            by_membership += cell << _BYTE * shift
+        by_degree = ones
+        for i, j in chords:
+            by_degree += units[i] + units[j]
+        if low.__class__ is int:
+            if by_membership == by_degree:
+                yield chords, low, by_membership, None
+                continue
+        else:
+            low, (fills, (heads, tails, members, degrees)) = low
+            packed = [by_membership + member for member in members]
+            by_degrees = [by_degree + degree for degree in degrees]
+            if packed == by_degrees:
+                yield chords, low, packed, (heads, tails)
+                continue
+            fill: list[Chord] = []  # the first member that fails
+            for (same, new_chords, _), by_membership, by_degree in zip(fills, packed, by_degrees):
+                fill[same:] = new_chords
+                if by_membership != by_degree:
+                    break
+            chords = chords + fill
+        raise AssertionError(
+            f"quiddity self-check failed for "
+            f"{Dissection._trusted(n_vertices, chords)}: "
+            f"{list(by_membership.to_bytes(n_vertices, 'little'))} vs "
+            f"{list(by_degree.to_bytes(n_vertices, 'little'))}"
+        )
+
+
 def count_dissections(
     n_vertices: int, m: int, cell_filter: CellFilter = ALL_CELLS
 ) -> int:
@@ -740,7 +879,13 @@ def count_quiddities(
     """Number of distinct quiddity vectors over the enumerated family.
     Refuses families larger than ``FAMILY_CAP``."""
     _refuse_large_family(n_vertices, m, cell_filter)
-    return len({entries for _, entries, _ in _carried_quiddities(n_vertices, m, cell_filter)})
+    seen: set[int] = set()
+    for _, _, packed, pieces in _packed_blocks(n_vertices, m, cell_filter):
+        if pieces is None:
+            seen.add(packed)
+        else:
+            seen.update(packed)
+    return len(seen)
 
 
 def quiddity_classes(
@@ -764,16 +909,26 @@ def _class_texts(
 ) -> dict[str, list[str]]:
     """``quiddity_classes`` as text, for the ``classes`` verb: each
     quiddity's text to its members' sorted texts, both written from the
-    walk, the quiddity by ``_carried_quiddities`` and each member by
-    ``_line_writer`` from the chords it does not share with the member
-    before, so no ``Dissection`` or ``Quiddity`` is made per member.
-    Refuses families larger than ``max_dissections``, and then the
-    arguments the walk refuses, before the writer is made."""
+    walk in block mode, the quiddity by ``_packed_blocks`` and each
+    member by ``_line_writer`` from the chords it does not share with
+    the member before, so no ``Dissection`` or ``Quiddity`` is made per
+    member.  A block writes its prefix's text and sums once, and each
+    member's line and quiddity from them and its fill's kept pieces;
+    each member's packed cells are checked against its chord degrees
+    before it is keyed.  Refuses families larger than
+    ``max_dissections``, and then the arguments the walk refuses,
+    before the writer is made."""
     _refuse_large_family(n_vertices, m, cell_filter, max_dissections)
-    members = _carried_quiddities(n_vertices, m, cell_filter)
-    line = _line_writer(n_vertices)
-    grouped: dict[bytes, list[str]] = {}
-    for chords, entries, low in members:
-        grouped.setdefault(entries, []).append(line(chords, low))
-    return {",".join([_DECIMAL[e] for e in entries]): sorted(texts)
-            for entries, texts in grouped.items()}
+    blocks = _packed_blocks(n_vertices, m, cell_filter)
+    line, done, runs = _line_writer(n_vertices)
+    grouped: dict[int, list[str]] = {}
+    for chords, low, packed, pieces in blocks:
+        if pieces is None:
+            grouped.setdefault(packed, []).append(line(chords, low))
+            continue
+        line(chords, low)
+        text, run = done[len(chords)], runs[len(chords)]
+        for member, head, tail in zip(packed, *pieces):
+            grouped.setdefault(member, []).append(text + head + run + tail)
+    return {",".join([_DECIMAL[e] for e in packed.to_bytes(n_vertices, "little")]): sorted(texts)
+            for packed, texts in grouped.items()}

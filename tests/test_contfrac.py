@@ -93,6 +93,17 @@ def test_expansion_refuses_values_of_at_most_one_as_before(value):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("value", [2.5, "3", None], ids=repr)
+def test_expansion_refuses_what_is_not_an_int_or_a_fraction(value):
+    # a float has no exact numerator, and a string or None no order with 1
+    with pytest.raises(DomainError, match="needs an int or a Fraction"):
+        hj_expansion(value)
+
+
+def test_expansion_takes_an_int():
+    assert hj_expansion(3).terms == (3,)
+
+
 def test_strip_of_seven_fifths():
     d, tops = strip_triangulation(RegularContinuedFraction((1, 2, 1, 1)))
     assert d.n_vertices == 7

@@ -3,13 +3,21 @@ from __future__ import annotations
 
 import io
 import itertools
+import re
 import sys
 import threading
 import time
 
 import pytest
 
-from quiddity import Dissection, DomainError, ResourceLimitError, dihedral_orbit, quiddity
+from quiddity import (
+    Dissection,
+    DomainError,
+    ResourceLimitError,
+    dihedral_orbit,
+    parse_dissection,
+    quiddity,
+)
 from quiddity import cli, enumeration, modular
 from quiddity.enumeration import (
     ENUMERATE_N_CAP,
@@ -170,11 +178,14 @@ def test_enumeration_checks_its_arguments_before_the_first_item():
 def test_walk_keeps_the_first_low_chords_of_the_previous_item_exhaustively(filt):
     # ``low`` is exactly the prefix of working-list entries the walk did
     # not replace; the previous lists are copied, so their entries stay
-    # alive and compare by identity
-    for n in range(3, 12):
-        for m in (None, *range(1, n - 1)):
+    # alive and compare by identity.  In block mode a block's lists hold
+    # its prefix, which the next item cuts as it would a member
+    for n, m, blocks in itertools.product(range(3, 12), (None, *range(1, 10)), (False, True)):
+        if m is None or m < n - 1:
             before: tuple[list, list] = ([], [])
-            for chords, log, low in enumeration._walk(n, m, filt):
+            for chords, log, low in enumeration._walk(n, m, filt, blocks):
+                if low.__class__ is not int:
+                    low = low[0]
                 for now, then in zip((chords, log), before):
                     kept = next((k for k, (a, b) in enumerate(zip(now, then)) if a is not b),
                                 min(len(now), len(then)))
@@ -268,6 +279,108 @@ def test_warm_walks_write_the_last_gap_fills_of_a_cold_walk(cold_tables, filt):
                     for chords, log, low in enumeration._walk(n, m, filt)]
             assert warm == cold, (n, m)
             assert enumeration._table(filt) == (plans, fills), (n, m)
+
+
+# the block tests' filters: every size, both ell kinds, a size set with
+# a closed-form count, one equal size and three odd sizes
+SIX_FILTERS = [
+    CellFilter.all_cells(), CellFilter.ell_periodic(2), ELL3, CellFilter.size_set({3, 4}),
+    CellFilter.size_set({4}), CellFilter.size_set({3, 5, 7}),
+]
+
+
+@pytest.mark.parametrize("filt", SIX_FILTERS, ids=lambda f: f.describe())
+def test_blocks_match_the_per_member_path_exhaustively(cold_tables, filt):
+    # ``_texts``, ``count_quiddities`` and ``_class_texts`` write a last
+    # gap's kept fills as one block, from the prefix's text and sums and
+    # each fill's kept pieces; ``str(d)`` and ``quiddity(d)`` of every
+    # member ``enumerate_dissections`` yields share none of that.  Each
+    # call runs cold, from no table, and then warm, from the tables the
+    # cold call left, blocks' pieces included
+    def cold_and_warm(call):
+        enumeration.clear_tables()
+        return call(), call()
+
+    for n in range(3, 12):
+        want = [str(d) for d in enumerate_dissections(n, None, filt)]
+        assert cold_and_warm(lambda: list(_texts(n, None, filt))) == (want, want), n
+        for m in range(1, n - 1):
+            found = list(enumerate_dissections(n, m, filt))
+            texts = [str(d) for d in found]
+            classes: dict[str, list[str]] = {}
+            for d, text in zip(found, texts):
+                classes.setdefault(str(quiddity(d)), []).append(text)
+            classes = {q: sorted(ds) for q, ds in classes.items()}
+            assert cold_and_warm(lambda: list(_texts(n, m, filt))) == (texts, texts), (n, m)
+            assert cold_and_warm(lambda: count_quiddities(n, m, filt)) == \
+                (len(classes), len(classes)), (n, m)
+            assert cold_and_warm(lambda: _class_texts(n, m, filt, FAMILY_CAP)) == \
+                (classes, classes), (n, m)
+
+
+@pytest.mark.parametrize("family", [
+    lambda: count_quiddities(10, 8),
+    lambda: _class_texts(10, 8, CellFilter.all_cells(), FAMILY_CAP),
+], ids=["count_quiddities", "_class_texts"])
+def test_block_path_checks_each_fill_sum_against_the_degrees(monkeypatch, cold_tables, family):
+    # one kept fill loses its first vertex's byte from its packed cells;
+    # the block path adds it to the prefix's sum and checks it against
+    # the chord degrees, and names the member it was wrong for
+    family()
+    _, kept_fills = enumeration._table(CellFilter.all_cells())
+    key, (fills, pieces) = next((key, kept) for key, kept in kept_fills.items()
+                                if kept[1] is not None)
+    heads, tails, members, degrees = pieces
+    wrong = (members[0] - (1 << enumeration._BYTE * key[2]), *members[1:])
+    monkeypatch.setitem(kept_fills, key, (fills, (heads, tails, wrong, degrees)))
+    with pytest.raises(AssertionError, match="self-check") as caught:
+        family()
+    named = re.search(r"failed for (\S+): \[", str(caught.value)).group(1)
+    assert set(fills[0][1]) <= set(parse_dissection(named).chords)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_max_results_stops_inside_a_block(cold_tables, warm):
+    # warm, the walk hands up the 12-gon's first 14 triangulations, the
+    # fills of one hexagon, as one block; line 4,097, one past the verb's
+    # first chunk, is the sixth of a block of 14, cold or warm
+    want = [str(d) for d in enumerate_dissections(12, 10)]
+    if not warm:
+        enumeration.clear_tables()
+    first = next(enumeration._walk(12, 10, CellFilter.all_cells(), True))[2]
+    assert (first.__class__ is int) != warm
+    for k in (1, 2, 4097):
+        if not warm:
+            enumeration.clear_tables()
+        assert _enumerate_verb("--n", "12", "--m", "10", "--max-results", str(k)) == \
+            "".join(text + "\n" for text in want[:k]), k
+
+
+def test_block_pieces_are_made_once_per_kept_fill_record(monkeypatch, cold_tables):
+    # the first block of a kept record makes its pieces and keeps them in
+    # the table; every later block of it, in this walk or another of any
+    # block reader, reads them, and a walk one member at a time makes none
+    made = []
+    real = enumeration._fill_pieces
+
+    def counted(first, fills):
+        made.append((first, fills))
+        return real(first, fills)
+
+    monkeypatch.setattr(enumeration, "_fill_pieces", counted)
+    filt = CellFilter.all_cells()
+    list(enumerate_dissections(12, 10, filt))
+    assert made == []
+    list(_texts(12, 10, filt))
+    assert len(made) == len(set(made)) > 0
+    _, kept_fills = enumeration._table(filt)
+    assert {(key[2], fills) for key, (fills, pieces) in kept_fills.items()
+            if pieces is not None} == set(made)
+    once = list(made)
+    list(_texts(12, 10, filt))
+    count_quiddities(12, 10, filt)
+    _class_texts(12, 10, filt, FAMILY_CAP)
+    assert made == once
 
 
 @pytest.mark.parametrize("n, m, filt", [
